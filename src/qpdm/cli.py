@@ -28,17 +28,15 @@ from .classical import (
     next_prime,
     valid_exponents,
 )
-from .counting import CountingConfig, default_counting_width, joint_support
+from .counting import MAX_COUNTING_WIDTH, CountingConfig, default_counting_width, joint_support
 from .dataset import ParseError, exact_support, pad_to_power_of_two, parse_database, vertical_partition
 from .miner import quantum_estimator, run_mining
-from .protocol import Transcript, build_qram, transcript_total
+from .protocol import KEY_FAMILIES, Transcript, build_qram, transcript_total
 
 EXIT_OK = 0
 EXIT_NOT_ACCEPTED = 2
 EXIT_USAGE = 64
 EXIT_FILE = 66
-
-ENC_FLAGS = {"bitflip": "bitflip", "modadd": "modadd", "cyclic": "cyclic"}
 
 
 class UsageError(ValueError):
@@ -88,7 +86,7 @@ def _add_common(sub):
     sub.add_argument("--p", type=int, default=None, help="counting width (default from 2000/s)")
     sub.add_argument("--seed", type=int, default=None, help="rng seed (env QPDM_SEED as fallback)")
     sub.add_argument("--ci", action="store_true", help="require an explicit seed")
-    sub.add_argument("--enc", choices=sorted(ENC_FLAGS), default="bitflip", help="key family")
+    sub.add_argument("--enc", choices=sorted(KEY_FAMILIES), default="bitflip", help="key family")
     sub.add_argument("--band", type=float, default=0.01, help="agreement band as multiple of s")
     sub.add_argument("--max-rounds", type=int, default=20)
     sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
@@ -166,8 +164,8 @@ def _run_config(args) -> RunConfig:
     if args.max_rounds < 1:
         raise UsageError("max rounds must be >= 1")
     p = args.p if args.p is not None else default_counting_width(args.s)
-    if p < 1:
-        raise UsageError("counting width must be >= 1")
+    if not 1 <= p <= MAX_COUNTING_WIDTH:
+        raise UsageError(f"counting width must lie in 1..{MAX_COUNTING_WIDTH}, got {p}")
     return RunConfig(
         db_path=args.db,
         split=args.split,

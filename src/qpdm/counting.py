@@ -8,22 +8,27 @@ counting register goes through the inverse QFT and is measured, and the
 readout f becomes the estimate sin^2(pi f / P) of the marked fraction of
 the padded address space, rescaled to the database's real row count.
 
-Two execution methods are provided and pinned to each other by tests:
+The readout distribution is computed in closed form. The Grover iteration
+G keeps the uniform address state inside span{|marked>, |unmarked>}, where
+it is a rotation with eigenvalues exp(+-2i theta), sin^2(theta) = M / 2^n,
+and the uniform state has weight 1/2 on each eigenvector (Brassard, Hoyer
+and Tapp, quant-ph/9805082). Phase estimation of an eigenphase lambda
+reads f with probability |sum_t exp(i(lambda - 2 pi f / P) t) / P|^2, the
+Fejer kernel, so the exact distribution is
 
-* "statevector" carries the full counting-register state through every
-  controlled Grover call, exactly as the circuit reads. It is exponential
-  in the counting width and meant for validation at small sizes.
-* "trajectory" factors the identical circuit through the walk states
-  G^m |uniform>: the controlled iterations entangle the counting register
-  with nothing but the walk index, so the post-QFT readout distribution
-  is recovered exactly by a length-P Fourier transform over the walk.
-  The oracle's diagonal is taken from one full seven-step protocol
-  execution per count (which also re-checks disentanglement); the
-  remaining iterations reuse it.
+    Pr[f] = 1/2 sum_{lambda = +-2 theta} |fft(exp(i lambda t))[f] / P|^2,
 
-Both methods log the same transcript: one four-transfer group per logical
-oracle call, P-1 groups per count, and both consume exactly one uniform
-draw per measurement, so seeded runs agree draw-for-draw across methods.
+which depends on the marked count M alone. The Fourier form has no 0/0
+case at M = 0 or M = 2^n, where the uniform state is itself an eigenvector
+and both terms coincide. M is taken from one full seven-step protocol
+execution per count on the uniform address state: every query, mark and
+erasure runs, and the output is checked to be a pure sign flip.
+
+Every count logs the transcript of the circuit it stands for, one
+four-transfer group per logical oracle call and P-1 groups per count, and
+consumes one uniform draw. statevector_distribution runs the circuit
+itself, every controlled Grover call over the full counting register; it
+is exponential in p and is the reference the tests pin this module to.
 """
 from __future__ import annotations
 
@@ -44,6 +49,12 @@ from .protocol import (
     run_oracle_u,
     sample_key,
 )
+
+# One count logs 4 (P - 1) transcript events: at p = 24 that list alone
+# takes 512 MB.
+MAX_COUNTING_WIDTH = 24
+
+
 class EstimationError(RuntimeError):
     """An estimate is unusable (too rare an antecedent, no agreement)."""
 
@@ -63,8 +74,8 @@ class CountingConfig:
     key_family: str = "bitflip"
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("counting width p must be >= 1")
+        if not 1 <= self.p <= MAX_COUNTING_WIDTH:
+            raise ValueError(f"counting width p must lie in 1..{MAX_COUNTING_WIDTH}, got {self.p}")
         if not 0 < self.s < 1:
             raise ValueError("support threshold s must lie in (0, 1)")
         if self.agreement_band <= 0:
@@ -126,17 +137,6 @@ def _resolve_parties(initiator: str, alice: PartyState, bob: PartyState):
     raise ValueError(f"initiator must be 'alice' or 'bob', got {initiator!r}")
 
 
-def _resolve_method(method: str) -> str:
-    # "auto" is the trajectory method: exact, and the only one that meets
-    # the runtime targets at recommended P. Statevector is a validation
-    # opt-in, exponential in the counting width.
-    if method == "auto":
-        return "trajectory"
-    if method in ("statevector", "trajectory"):
-        return method
-    raise ValueError(f"unknown counting method {method!r}")
-
-
 def _layout_for(init: PartyState, resp: PartyState, p: int):
     if init.address_width != resp.address_width:
         raise ValueError("parties are built over different address spaces")
@@ -163,34 +163,6 @@ def _oracle_diagonal(init: PartyState, resp: PartyState, z: frozenset) -> np.nda
     return signs
 
 
-def _trajectory_distribution(
-    init: PartyState,
-    resp: PartyState,
-    z: frozenset,
-    config: CountingConfig,
-    transcript: Transcript | None,
-) -> np.ndarray:
-    signs = _oracle_diagonal(init, resp, z)
-    m = len(signs)
-    P = config.P
-    events = oracle_call_events(init.role, init.address_width)
-    walk = np.empty((P, m), dtype=complex)
-    phi = np.full(m, m**-0.5, dtype=complex)
-    walk[0] = phi
-    log = transcript.events.extend if transcript is not None else None
-    for t in range(1, P):
-        if log is not None:
-            log(events)
-        v = signs * phi
-        phi = 2.0 * v.mean() - v  # G phi = (2|u><u| - I) (signs . phi)
-        walk[t] = phi
-    amps = np.fft.fft(walk, axis=0) / P
-    probs = np.abs(amps) ** 2 @ np.ones(m)
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise qsim.SimulationError("counting distribution lost normalization")
-    return probs
-
-
 def _statevector_prepared(
     init: PartyState,
     resp: PartyState,
@@ -210,6 +182,18 @@ def _statevector_prepared(
     return qsim.inverse_qft(st, "counting")
 
 
+def _readout_distribution(marked: int, n: int, P: int) -> np.ndarray:
+    """Exact readout distribution of a count with `marked` of 2^n addresses
+    marked: the mean of the Fejer kernels around the eigenphases +-2 theta."""
+    theta = math.asin(math.sqrt(marked / (1 << n)))
+    kernel = np.abs(np.fft.fft(np.exp(2j * theta * np.arange(P))) / P) ** 2
+    # the -2 theta kernel is the +2 theta kernel mirrored, f -> -f mod P
+    probs = 0.5 * (kernel + np.roll(kernel[::-1], 1))
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise qsim.SimulationError("counting distribution lost normalization")
+    return probs
+
+
 def counting_distribution(
     initiator: str,
     alice: PartyState,
@@ -217,28 +201,39 @@ def counting_distribution(
     z: frozenset,
     config: CountingConfig,
     transcript: Transcript | None = None,
-    method: str = "auto",
 ) -> np.ndarray:
-    """Exact probability vector over the counting readout f = 0 .. P-1."""
+    """Exact probability vector over the counting readout f = 0 .. P-1.
+
+    Runs the protocol once to find the marked count and logs the transcript
+    of all P-1 oracle calls of the counting circuit."""
     init, resp = _resolve_parties(initiator, alice, bob)
-    method = _resolve_method(method)
-    if method == "trajectory":
-        return _trajectory_distribution(init, resp, z, config, transcript)
+    marked = int(np.count_nonzero(_oracle_diagonal(init, resp, z) < 0))
+    if transcript is not None:
+        events = oracle_call_events(init.role, init.address_width)
+        transcript.events.extend(events * (config.P - 1))
+    return _readout_distribution(marked, init.address_width, config.P)
+
+
+def statevector_distribution(
+    initiator: str,
+    alice: PartyState,
+    bob: PartyState,
+    z: frozenset,
+    config: CountingConfig,
+    transcript: Transcript | None = None,
+) -> np.ndarray:
+    """The readout distribution of the counting circuit simulated gate by
+    gate, every controlled Grover call over the full counting register.
+
+    The reference counting_distribution is tested against; its cost grows
+    as 2^p state labels times P oracle calls.
+    """
+    init, resp = _resolve_parties(initiator, alice, bob)
     st = _statevector_prepared(init, resp, z, config, transcript)
     probs = np.zeros(config.P)
     for label, a in st.amps.items():
         probs[st.layout.extract(label, "counting")] += abs(a) ** 2
     return probs
-
-
-def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    r = rng.random()
-    acc = 0.0
-    for f, p in enumerate(probs):
-        acc += p
-        if r < acc:
-            return f
-    return len(probs) - 1
 
 
 def quantum_count(
@@ -249,21 +244,16 @@ def quantum_count(
     config: CountingConfig,
     rng: np.random.Generator,
     transcript: Transcript | None = None,
-    method: str = "auto",
 ) -> float:
     """One count: run phase estimation, measure, and return the support
     estimate rescaled from the padded space to the real row count."""
-    init, resp = _resolve_parties(initiator, alice, bob)
-    resolved = _resolve_method(method)
-    if resolved == "statevector":
-        st = _statevector_prepared(init, resp, z, config, transcript)
-        f = qsim.measure_register(st, "counting", rng).value
-    else:
-        probs = _trajectory_distribution(init, resp, z, config, transcript)
-        f = _sample_index(probs, rng)
-    raw = phase_readout(f, config.P)
+    probs = counting_distribution(initiator, alice, bob, z, config, transcript)
+    # the first readout whose cumulative probability exceeds one uniform
+    # draw; the clamp catches a cumulative sum that rounds to just below 1
+    f = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), config.P - 1)
+    init, _ = _resolve_parties(initiator, alice, bob)
     scale = (1 << init.address_width) / init.view.original_count
-    return min(1.0, raw * scale)
+    return min(1.0, phase_readout(f, config.P) * scale)
 
 
 def joint_support(
@@ -273,7 +263,6 @@ def joint_support(
     config: CountingConfig,
     rng: np.random.Generator,
     transcript: Transcript | None = None,
-    method: str = "auto",
 ) -> SupportEstimate:
     """Alternate Alice- and Bob-initiated counts with fresh keys each round
     until the two estimates agree within agreement_band * s.
@@ -289,9 +278,9 @@ def joint_support(
     rounds = 0
     for rounds in range(1, config.max_rounds + 1):
         bob_keyed = bob.with_key(sample_key(config.key_family, n, rng))
-        s1 = quantum_count("alice", alice, bob_keyed, z, config, rng, transcript, method)
+        s1 = quantum_count("alice", alice, bob_keyed, z, config, rng, transcript)
         alice_keyed = alice.with_key(sample_key(config.key_family, n, rng))
-        s2 = quantum_count("bob", alice_keyed, bob, z, config, rng, transcript, method)
+        s2 = quantum_count("bob", alice_keyed, bob, z, config, rng, transcript)
         if abs(s1 - s2) < band:
             value = (s1 + s2) / 2
             return SupportEstimate(
@@ -309,7 +298,6 @@ def estimate_confidence(
     config: CountingConfig,
     rng: np.random.Generator,
     transcript: Transcript | None = None,
-    method: str = "auto",
 ) -> ConfidenceEstimate:
     """Estimated conf(X => Y) = supp(X u Y) / supp(X) from two joint counts.
 
@@ -322,14 +310,14 @@ def estimate_confidence(
         raise ValueError("X and Y must be non-empty")
     if x & y:
         raise ValueError("X and Y must be disjoint")
-    antecedent = joint_support(alice, bob, x, config, rng, transcript, method)
+    antecedent = joint_support(alice, bob, x, config, rng, transcript)
     if not antecedent.accepted:
         raise EstimationError("antecedent support estimate was not accepted")
     if antecedent.value <= antecedent.error_bound:
         raise EstimationError(
             "antecedent too rare: support estimate does not exceed its error bound"
         )
-    numerator = joint_support(alice, bob, x | y, config, rng, transcript, method)
+    numerator = joint_support(alice, bob, x | y, config, rng, transcript)
     value = numerator.value / antecedent.value
     bound = (
         numerator.error_bound / antecedent.value

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 ItemSet = frozenset
 """An itemset is a frozenset of 1-based item indices."""
@@ -25,14 +24,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-def itemset(items: Iterable[int]) -> ItemSet:
-    """Build an itemset from any iterable of 1-based item indices."""
-    z = frozenset(int(i) for i in items)
-    if any(i < 1 for i in z):
-        raise ValueError("item indices are 1-based")
-    return z
 
 
 def _check_row(row: str, k: int) -> None:

@@ -111,7 +111,6 @@ def quantum_estimator(
     config: CountingConfig,
     seed: int | None,
     transcript: Transcript | None = None,
-    method: str = "auto",
 ) -> Estimator:
     """Joint two-party estimator with a per-itemset rng stream derived from
     (seed, itemset), so candidate evaluation order does not matter."""
@@ -121,7 +120,7 @@ def quantum_estimator(
             rng = np.random.default_rng()
         else:
             rng = np.random.default_rng([seed, *sorted(z)])
-        return joint_support(alice, bob, z, config, rng, transcript, method)
+        return joint_support(alice, bob, z, config, rng, transcript)
 
     return estimate
 

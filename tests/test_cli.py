@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from qpdm.cli import EXIT_FILE, EXIT_NOT_ACCEPTED, EXIT_OK, EXIT_USAGE, main
 
 FOUR_ROW_CSV = "I1,I2,I3\n1,1,0\n1,0,0\n0,1,1\n1,1,1\n"
+GOLDEN = Path(__file__).resolve().parent / "data"
+MARKET_CSV = str(Path(__file__).resolve().parent.parent / "demos" / "data" / "market.csv")
 
 
 @pytest.fixture
@@ -121,6 +124,18 @@ class TestEstimate:
         events = report["transcript"]
         assert len(events) % 4 == 0
         assert set(events[0]) == {"dir", "qubits", "step"}
+
+    @pytest.mark.parametrize("width", [["--s", "0.3", "--p", "40"], ["--s", "1e-9"]])
+    def test_counting_width_guard(self, capsys, width):
+        # an explicit --p or one derived from a tiny --s: refused before allocating
+        code, out, err = run(
+            capsys,
+            ["estimate", "--db", MARKET_CSV, "--split", "2", "--items", "1,3", "--seed", "1", *width],
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("qpdm: error:")
+        assert err.count("\n") == 1
 
     def test_output_file(self, capsys, db_path, tmp_path):
         out_path = tmp_path / "report.json"
@@ -294,3 +309,26 @@ class TestFormats:
         header, row = out.strip().splitlines()
         assert "estimate" in header.split(",")
         assert len(header.split(",")) == len(row.split(","))
+
+
+class TestGolden:
+    """Seeded stdout recorded from an earlier version must not change by a byte."""
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (
+                ["mine", "--db", MARKET_CSV, "--split", "2", "--s", "0.3", "--c", "0.6",
+                 "--seed", "11", "--with-exact-oracle"],
+                "mine_market_seed11.json",
+            ),
+            (
+                ["compare", "--db", MARKET_CSV, "--items", "1,2", "--split", "2", "--seed", "3"],
+                "compare_market_seed3.json",
+            ),
+        ],
+    )
+    def test_seeded_stdout_byte_identical(self, capsys, argv, golden):
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")

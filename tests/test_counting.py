@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qpdm import qsim
 from qpdm.counting import (
+    MAX_COUNTING_WIDTH,
     CountingConfig,
     EstimationError,
     SupportEstimate,
@@ -14,9 +18,19 @@ from qpdm.counting import (
     joint_support,
     phase_readout,
     quantum_count,
+    statevector_distribution,
 )
-from qpdm.dataset import TransactionDatabase, exact_confidence, vertical_partition
-from qpdm.protocol import Transcript, build_qram, make_key, reference_phase_oracle, transcript_total
+from qpdm.counting import _statevector_prepared
+from qpdm.dataset import TransactionDatabase, exact_confidence, pad_to_power_of_two, vertical_partition
+from qpdm.protocol import (
+    KEY_FAMILIES,
+    Transcript,
+    build_qram,
+    make_key,
+    reference_phase_oracle,
+    sample_key,
+    transcript_total,
+)
 
 DB16_T4 = TransactionDatabase(
     2,
@@ -45,6 +59,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             CountingConfig(p=0, s=0.5)
+        with pytest.raises(ValueError):
+            CountingConfig(p=MAX_COUNTING_WIDTH + 1, s=0.5)
         with pytest.raises(ValueError):
             CountingConfig(p=3, s=1.5)
         with pytest.raises(ValueError):
@@ -78,26 +94,68 @@ class TestDistribution:
         alice, bob = alice.with_key(key), bob.with_key(key)
         config = CountingConfig(p=p, s=0.3)
         z = frozenset({1, 3})
-        t_sv, t_tr = Transcript(), Transcript()
-        sv = counting_distribution(initiator, alice, bob, z, config, t_sv, method="statevector")
-        tr = counting_distribution(initiator, alice, bob, z, config, t_tr, method="trajectory")
-        assert np.max(np.abs(sv - tr)) < 1e-10
-        assert t_sv.events == t_tr.events
+        t_sv, t_cf = Transcript(), Transcript()
+        sv = statevector_distribution(initiator, alice, bob, z, config, t_sv)
+        cf = counting_distribution(initiator, alice, bob, z, config, t_cf)
+        assert np.max(np.abs(sv - cf)) < 1e-10
+        assert t_sv.events == t_cf.events
         assert len(t_sv.events) == (config.P - 1) * 4
 
-    def test_matches_independent_dense_phase_estimation(self):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(2, 8).flatmap(
+            lambda k: st.lists(
+                st.text("01", min_size=k, max_size=k), min_size=2, max_size=8
+            )
+        ),
+        data=st.data(),
+    )
+    def test_closed_form_matches_statevector_property(self, rows, data):
+        k = len(rows[0])
+        db = pad_to_power_of_two(TransactionDatabase(k, tuple(rows), len(rows)))
+        split = data.draw(st.integers(1, k - 1), label="split")
+        z = frozenset(data.draw(st.sets(st.integers(1, k), min_size=1), label="z"))
+        family = data.draw(st.sampled_from(KEY_FAMILIES), label="family")
+        initiator = data.draw(st.sampled_from(["alice", "bob"]), label="initiator")
+        config = CountingConfig(p=data.draw(st.integers(1, 4), label="p"), s=0.3)
+        alice, bob = parties(db, split)
+        key_rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="key_seed"))
+        key = sample_key(family, alice.address_width, key_rng)
+        if initiator == "alice":
+            bob = bob.with_key(key)
+        else:
+            alice = alice.with_key(key)
+        t_sv, t_cf = Transcript(), Transcript()
+        sv = statevector_distribution(initiator, alice, bob, z, config, t_sv)
+        cf = counting_distribution(initiator, alice, bob, z, config, t_cf)
+        assert np.max(np.abs(sv - cf)) < 1e-10
+        assert t_sv.events == t_cf.events
+
+    @pytest.mark.parametrize(
+        "n, p, marked, family",
+        [
+            (3, 4, 3, "modadd"),
+            (2, 3, 0, "bitflip"),
+            (2, 5, 4, "cyclic"),
+            (3, 8, 1, "cyclic"),
+            (4, 6, 16, "modadd"),
+            (4, 8, 0, "modadd"),
+            (4, 8, 7, "bitflip"),
+            (5, 7, 11, "bitflip"),
+        ],
+    )
+    def test_matches_independent_dense_phase_estimation(self, n, p, marked, family):
         # fully independent route: dense textbook matrices, no simulator
-        rng = np.random.default_rng(21)
-        rows = tuple("".join(rng.choice(["0", "1"], size=3)) for _ in range(8))
-        db = TransactionDatabase(3, rows, 8)
-        z = frozenset({1, 3})
-        key = make_key("modadd", 5, 3)
+        db = db_with_marked(n, marked, seed=n + p)
+        z = frozenset({1, 2})
+        key = make_key(family, 1, n)
         alice, bob = parties(db, 1)
-        config = CountingConfig(p=4, s=0.3)
+        config = CountingConfig(p=p, s=0.3)
         got = counting_distribution("alice", alice, bob.with_key(key), z, config)
 
         signs = reference_phase_oracle(db, z, key.apply).astype(float)
-        m, P = 8, config.P
+        assert np.count_nonzero(signs < 0) == marked
+        m, P = 1 << n, config.P
         grover = (2 / m * np.ones((m, m)) - np.eye(m)) @ np.diag(signs)
         psi = np.full(m, m**-0.5)
         walk = np.stack(
@@ -105,7 +163,7 @@ class TestDistribution:
         ) / math.sqrt(P)
         dft = np.exp(-2j * np.pi * np.outer(np.arange(P), np.arange(P)) / P) / math.sqrt(P)
         expected = (np.abs(dft @ walk) ** 2).sum(axis=1)
-        assert np.max(np.abs(got - expected)) < 1e-10
+        assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_exact_phase_sharpness(self):
         # t/2^n = 1/2 has eigenphase exactly 1/4: all mass on P/4 and 3P/4
@@ -138,11 +196,13 @@ class TestDistribution:
     def test_initiator_symmetry_exact_distributions(self):
         db = db_with_marked(3, 3, seed=5)
         alice, bob = parties(db, 1)
+        key = make_key("bitflip", 5, 3)
+        alice, bob = alice.with_key(key), bob.with_key(key)
         config = CountingConfig(p=5, s=0.25)
         z = frozenset({1, 2})
-        d1 = counting_distribution("alice", alice, bob.with_key(make_key("bitflip", 5, 3)), z, config)
-        d2 = counting_distribution("bob", alice.with_key(make_key("bitflip", 2, 3)), bob, z, config)
-        assert np.max(np.abs(d1 - d2)) < 1e-12
+        d1 = counting_distribution("alice", alice, bob, z, config)
+        d2 = counting_distribution("bob", alice, bob, z, config)
+        assert np.max(np.abs(d1 - d2)) < 1e-15
 
     def test_key_invariance_all_bitflip_keys(self):
         db = db_with_marked(3, 3, seed=6)
@@ -181,14 +241,18 @@ class TestQuantumCount:
         assert e1 == e2
 
     def test_methods_agree_per_seed(self):
+        # a seeded count reads what measuring the simulated circuit reads
         db = db_with_marked(3, 2, seed=8)
         alice, bob = parties(db, 1)
         bob = bob.with_key(make_key("modadd", 5, 3))
         config = CountingConfig(p=3, s=0.25)
         z = frozenset({1, 2})
-        sv = quantum_count("alice", alice, bob, z, config, np.random.default_rng(3), method="statevector")
-        tr = quantum_count("alice", alice, bob, z, config, np.random.default_rng(3), method="trajectory")
-        assert sv == pytest.approx(tr, abs=1e-12)
+        circuit = _statevector_prepared(alice, bob, z, config, None)
+        for seed in range(20):
+            f = qsim.measure_register(circuit, "counting", np.random.default_rng(seed)).value
+            sv = phase_readout(f, config.P)  # all 8 rows are real: no rescaling
+            cf = quantum_count("alice", alice, bob, z, config, np.random.default_rng(seed))
+            assert sv == pytest.approx(cf, abs=1e-12)
 
     def test_rescaling_to_original_count(self):
         # 8 padded rows but only 5 real ones; all real rows contain {1}
