@@ -153,13 +153,17 @@ def _oracle_diagonal(init: PartyState, resp: PartyState, z: frozenset) -> np.nda
     layout, n = _layout_for(init, resp, p=0)
     st = qsim.apply_w(qsim.prepare_basis(layout), "address")
     out = run_oracle_u(st, init, resp, z, Transcript())
-    off = layout.offset("address")
+    # the signed permutations map labels position by position, so a sign
+    # flip leaves every label where it was
+    if not np.array_equal(out.labels, st.labels):
+        raise qsim.SimulationError("oracle output moved basis labels")
+    ratio = out.amplitudes / st.amplitudes
+    bad = (np.abs(np.abs(ratio) - 1.0) > 1e-9) | (np.abs(ratio.imag) > 1e-9)
+    if bad.any():
+        raise qsim.SimulationError(f"oracle output is not a sign flip: {ratio[bad][0]!r}")
     signs = np.empty(1 << n, dtype=float)
-    for label, a_in in st.amps.items():
-        ratio = out.amps[label] / a_in
-        if abs(abs(ratio) - 1.0) > 1e-9 or abs(ratio.imag) > 1e-9:
-            raise qsim.SimulationError(f"oracle output is not a sign flip: {ratio!r}")
-        signs[(label >> off) & ((1 << n) - 1)] = 1.0 if ratio.real > 0 else -1.0
+    address = layout.extract(st.labels, "address").astype(np.int64)
+    signs[address] = np.where(ratio.real > 0, 1.0, -1.0)
     return signs
 
 
@@ -230,10 +234,8 @@ def statevector_distribution(
     """
     init, resp = _resolve_parties(initiator, alice, bob)
     st = _statevector_prepared(init, resp, z, config, transcript)
-    probs = np.zeros(config.P)
-    for label, a in st.amps.items():
-        probs[st.layout.extract(label, "counting")] += abs(a) ** 2
-    return probs
+    readouts = st.extract(st.labels, "counting").astype(np.int64)
+    return np.bincount(readouts, weights=np.abs(st.amplitudes) ** 2, minlength=config.P)
 
 
 def quantum_count(

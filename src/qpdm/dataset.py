@@ -13,6 +13,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 ItemSet = frozenset
 """An itemset is a frozenset of 1-based item indices."""
@@ -62,6 +65,14 @@ class TransactionDatabase:
     @property
     def n_transactions(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def item_columns(self) -> np.ndarray:
+        """The rows as a 0/1 bit matrix, one packed row of bits per item:
+        bit r of column i - 1 is 1 iff transaction r contains item i."""
+        chars = np.frombuffer("".join(self.rows).encode("ascii"), dtype=np.uint8)
+        bits = (chars - ord("0")).reshape(len(self.rows), self.n_items)
+        return np.packbits(bits.T, axis=1)
 
 
 @dataclass(frozen=True)
@@ -189,8 +200,9 @@ def exact_support(db: TransactionDatabase, z: ItemSet) -> Fraction:
     _check_items(db, z)
     if db.original_count < 1:
         raise ValueError("database has no real rows")
-    hits = sum(1 for row in db.rows if all(row[i - 1] == "1" for i in z))
-    return Fraction(hits, db.original_count)
+    # AND of the item columns, then a popcount
+    rows = np.bitwise_and.reduce(db.item_columns[[i - 1 for i in z]], axis=0)
+    return Fraction(int(np.count_nonzero(np.unpackbits(rows))), db.original_count)
 
 
 def exact_confidence(db: TransactionDatabase, x: ItemSet, y: ItemSet) -> Fraction:

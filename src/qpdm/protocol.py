@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -118,13 +119,19 @@ class PartyState:
     view: PartitionedView
     qram_memory: tuple[str, ...]
     key: EncryptionKey | None = None
-    memory_ints: tuple[int, ...] = field(default=(), repr=False)
+    # the QRAM cells as one integer array, parsed once from the view's
+    # checked rows; with_key hands the same array on, and every qram_query
+    # checks that the cells fit the data register
+    memory_ints: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.memory_ints:
-            object.__setattr__(
-                self, "memory_ints", tuple(int(cell, 2) for cell in self.qram_memory)
+        if self.memory_ints is None:
+            cells = np.fromiter(
+                map(int, self.qram_memory, repeat(2)),
+                dtype=qsim.label_dtype(self.data_width),
+                count=len(self.qram_memory),
             )
+            object.__setattr__(self, "memory_ints", cells)
 
     @property
     def address_width(self) -> int:
@@ -182,11 +189,14 @@ def transcript_total(transcript: Transcript) -> tuple[int, int]:
     events = transcript.events
     if len(events) % 4:
         raise ValueError(f"transcript has {len(events)} events, not a multiple of 4")
-    total = sum(e.qubits for e in events)
-    per_call = [
-        sum(e.qubits for e in events[i : i + 4]) for i in range(0, len(events), 4)
-    ]
-    return total, max(per_call, default=0)
+    total = most = 0
+    group = iter(events)
+    for a, b, c, d in zip(group, group, group, group):
+        call = a.qubits + b.qubits + c.qubits + d.qubits
+        total += call
+        if call > most:
+            most = call
+    return total, most
 
 
 def oracle_layout(n: int, l: int, k: int, p: int = 0) -> qsim.RegisterLayout:
@@ -223,11 +233,12 @@ def _party_registers(party: PartyState) -> tuple[str, str]:
     return "bob_data", "b_flag"
 
 
-def _aux_mask(layout: qsim.RegisterLayout) -> int:
+def _aux_dirty(state: qsim.SparseState) -> bool:
+    """Whether any basis label has a non-zero data, flag or ancilla bit."""
     mask = 0
     for name in ("bob_data", "alice_data", "b_flag", "a_flag", "kick_ancilla"):
-        mask |= layout.mask(name)
-    return mask
+        mask |= state.layout.mask(name)
+    return bool((state.labels & mask).any())
 
 
 def run_oracle_u(
@@ -264,8 +275,7 @@ def run_oracle_u(
     k = initiator.view.width + responder.view.width
     if any(not 1 <= i <= k for i in z):
         raise ValueError(f"Z contains items outside 1..{k}")
-    aux = _aux_mask(layout)
-    if any(label & aux for label in state.amps):
+    if _aux_dirty(state):
         raise ValueError("auxiliary registers must be zero at oracle entry")
 
     init_items, init_off = initiator.view.item_part(z)
@@ -326,7 +336,7 @@ def run_oracle_u(
     transcript.events.append(events[3])
     snap("step7")
 
-    if any(label & aux for label in state.amps):
+    if _aux_dirty(state):
         raise qsim.SimulationError("auxiliary registers failed to disentangle")
     return state
 

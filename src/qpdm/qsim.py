@@ -1,15 +1,23 @@
 """Sparse state-vector engine for the two-party mining protocol.
 
-A state lives over a fixed composite register layout and is stored as a map
-from composite basis labels (plain Python ints) to complex amplitudes. The
-engine provides exactly the primitives the protocol needs, and they fall in
-two classes:
+A state lives over a fixed composite register layout and is stored as two
+parallel read-only numpy arrays: the distinct composite basis labels that
+carry amplitude, and their complex amplitudes. Labels are int64 while the
+layout is at most 62 bits wide; wider layouts (a database of about 60 or
+more items) use object arrays of Python ints, and every primitive runs the
+same array code on both. ``SparseState.amps`` gives the same state as a
+read-only {label: amplitude} mapping, built from the arrays on first use.
+
+The engine provides exactly the primitives the protocol needs, each a
+handful of whole-array operations, and they fall in two classes:
 
 * signed basis permutations: encryption permutations, QRAM queries (XOR
   loads, hence self-inverse), membership marks, the zero reflection, phase
-  kickback. These never grow the amplitude map.
+  kickback. These map the label array position by position and never grow
+  the state.
 * spreading operations: the Hadamard wall on a register and the inverse QFT.
-  Only these can enlarge the map, by at most a factor of 2^(register width).
+  Only these can enlarge the state, by at most a factor of 2^(register
+  width); equal labels they produce are merged by a sort.
 
 Operations are pure: each returns a fresh SparseState and leaves its input
 untouched. Amplitudes with magnitude below ``PRUNE_EPS`` are dropped after
@@ -24,13 +32,22 @@ invariant under the opposite sign choice.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
 PRUNE_EPS = 1e-14
 NORM_TOL = 1e-10
+INT_LABEL_BITS = 62  # widest layout whose labels are held as int64
+
+
+def label_dtype(width: int) -> np.dtype:
+    """Array dtype of values `width` bits wide: int64 up to INT_LABEL_BITS,
+    Python ints (object) beyond, where int64 would overflow."""
+    return np.dtype(np.int64) if width <= INT_LABEL_BITS else np.dtype(object)
 
 
 class SimulationError(RuntimeError):
@@ -48,6 +65,7 @@ class RegisterLayout:
 
     registers: tuple[tuple[str, int], ...]
     _offsets: dict = field(init=False, repr=False, compare=False)
+    _widths: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         offsets = {}
@@ -61,16 +79,21 @@ class RegisterLayout:
             pos -= width
             offsets[name] = pos
         object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_widths", dict(self.registers))
 
     @property
     def total_width(self) -> int:
         return sum(w for _, w in self.registers)
 
+    @property
+    def label_dtype(self) -> np.dtype:
+        return label_dtype(self.total_width)
+
     def width(self, name: str) -> int:
-        for reg, w in self.registers:
-            if reg == name:
-                return w
-        raise ValueError(f"unknown register {name!r}")
+        w = self._widths.get(name)
+        if w is None:
+            raise ValueError(f"unknown register {name!r}")
+        return w
 
     def offset(self, name: str) -> int:
         if name not in self._offsets:
@@ -86,7 +109,8 @@ class RegisterLayout:
             raise ValueError(f"register {name!r} has no qubit {i}")
         return self.offset(name) + i
 
-    def extract(self, label: int, name: str) -> int:
+    def extract(self, label, name: str):
+        """Register content of one label, or elementwise of a label array."""
         return (label >> self.offset(name)) & ((1 << self.width(name)) - 1)
 
     def replace(self, label: int, name: str, value: int) -> int:
@@ -96,39 +120,107 @@ class RegisterLayout:
         return (label & ~self.mask(name)) | (value << self.offset(name))
 
 
-@dataclass
-class SparseState:
-    """Map from composite basis labels to complex amplitudes."""
+class _AmplitudeMap(Mapping):
+    """Read-only {label: amplitude} view of a state's arrays. The dict
+    behind it is built on the first lookup; taking its length, as a caller
+    counting labels does, builds none."""
 
-    layout: RegisterLayout
-    amps: dict[int, complex]
+    __slots__ = ("_labels", "_amplitudes", "_table")
+
+    def __init__(self, labels: np.ndarray, amplitudes: np.ndarray):
+        self._labels = labels
+        self._amplitudes = amplitudes
+        self._table = None
+
+    def _dict(self) -> dict[int, complex]:
+        if self._table is None:
+            self._table = dict(zip(self._labels.tolist(), self._amplitudes.tolist()))
+        return self._table
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __getitem__(self, label: int) -> complex:
+        return self._dict()[label]
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+
+class SparseState:
+    """Distinct basis labels and their complex amplitudes, as two parallel
+    read-only arrays over one register layout.
+
+    ``SparseState(layout, {label: amplitude})`` builds a state from a
+    mapping; the primitives build theirs with ``from_arrays``.
+    """
+
+    __slots__ = ("layout", "labels", "amplitudes", "_amps")
+
+    def __init__(self, layout: RegisterLayout, amps: Mapping[int, complex]):
+        self._set(
+            layout,
+            np.array(list(amps), dtype=layout.label_dtype),
+            np.array(list(amps.values()), dtype=complex),
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, layout: RegisterLayout, labels: np.ndarray, amplitudes: np.ndarray
+    ) -> "SparseState":
+        """A state over given arrays; labels must be distinct and of the
+        layout's label dtype. The arrays are frozen, not copied."""
+        state = cls.__new__(cls)
+        state._set(layout, labels, amplitudes)
+        return state
+
+    def _set(self, layout, labels, amplitudes):
+        labels.flags.writeable = False
+        amplitudes.flags.writeable = False
+        self.layout = layout
+        self.labels = labels
+        self.amplitudes = amplitudes
+        self._amps = None
+
+    @property
+    def amps(self) -> Mapping[int, complex]:
+        """The state as a read-only {label: amplitude} mapping."""
+        if self._amps is None:
+            self._amps = _AmplitudeMap(self.labels, self.amplitudes)
+        return self._amps
+
+    def __repr__(self) -> str:
+        return f"SparseState({self.layout!r}, {self.amps!r})"
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.values())
+        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def check_norm(self, tol: float = NORM_TOL) -> None:
         if abs(self.norm_sq() - 1.0) > tol:
             raise SimulationError(f"state norm drifted: |amps|^2 = {self.norm_sq()!r}")
 
-    def copy(self) -> "SparseState":
-        return SparseState(self.layout, dict(self.amps))
-
     def dump(self) -> str:
         """One line per basis label: binary label grouped by register, then
         real and imaginary amplitude parts at 17 significant digits."""
+        order = np.argsort(self.labels)
         lines = []
-        for label in sorted(self.amps):
+        for label, a in zip(self.labels[order].tolist(), self.amplitudes[order].tolist()):
             groups = [
                 format(self.extract(label, name), f"0{w}b")
                 for name, w in self.layout.registers
                 if w > 0
             ]
-            a = self.amps[label]
             lines.append(f"{' '.join(groups)} {a.real:.17g} {a.imag:.17g}")
         return "\n".join(lines)
 
-    def extract(self, label: int, name: str) -> int:
+    def extract(self, label, name: str):
         return self.layout.extract(label, name)
+
+    def _with(self, labels: np.ndarray, amplitudes: np.ndarray) -> "SparseState":
+        return SparseState.from_arrays(self.layout, labels, amplitudes)
 
 
 @dataclass(frozen=True)
@@ -138,19 +230,44 @@ class MeasurementOutcome:
     post_state: SparseState
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, ordered, first): the stable sort order of keys, the keys in
+    that order, and a mask of the first element of each run of equal keys."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, ordered, first
+
+
+def _merge(labels: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the amplitudes of equal labels; the labels come back ascending."""
+    if not len(labels):
+        return labels, amplitudes
+    order, ordered, first = _runs(labels)
+    starts = np.flatnonzero(first)
+    return ordered[starts], np.add.reduceat(amplitudes[order], starts)
+
+
+def _bit_set(labels: np.ndarray, qubit: int) -> np.ndarray:
+    return (labels & (1 << qubit)) != 0
+
+
 def max_deviation(a: SparseState, b: SparseState) -> float:
     """Largest amplitude difference between two states over all basis labels."""
-    dev = 0.0
-    for label in a.amps.keys() | b.amps.keys():
-        dev = max(dev, abs(a.amps.get(label, 0j) - b.amps.get(label, 0j)))
-    return dev
+    _, diff = _merge(
+        np.concatenate([a.labels, b.labels]), np.concatenate([a.amplitudes, -b.amplitudes])
+    )
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def prepare_basis(layout: RegisterLayout, label: int = 0) -> SparseState:
     """Single-amplitude state |label>."""
     if not 0 <= label < 1 << layout.total_width:
         raise ValueError(f"label {label} outside {layout.total_width}-bit space")
-    return SparseState(layout, {label: 1.0 + 0j})
+    return SparseState.from_arrays(
+        layout, np.array([label], dtype=layout.label_dtype), np.array([1.0 + 0j])
+    )
 
 
 def apply_w(state: SparseState, register: str) -> SparseState:
@@ -158,19 +275,19 @@ def apply_w(state: SparseState, register: str) -> SparseState:
     off = state.layout.offset(register)
     width = state.layout.width(register)
     inv = 1.0 / math.sqrt(2.0)
-    amps = state.amps
+    labels, amps = state.labels, state.amplitudes
     for q in range(off, off + width):
         mask = 1 << q
-        new: dict[int, complex] = {}
-        for label, a in amps.items():
-            c = a * inv
-            lo = label & ~mask
-            hi = label | mask
-            new[lo] = new.get(lo, 0j) + c
-            new[hi] = new.get(hi, 0j) + (-c if label & mask else c)
-        amps = new
-    amps = {l: a for l, a in amps.items() if abs(a) >= PRUNE_EPS}
-    return SparseState(state.layout, amps)
+        one = _bit_set(labels, q)
+        c = amps * inv
+        lo = labels & ~mask
+        labels = np.concatenate([lo, lo | mask])
+        amps = np.concatenate([c, np.where(one, -c, c)])
+        # with the qubit 0 on every label, the 2N new labels are distinct
+        if one.any():
+            labels, amps = _merge(labels, amps)
+    keep = np.abs(amps) >= PRUNE_EPS
+    return state._with(labels[keep], amps[keep])
 
 
 def apply_u0(state: SparseState, register: str, control: int | None = None) -> SparseState:
@@ -179,50 +296,56 @@ def apply_u0(state: SparseState, register: str, control: int | None = None) -> S
     rmask = state.layout.mask(register)
     if control is not None and rmask >> control & 1:
         raise ValueError("control qubit must lie outside the reflected register")
-    cmask = 0 if control is None else 1 << control
-    new = {}
-    for label, a in state.amps.items():
-        if label & rmask == 0 and (cmask == 0 or label & cmask):
-            a = -a
-        new[label] = a
-    return SparseState(state.layout, new)
+    labels, amps = state.labels, state.amplitudes
+    flip = (labels & rmask) == 0
+    if control is not None:
+        flip &= _bit_set(labels, control)
+    return state._with(labels, np.where(flip, -amps, amps))
 
 
-def apply_permutation(state: SparseState, register: str, u: Callable[[int], int]) -> SparseState:
+def apply_permutation(state: SparseState, register: str, u: Callable) -> SparseState:
     """Replace register content j by u(j) on every basis label.
 
-    u must be a bijection on the register's value range; the caller (key
-    constructor) guarantees that, but collisions are still trapped.
+    u is applied elementwise to an integer array of register contents (of
+    the state's label dtype) and must return an array of the same shape
+    (or a scalar). u must be a bijection on the register's value range; the
+    caller (key constructor) guarantees that, but out-of-range outputs and
+    collisions are still trapped.
     """
     off = state.layout.offset(register)
     width = state.layout.width(register)
     vmask = (1 << width) - 1
-    shifted = vmask << off
-    new = {}
-    for label, a in state.amps.items():
-        uj = u((label >> off) & vmask)
-        if not 0 <= uj <= vmask:
-            raise ValueError(f"permutation output {uj} does not fit register {register!r}")
-        new[(label & ~shifted) | (uj << off)] = a
-    if len(new) != len(state.amps):
+    labels = state.labels
+    uj = np.asarray(u((labels >> off) & vmask))
+    if uj.shape != labels.shape:
+        uj = np.broadcast_to(uj, labels.shape)
+    if (uj >> width).any():  # some output is negative or wider than the register
+        bad = uj[np.flatnonzero(uj >> width)[0]]
+        raise ValueError(f"permutation output {bad} does not fit register {register!r}")
+    new = (labels & ~state.layout.mask(register)) | (uj.astype(labels.dtype, copy=False) << off)
+    ordered = np.sort(new)
+    if (ordered[1:] == ordered[:-1]).any():
         raise SimulationError("permutation is not a bijection on the register")
-    return SparseState(state.layout, new)
+    return state._with(new, state.amplitudes)
 
 
-def _memory_ints(memory: Sequence, width: int, count: int) -> list[int]:
-    if len(memory) != count:
-        raise ValueError(f"memory must have {count} cells, got {len(memory)}")
-    cells = []
-    for cell in memory:
-        if isinstance(cell, str):
-            if len(cell) != width or set(cell) - {"0", "1"}:
-                raise ValueError(f"memory cell {cell!r} is not a {width}-bit string")
-            cells.append(int(cell, 2) if width else 0)
-        else:
-            cell = int(cell)
-            if not 0 <= cell < 1 << width:
-                raise ValueError(f"memory cell {cell} does not fit {width} bits")
-            cells.append(cell)
+def _memory_cells(memory: Sequence, width: int, dtype: np.dtype) -> np.ndarray:
+    """QRAM memory as one integer array of `dtype`, checked to hold
+    `width`-bit cells: bit strings of exactly `width` characters, leftmost
+    most significant, or integers in [0, 2^width)."""
+    if len(memory) and isinstance(memory[0], str):
+        lengths = np.fromiter(map(len, memory), dtype=np.int64, count=len(memory))
+        chars = np.frombuffer("".join(memory).encode("ascii", "replace"), dtype=np.uint8)
+        # in uint8, every character but "0" and "1" lands above 1
+        if (lengths != width).any() or ((chars - ord("0")) > 1).any():
+            raise ValueError(f"memory cells are not all {width}-bit strings")
+        values = map(int, memory, repeat(2)) if width else repeat(0, len(memory))
+        return np.fromiter(values, dtype=dtype, count=len(memory))
+    cells = np.asarray(memory)
+    if cells.dtype != dtype:
+        cells = cells.astype(dtype)
+    if (cells >> width).any():  # some cell is negative or wider than `width` bits
+        raise ValueError(f"memory cells do not all fit {width} bits")
     return cells
 
 
@@ -231,15 +354,17 @@ def qram_query(state: SparseState, address: str, data: str, memory: Sequence) ->
 
     On every basis label with address content j, the data register content
     is XORed with memory[j]; querying twice therefore erases the load.
+    ``memory`` holds one cell per address: bit strings as wide as the data
+    register, or integers (an array of the label dtype is used uncopied).
     """
-    a_off = state.layout.offset(address)
-    a_mask = (1 << state.layout.width(address)) - 1
-    d_off = state.layout.offset(data)
-    cells = _memory_ints(memory, state.layout.width(data), 1 << state.layout.width(address))
-    new = {}
-    for label, a in state.amps.items():
-        new[label ^ (cells[(label >> a_off) & a_mask] << d_off)] = a
-    return SparseState(state.layout, new)
+    layout = state.layout
+    labels = state.labels
+    count = 1 << layout.width(address)
+    if len(memory) != count:
+        raise ValueError(f"memory must have {count} cells, got {len(memory)}")
+    cells = _memory_cells(memory, layout.width(data), labels.dtype)
+    index = layout.extract(labels, address).astype(np.int64, copy=False)
+    return state._with(labels ^ (cells[index] << layout.offset(data)), state.amplitudes)
 
 
 def apply_membership_mark(
@@ -266,14 +391,9 @@ def apply_membership_mark(
         if not 1 <= q <= width:
             raise ValueError(f"position {pos} (offset {offset}) outside data register of width {width}")
         sel |= 1 << (width - q)
-    vmask = (1 << width) - 1
-    fmask = 1 << flag
-    new = {}
-    for label, a in state.amps.items():
-        if (label >> d_off) & vmask & sel == sel:
-            label ^= fmask
-        new[label] = a
-    return SparseState(state.layout, new)
+    labels = state.labels
+    hit = ((labels >> d_off) & sel) == sel
+    return state._with(np.where(hit, labels ^ (1 << flag), labels), state.amplitudes)
 
 
 def apply_phase_and(state: SparseState, a: int, b: int, control: int | None = None) -> SparseState:
@@ -284,51 +404,39 @@ def apply_phase_and(state: SparseState, a: int, b: int, control: int | None = No
     """
     if a == b or control in (a, b):
         raise ValueError("phase qubits must be distinct")
-    amask = 1 << a
-    bmask = 1 << b
-    cmask = 0 if control is None else 1 << control
-    new = {}
-    for label, amp in state.amps.items():
-        if label & amask and label & bmask and (cmask == 0 or label & cmask):
-            amp = -amp
-        new[label] = amp
-    return SparseState(state.layout, new)
+    labels, amps = state.labels, state.amplitudes
+    flip = _bit_set(labels, a) & _bit_set(labels, b)
+    if control is not None:
+        flip &= _bit_set(labels, control)
+    return state._with(labels, np.where(flip, -amps, amps))
 
 
 def apply_phase_flip(state: SparseState, qubit: int | None = None) -> SparseState:
     """Negate amplitudes where the qubit is 1; with no qubit, a global -1."""
+    labels, amps = state.labels, state.amplitudes
     if qubit is None:
-        return SparseState(state.layout, {l: -a for l, a in state.amps.items()})
-    qmask = 1 << qubit
-    return SparseState(
-        state.layout,
-        {l: (-a if l & qmask else a) for l, a in state.amps.items()},
-    )
+        return state._with(labels, -amps)
+    return state._with(labels, np.where(_bit_set(labels, qubit), -amps, amps))
 
 
 def inverse_qft(state: SparseState, register: str) -> SparseState:
     """Inverse discrete Fourier transform of size 2^width on one register:
     |m> -> sum_f exp(-2*pi*i*m*f/P) |f> / sqrt(P)."""
-    off = state.layout.offset(register)
-    width = state.layout.width(register)
-    size = 1 << width
-    shifted = (size - 1) << off
-    groups: dict[int, np.ndarray] = {}
-    for label, a in state.amps.items():
-        rest = label & ~shifted
-        vec = groups.get(rest)
-        if vec is None:
-            vec = groups[rest] = np.zeros(size, dtype=complex)
-        vec[(label >> off) & (size - 1)] = a
-    scale = 1.0 / math.sqrt(size)
-    new = {}
-    for rest, vec in groups.items():
-        out = np.fft.fft(vec) * scale
-        for f in range(size):
-            amp = complex(out[f])
-            if abs(amp) >= PRUNE_EPS:
-                new[rest | (f << off)] = amp
-    return SparseState(state.layout, new)
+    layout = state.layout
+    off = layout.offset(register)
+    size = 1 << layout.width(register)
+    labels = state.labels
+    # one row of `size` amplitudes per distinct content of the other registers
+    order, ordered, first = _runs(labels & ~layout.mask(register))
+    rests = ordered[first]
+    row = np.cumsum(first) - 1
+    grid = np.zeros((len(rests), size), dtype=complex)
+    grid[row, layout.extract(labels[order], register).astype(np.int64)] = state.amplitudes[order]
+    out = np.fft.fft(grid, axis=1) * (1.0 / math.sqrt(size))
+    keep = np.abs(out) >= PRUNE_EPS
+    rows, fs = np.nonzero(keep)
+    new = rests[rows] | (fs.astype(labels.dtype) << off)
+    return state._with(new, out[keep])
 
 
 def measure_register(state: SparseState, register: str, rng: np.random.Generator) -> MeasurementOutcome:
@@ -337,27 +445,20 @@ def measure_register(state: SparseState, register: str, rng: np.random.Generator
     Exactly one uniform draw is consumed; outcomes are walked in ascending
     value order, so results are reproducible for a given rng state.
     """
-    probs: dict[int, float] = {}
-    for label, a in state.amps.items():
-        v = state.layout.extract(label, register)
-        probs[v] = probs.get(v, 0.0) + abs(a) ** 2
-    total = sum(probs.values())
+    contents = state.extract(state.labels, register)
+    if not len(contents):
+        raise SimulationError("measurement on an empty state")
+    order, ordered, first = _runs(contents)
+    starts = np.flatnonzero(first)
+    values = ordered[starts]
+    probs = np.add.reduceat(np.abs(state.amplitudes[order]) ** 2, starts)
+    total = float(probs.sum())
     if abs(total - 1.0) > 1e-8:
         raise SimulationError(f"measurement on unnormalized state (norm^2 = {total!r})")
     r = rng.random() * total
-    acc = 0.0
-    values = sorted(probs)
-    value = values[-1]
-    for v in values:
-        acc += probs[v]
-        if r < acc:
-            value = v
-            break
-    p = probs[value]
-    scale = 1.0 / math.sqrt(p)
-    post = {
-        label: a * scale
-        for label, a in state.amps.items()
-        if state.layout.extract(label, register) == value
-    }
-    return MeasurementOutcome(value, p, SparseState(state.layout, post))
+    # the first value whose cumulative probability exceeds the draw
+    i = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(values) - 1)
+    value, p = int(values[i]), float(probs[i])
+    keep = contents == value
+    post = state._with(state.labels[keep], state.amplitudes[keep] * (1.0 / math.sqrt(p)))
+    return MeasurementOutcome(value, p, post)

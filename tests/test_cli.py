@@ -8,6 +8,7 @@ from qpdm.cli import EXIT_FILE, EXIT_NOT_ACCEPTED, EXIT_OK, EXIT_USAGE, main
 FOUR_ROW_CSV = "I1,I2,I3\n1,1,0\n1,0,0\n0,1,1\n1,1,1\n"
 GOLDEN = Path(__file__).resolve().parent / "data"
 MARKET_CSV = str(Path(__file__).resolve().parent.parent / "demos" / "data" / "market.csv")
+BASKETS_CSV = str(GOLDEN / "baskets_256x8.csv")
 
 
 @pytest.fixture
@@ -325,6 +326,17 @@ class TestGolden:
             (
                 ["compare", "--db", MARKET_CSV, "--items", "1,2", "--split", "2", "--seed", "3"],
                 "compare_market_seed3.json",
+            ),
+            (
+                ["mine", "--db", BASKETS_CSV, "--split", "4", "--s", "0.15", "--c", "0.5",
+                 "--p", "7", "--band", "0.2", "--enc", "modadd", "--seed", "5",
+                 "--with-exact-oracle"],
+                "mine_baskets_seed5.json",
+            ),
+            (
+                ["compare", "--db", BASKETS_CSV, "--items", "3,5", "--split", "4",
+                 "--enc", "cyclic", "--seed", "8"],
+                "compare_baskets_cyclic_seed8.json",
             ),
         ],
     )

@@ -20,13 +20,14 @@ from qpdm.counting import (
     quantum_count,
     statevector_distribution,
 )
-from qpdm.counting import _statevector_prepared
+from qpdm.counting import _oracle_diagonal, _statevector_prepared
 from qpdm.dataset import TransactionDatabase, exact_confidence, pad_to_power_of_two, vertical_partition
 from qpdm.protocol import (
     KEY_FAMILIES,
     Transcript,
     build_qram,
     make_key,
+    oracle_layout,
     reference_phase_oracle,
     sample_key,
     transcript_total,
@@ -130,6 +131,26 @@ class TestDistribution:
         cf = counting_distribution(initiator, alice, bob, z, config, t_cf)
         assert np.max(np.abs(sv - cf)) < 1e-10
         assert t_sv.events == t_cf.events
+
+    @pytest.mark.parametrize("split", [3, 35, 67])
+    def test_wide_labels_match_references(self, split):
+        # 70 items make the composite label wider than int64, so the engine
+        # runs on Python-int labels
+        rng = np.random.default_rng(70)
+        bits = rng.random((64, 70)) < 0.7
+        db = TransactionDatabase(70, tuple("".join("01"[int(b)] for b in row) for row in bits), 64)
+        assert oracle_layout(6, split, 70).total_width > 64
+        z = frozenset({1, split, split + 1, 70})
+        key = make_key("modadd", int(rng.integers(64)), 6)
+        alice, bob = parties(db, split)
+        bob = bob.with_key(key)
+        signs = reference_phase_oracle(db, z, key.apply)
+        assert 0 < np.count_nonzero(signs < 0) < 64
+        assert np.array_equal(_oracle_diagonal(alice, bob, z), signs)
+        config = CountingConfig(p=3, s=0.3)
+        sv = statevector_distribution("alice", alice, bob, z, config)
+        cf = counting_distribution("alice", alice, bob, z, config)
+        assert np.max(np.abs(sv - cf)) < 1e-12
 
     @pytest.mark.parametrize(
         "n, p, marked, family",

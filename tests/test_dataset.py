@@ -183,6 +183,16 @@ class TestSupport:
                 for z in itertools.combinations(range(1, 5), size):
                     assert exact_support(db, frozenset(z)) == brute_support(db.rows, z, db.original_count)
 
+    def test_wide_database_matches_brute_force(self):
+        # 203 rows (not a whole number of packed bytes) over 70 items
+        rng = np.random.default_rng(23)
+        db = random_db(rng, 203, 70)
+        for _ in range(30):
+            z = frozenset(int(i) for i in rng.choice(range(1, 71), size=int(rng.integers(1, 4)), replace=False))
+            got = exact_support(db, z)
+            assert got == brute_support(db.rows, z, db.original_count)
+            assert type(got.numerator) is int
+
 
 class TestConfidence:
     def test_four_row_example(self):

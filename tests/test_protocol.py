@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from qpdm import qsim
 from qpdm.dataset import TransactionDatabase, vertical_partition
 from qpdm.protocol import (
+    KEY_FAMILIES,
     Transcript,
     all_keys,
     build_qram,
@@ -319,6 +322,53 @@ class TestOracle:
             layout, {l: a * signs[l >> off] for l, a in st.amps.items()}
         )
         assert qsim.max_deviation(out, expected) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_property(self, data):
+        # k up to 70 items draws both int64 labels and, past 62 bits,
+        # Python-int labels
+        n = data.draw(st.integers(1, 6), label="n")
+        k = data.draw(st.integers(2, 70), label="k")
+        split = data.draw(st.integers(1, k - 1), label="split")
+        z = frozenset(data.draw(st.sets(st.integers(1, k), min_size=1, max_size=4), label="z"))
+        family = data.draw(st.sampled_from(KEY_FAMILIES), label="family")
+        initiator = data.draw(st.sampled_from(["alice", "bob"]), label="initiator")
+        controlled = data.draw(st.booleans(), label="controlled")
+        postpone = data.draw(st.booleans(), label="postpone_unquery")
+        density = data.draw(st.sampled_from([0.5, 0.8, 0.95]), label="density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        bits = rng.random((1 << n, k)) < density
+        db = TransactionDatabase(k, tuple("".join("01"[int(b)] for b in row) for row in bits), 1 << n)
+        key = sample_key(family, n, rng)
+        alice, bob = make_parties(db, split, key, key_holder="bob" if initiator == "alice" else "alice")
+        init, resp = (alice, bob) if initiator == "alice" else (bob, alice)
+        layout = oracle_layout(n, split, k, p=1 if controlled else 0)
+        event(f"label dtype {layout.label_dtype}")
+        control = layout.qubit("counting", 0) if controlled else None
+        off = layout.offset("address")
+        labels = [j << off for j in range(1 << n)]
+        if controlled:
+            labels += [layout.replace(label, "counting", 1) for label in labels]
+        vec = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+        vec /= np.linalg.norm(vec)
+        state = qsim.SparseState(layout, dict(zip(labels, vec.tolist())))
+
+        transcript = Transcript()
+        out = run_oracle_u(
+            state, init, resp, z, transcript, control=control, postpone_unquery=postpone
+        )
+
+        signs = reference_phase_oracle(db, z, key.apply)
+        expected = {}
+        for label, a in state.amps.items():
+            on = control is None or layout.extract(label, "counting") == 1
+            expected[label] = a * signs[layout.extract(label, "address")] if on else a
+        assert qsim.max_deviation(out, qsim.SparseState(layout, expected)) == 0.0
+        for name in ("bob_data", "alice_data", "b_flag", "a_flag", "kick_ancilla"):
+            assert all(layout.extract(label, name) == 0 for label in out.amps), name
+        assert len(transcript.events) == 4
 
 
 class TestTableOneTrace:

@@ -192,6 +192,16 @@ class TestQramQuery:
             qram_query(st, "addr", "data", ["011", "100"])
         with pytest.raises(ValueError):
             qram_query(st, "addr", "data", ["01"])
+        with pytest.raises(ValueError):
+            qram_query(st, "addr", "data", ["0a", "10"])
+        with pytest.raises(ValueError):
+            qram_query(st, "addr", "data", [4, 0])
+
+    def test_integer_array_memory(self):
+        st = apply_w(prepare_basis(self.layout), "addr")
+        as_strings = qram_query(st, "addr", "data", ["01", "10"])
+        as_ints = qram_query(st, "addr", "data", np.array([1, 2]))
+        assert max_deviation(as_strings, as_ints) == 0.0
 
     def test_all_zero_memory_is_identity(self):
         rng = np.random.default_rng(3)
@@ -427,6 +437,45 @@ class TestProperties:
         st = prepare_basis(self.layout, 0)
         out = apply_w(st, "addr")
         assert len(out.amps) <= len(st.amps) * 4
+
+
+class TestWideLabels:
+    """Layouts wider than int64 run the same array code on Python-int labels."""
+
+    narrow = single(3)
+    wide = RegisterLayout((("hi", 70), ("r", 3)))
+    high = ((1 << 69) | 5) << 3
+
+    def lift(self, state):
+        return SparseState(self.wide, {self.high | l: a for l, a in state.amps.items()})
+
+    def test_operations_agree_with_int64_labels(self):
+        rng = np.random.default_rng(15)
+        st = random_state(self.narrow, rng, terms=5)
+        wide = self.lift(st)
+        assert st.labels.dtype == np.int64 and wide.labels.dtype == object
+        ops = [
+            lambda s: apply_w(s, "r"),
+            lambda s: inverse_qft(s, "r"),
+            lambda s: apply_u0(s, "r"),
+            lambda s: apply_permutation(s, "r", lambda j: (j + 3) % 8),
+            lambda s: apply_phase_flip(s, 0),
+        ]
+        for op in ops:
+            assert max_deviation(self.lift(op(st)), op(wide)) == 0.0
+        a = measure_register(st, "r", np.random.default_rng(1))
+        b = measure_register(wide, "r", np.random.default_rng(1))
+        assert (a.value, a.probability) == (b.value, b.probability)
+        assert max_deviation(self.lift(a.post_state), b.post_state) == 0.0
+
+    def test_qram_cells_wider_than_int64(self):
+        layout = RegisterLayout((("addr", 1), ("data", 66)))
+        memory = [(1 << 65) | 3, 7]
+        st = apply_w(prepare_basis(layout), "addr")
+        out = qram_query(st, "addr", "data", memory)
+        assert sorted(layout.extract(l, "data") for l in out.amps) == sorted(memory)
+        with pytest.raises(ValueError):
+            qram_query(st, "addr", "data", [1 << 66, 0])
 
 
 def test_dump_format():
