@@ -73,7 +73,7 @@ def communication_costs():
     est = joint_support(alice, bob, z, config, np.random.default_rng(1), transcript)
     qubits, per_call = transcript_total(transcript)
     print(f"   quantum:   estimate {est.value:.4f} (exact {float(exact_support(db, z)):.4f})")
-    print(f"              {len(transcript.events) // 4} oracle calls, {per_call} qubits per call, {qubits} qubits total")
+    print(f"              {transcript.oracle_calls} oracle calls, {per_call} qubits per call, {qubits} qubits total")
 
     prime = next_prime(db.original_count)
     key_a = ClassicalKey(prime, valid_exponents(prime)[0])

@@ -28,7 +28,7 @@ from .classical import (
     next_prime,
     valid_exponents,
 )
-from .counting import MAX_COUNTING_WIDTH, CountingConfig, default_counting_width, joint_support
+from .counting import CountingConfig, default_counting_width, joint_support
 from .dataset import ParseError, exact_support, pad_to_power_of_two, parse_database, vertical_partition
 from .miner import quantum_estimator, run_mining
 from .protocol import KEY_FAMILIES, Transcript, build_qram, transcript_total
@@ -51,26 +51,13 @@ class FileError(ValueError):
 class RunConfig:
     db_path: str
     split: int
-    s: float
+    counting: CountingConfig
     c: float | None
-    p: int
     seed: int | None
-    key_family: str
-    agreement_band: float
-    max_rounds: int
     fmt: str
     output: str | None
     with_exact_oracle: bool
     transcript_dump: bool
-
-    def counting(self) -> CountingConfig:
-        return CountingConfig(
-            p=self.p,
-            s=self.s,
-            agreement_band=self.agreement_band,
-            max_rounds=self.max_rounds,
-            key_family=self.key_family,
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,28 +141,26 @@ def _resolve_seed(args) -> int | None:
 
 
 def _run_config(args) -> RunConfig:
+    # checked first: default_counting_width divides by s
     if not 0 < args.s < 1:
         raise UsageError("support threshold s must lie in (0, 1)")
     c = getattr(args, "c", None)
     if c is not None and not 0 < c < 1:
         raise UsageError("confidence threshold c must lie in (0, 1)")
-    if args.band <= 0:
-        raise UsageError("agreement band must be positive")
-    if args.max_rounds < 1:
-        raise UsageError("max rounds must be >= 1")
-    p = args.p if args.p is not None else default_counting_width(args.s)
-    if not 1 <= p <= MAX_COUNTING_WIDTH:
-        raise UsageError(f"counting width must lie in 1..{MAX_COUNTING_WIDTH}, got {p}")
+    # built before the database is read; main reports its ValueError as usage
+    counting = CountingConfig(
+        p=args.p if args.p is not None else default_counting_width(args.s),
+        s=args.s,
+        agreement_band=args.band,
+        max_rounds=args.max_rounds,
+        key_family=args.enc,
+    )
     return RunConfig(
         db_path=args.db,
         split=args.split,
-        s=args.s,
+        counting=counting,
         c=c,
-        p=p,
         seed=_resolve_seed(args),
-        key_family=args.enc,
-        agreement_band=args.band,
-        max_rounds=args.max_rounds,
         fmt=args.format,
         output=args.output,
         with_exact_oracle=args.with_exact_oracle,
@@ -211,7 +196,7 @@ def cmd_estimate(args) -> int:
     alice, bob, padded, n = _build_parties(db, cfg.split)
     transcript = Transcript()
     rng = np.random.default_rng(cfg.seed)
-    est = joint_support(alice, bob, items, cfg.counting(), rng, transcript)
+    est = joint_support(alice, bob, items, cfg.counting, rng, transcript)
     report = {
         "command": "estimate",
         "itemset": sorted(items),
@@ -249,11 +234,11 @@ def cmd_mine(args) -> int:
     alice, bob, padded, n = _build_parties(db, cfg.split)
     transcript = Transcript()
     started = time.perf_counter()
-    estimator = quantum_estimator(alice, bob, cfg.counting(), cfg.seed, transcript)
+    estimator = quantum_estimator(alice, bob, cfg.counting, cfg.seed, transcript)
     mining = run_mining(
         alice,
         bob,
-        cfg.counting(),
+        cfg.counting,
         cfg.c,
         estimator,
         transcript,
@@ -262,7 +247,7 @@ def cmd_mine(args) -> int:
     elapsed = time.perf_counter() - started
     report = {
         "command": "mine",
-        "s": cfg.s,
+        "s": cfg.counting.s,
         "c": cfg.c,
         "split": cfg.split,
         **mining.to_json_dict(),
@@ -281,7 +266,7 @@ def cmd_compare(args) -> int:
     alice, bob, padded, n = _build_parties(db, cfg.split)
     rng = np.random.default_rng(cfg.seed)
     transcript = Transcript()
-    est = joint_support(alice, bob, items, cfg.counting(), rng, transcript)
+    est = joint_support(alice, bob, items, cfg.counting, rng, transcript)
     total_qubits, per_call = transcript_total(transcript)
 
     prime = args.prime if args.prime is not None else next_prime(max(db.original_count, 4))
@@ -307,7 +292,7 @@ def cmd_compare(args) -> int:
             "estimate": float(est.value),
             "accepted": est.accepted,
             "rounds": est.rounds_used,
-            "oracle_calls": len(transcript.events) // 4,
+            "oracle_calls": transcript.oracle_calls,
             "qubits_total": total_qubits,
             "qubits_per_call_max": per_call,
         },

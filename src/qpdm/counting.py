@@ -24,11 +24,11 @@ and both terms coincide. M is taken from one full seven-step protocol
 execution per count on the uniform address state: every query, mark and
 erasure runs, and the output is checked to be a pure sign flip.
 
-Every count logs the transcript of the circuit it stands for, one
-four-transfer group per logical oracle call and P-1 groups per count, and
-consumes one uniform draw. statevector_distribution runs the circuit
-itself, every controlled Grover call over the full counting register; it
-is exponential in p and is the reference the tests pin this module to.
+Every count logs the transcript of the circuit it stands for as one
+record of its P-1 logical oracle calls, and consumes one uniform draw.
+statevector_distribution runs the circuit itself, every controlled Grover
+call over the full counting register; it is exponential in p and is the
+reference the tests pin this module to.
 """
 from __future__ import annotations
 
@@ -44,14 +44,13 @@ from .protocol import (
     PartyState,
     Transcript,
     controlled_grover,
-    oracle_call_events,
     oracle_layout,
     run_oracle_u,
     sample_key,
 )
 
-# One count logs 4 (P - 1) transcript events: at p = 24 that list alone
-# takes 512 MB.
+# A count builds its readout distribution in a few length-P arrays, about
+# 32 B per readout value at peak: 512 MB at p = 24.
 MAX_COUNTING_WIDTH = 24
 
 
@@ -78,8 +77,8 @@ class CountingConfig:
             raise ValueError(f"counting width p must lie in 1..{MAX_COUNTING_WIDTH}, got {self.p}")
         if not 0 < self.s < 1:
             raise ValueError("support threshold s must lie in (0, 1)")
-        if self.agreement_band <= 0:
-            raise ValueError("agreement band must be positive")
+        if not (math.isfinite(self.agreement_band) and self.agreement_band > 0):
+            raise ValueError("agreement band must be positive and finite")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.key_family not in KEY_FAMILIES:
@@ -213,8 +212,7 @@ def counting_distribution(
     init, resp = _resolve_parties(initiator, alice, bob)
     marked = int(np.count_nonzero(_oracle_diagonal(init, resp, z) < 0))
     if transcript is not None:
-        events = oracle_call_events(init.role, init.address_width)
-        transcript.events.extend(events * (config.P - 1))
+        transcript.log_calls(init.role, init.address_width, config.P - 1)
     return _readout_distribution(marked, init.address_width, config.P)
 
 

@@ -166,9 +166,10 @@ def _parse_bitstrings(lines: list[str]) -> TransactionDatabase:
 
 
 def pad_to_power_of_two(db: TransactionDatabase) -> TransactionDatabase:
-    """Append all-zero rows until the row count is the next power of two."""
+    """Append all-zero rows until the row count is a power of two, at least
+    two, so that the address register is at least one qubit wide."""
     n = db.n_transactions
-    target = 1 << max(0, (n - 1).bit_length())
+    target = 1 << max(1, (n - 1).bit_length())
     if target == n:
         return db
     blank = "0" * db.n_items

@@ -17,10 +17,13 @@ erasures run in reverse and the responder undoes the encryption. Every
 query / unquery pair is executed explicitly, and the call verifies at
 exit that all auxiliary registers disentangled back to zero.
 
-Register transfers happen in steps 1, 3, 6 and 7 and are logged on a
-transcript as (n, n+1, n+1, n) qubits, 4n+2 per call. Transfers are
-logged even when the control is zero everywhere: the physical protocol
-sends the registers regardless of the control qubit's state.
+Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
+n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
+calls) record per run of identical oracle calls, so totals are arithmetic
+and the four-transfer layout lives only in this module; the transfer
+events are expanded from the records on demand. Calls are logged even
+when the control is zero everywhere: the physical protocol sends the
+registers regardless of the control qubit's state.
 
 The mirrored, responder-initiated protocol is the same code path with
 the party arguments swapped; the party object's role decides which data
@@ -111,13 +114,13 @@ def all_keys(family: str, n: int) -> list[EncryptionKey]:
 class PartyState:
     """One party's handle: its view, its QRAM contents, optionally its key.
 
-    The key is present only on the party acting as responder-encryptor for
-    a given run; modules above the protocol never see key parameters.
+    QRAM cell j holds row j of the view. The key is present only on the
+    party acting as responder-encryptor for a given run; modules above the
+    protocol never see key parameters.
     """
 
     role: str
     view: PartitionedView
-    qram_memory: tuple[str, ...]
     key: EncryptionKey | None = None
     # the QRAM cells as one integer array, parsed once from the view's
     # checked rows; with_key hands the same array on, and every qram_query
@@ -126,20 +129,19 @@ class PartyState:
 
     def __post_init__(self):
         if self.memory_ints is None:
+            rows = self.view.rows
             cells = np.fromiter(
-                map(int, self.qram_memory, repeat(2)),
-                dtype=qsim.label_dtype(self.data_width),
-                count=len(self.qram_memory),
+                map(int, rows, repeat(2)), dtype=qsim.label_dtype(self.data_width), count=len(rows)
             )
             object.__setattr__(self, "memory_ints", cells)
 
     @property
     def address_width(self) -> int:
-        return (len(self.qram_memory) - 1).bit_length()
+        return (len(self.view.rows) - 1).bit_length()
 
     @property
     def data_width(self) -> int:
-        return len(self.qram_memory[0])
+        return self.view.width
 
     def with_key(self, key: EncryptionKey | None) -> "PartyState":
         return dataclasses.replace(self, key=key)
@@ -149,7 +151,7 @@ def build_qram(view: PartitionedView, n: int) -> PartyState:
     """Load a padded view into a party's QRAM, cell j = row j."""
     if len(view.rows) != 1 << n:
         raise ValueError(f"view has {len(view.rows)} rows, expected 2^{n}")
-    return PartyState(view.role, view, tuple(view.rows))
+    return PartyState(view.role, view)
 
 
 @dataclass(frozen=True)
@@ -169,12 +171,35 @@ class TransferEvent:
 
 @dataclass
 class Transcript:
-    """Ordered log of register transfers between the parties."""
+    """Ordered log of the oracle calls between the parties.
 
-    events: list[TransferEvent] = field(default_factory=list)
+    Each record (initiator role, n, calls) stands for ``calls`` identical
+    oracle calls in a row, each the four transfers of oracle_call_events.
+    """
 
-    def log(self, direction: str, qubits: int, step: str) -> None:
-        self.events.append(TransferEvent(direction, qubits, step))
+    records: list[tuple[str, int, int]] = field(default_factory=list)
+
+    def log_calls(self, initiator_role: str, n: int, calls: int = 1) -> None:
+        if initiator_role not in ("alice", "bob"):
+            raise ValueError(f"unknown initiator role {initiator_role!r}")
+        if n < 1:
+            raise ValueError("address width must be at least 1")
+        if calls < 1:
+            raise ValueError("a record logs at least one oracle call")
+        self.records.append((initiator_role, n, calls))
+
+    @property
+    def oracle_calls(self) -> int:
+        return sum(calls for _, _, calls in self.records)
+
+    @property
+    def events(self) -> list[TransferEvent]:
+        """Every transfer, expanded from the records in protocol order."""
+        return [
+            event
+            for role, n, calls in self.records
+            for event in oracle_call_events(role, n) * calls
+        ]
 
     def to_json(self) -> list[dict]:
         return [{"dir": e.direction, "qubits": e.qubits, "step": e.step} for e in self.events]
@@ -183,20 +208,11 @@ class Transcript:
 def transcript_total(transcript: Transcript) -> tuple[int, int]:
     """(total qubits sent, max qubits over any single oracle call).
 
-    Events come in groups of four per oracle call; anything else is an
-    accounting error.
+    A call sends (n, n+1, n+1, n) qubits, 4n+2 in all; (0, 0) when empty.
     """
-    events = transcript.events
-    if len(events) % 4:
-        raise ValueError(f"transcript has {len(events)} events, not a multiple of 4")
-    total = most = 0
-    group = iter(events)
-    for a, b, c, d in zip(group, group, group, group):
-        call = a.qubits + b.qubits + c.qubits + d.qubits
-        total += call
-        if call > most:
-            most = call
-    return total, most
+    records = transcript.records
+    total = sum(calls * (4 * n + 2) for _, n, calls in records)
+    return total, max((4 * n + 2 for _, n, _ in records), default=0)
 
 
 def oracle_layout(n: int, l: int, k: int, p: int = 0) -> qsim.RegisterLayout:
@@ -258,7 +274,8 @@ def run_oracle_u(
     ``postpone_unquery`` moves the initiator's first unquery from step 3 to
     step 5, saving two QRAM queries; the final state is identical either
     way. ``record``, if given, collects ("stepX", state) snapshots after
-    each step for tracing.
+    each step for tracing. The call is logged on the transcript once its
+    exit check has passed.
     """
     z = frozenset(z)
     if not z:
@@ -270,7 +287,7 @@ def run_oracle_u(
         raise ValueError("responder holds no encryption key")
     layout = state.layout
     n = layout.width("address")
-    if len(responder.qram_memory) != 1 << n or len(initiator.qram_memory) != 1 << n:
+    if len(responder.memory_ints) != 1 << n or len(initiator.memory_ints) != 1 << n:
         raise ValueError("party QRAM size does not match the address register")
     k = initiator.view.width + responder.view.width
     if any(not 1 <= i <= k for i in z):
@@ -284,14 +301,12 @@ def run_oracle_u(
     resp_data, resp_flag = _party_registers(responder)
     init_fq = layout.qubit(init_flag)
     resp_fq = layout.qubit(resp_flag)
-    events = oracle_call_events(initiator.role, n)
 
     def snap(tag):
         if record is not None:
             record.append((tag, state))
 
     # Step 1: the address register travels to the responder, who encrypts it.
-    transcript.events.append(events[0])
     state = qsim.apply_permutation(state, "address", key.apply)
     snap("step1")
 
@@ -302,7 +317,6 @@ def run_oracle_u(
     snap("step2")
 
     # Step 3: address + flag travel back; initiator does the same for its part.
-    transcript.events.append(events[1])
     state = qsim.qram_query(state, "address", init_data, initiator.memory_ints)
     state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
     if not postpone_unquery:
@@ -325,7 +339,6 @@ def run_oracle_u(
     snap("step5")
 
     # Step 6: back to the responder, who erases its flag the same way.
-    transcript.events.append(events[2])
     state = qsim.qram_query(state, "address", resp_data, responder.memory_ints)
     state = qsim.apply_membership_mark(state, resp_data, resp_fq, resp_items, resp_off)
     state = qsim.qram_query(state, "address", resp_data, responder.memory_ints)
@@ -333,11 +346,11 @@ def run_oracle_u(
 
     # Step 7: responder undoes the encryption and returns the register.
     state = qsim.apply_permutation(state, "address", key.invert)
-    transcript.events.append(events[3])
     snap("step7")
 
     if _aux_dirty(state):
         raise qsim.SimulationError("auxiliary registers failed to disentangle")
+    transcript.log_calls(initiator.role, n)
     return state
 
 

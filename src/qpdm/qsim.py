@@ -40,7 +40,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 PRUNE_EPS = 1e-14
-NORM_TOL = 1e-10
 INT_LABEL_BITS = 62  # widest layout whose labels are held as int64
 
 
@@ -197,10 +196,6 @@ class SparseState:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def check_norm(self, tol: float = NORM_TOL) -> None:
-        if abs(self.norm_sq() - 1.0) > tol:
-            raise SimulationError(f"state norm drifted: |amps|^2 = {self.norm_sq()!r}")
 
     def dump(self) -> str:
         """One line per basis label: binary label grouped by register, then

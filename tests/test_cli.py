@@ -138,6 +138,41 @@ class TestEstimate:
         assert err.startswith("qpdm: error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--band", "nan"], ["--band", "0"], ["--max-rounds", "0"], ["--p", "40"]]
+    )
+    def test_counting_config_refused_before_reading(self, capsys, tmp_path, flags):
+        # the --db file does not exist: the flags are refused first
+        code, out, err = run(
+            capsys,
+            ["estimate", "--db", str(tmp_path / "missing.csv"), "--split", "1", "--items", "1",
+             "--seed", "1", *flags],
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("qpdm: error:")
+        assert err.count("\n") == 1
+
+    def test_one_row_database(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("a,b,c\n1,1,0\n")
+        code, out, _ = run(
+            capsys,
+            ["estimate", "--db", str(path), "--items", "1,2", "--split", "1", "--seed", "1",
+             "--p", "6", "--with-exact-oracle"],
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["exact"] == 1.0
+        assert report["abs_error"] <= report["error_bound"]
+        code, out, _ = run(
+            capsys,
+            ["mine", "--db", str(path), "--split", "1", "--s", "0.5", "--c", "0.5", "--seed", "1",
+             "--p", "6", "--with-exact-oracle"],
+        )
+        assert code == EXIT_OK
+        assert not any(json.loads(out)["exact_diff"].values())
+
     def test_output_file(self, capsys, db_path, tmp_path):
         out_path = tmp_path / "report.json"
         argv = [
@@ -337,6 +372,16 @@ class TestGolden:
                 ["compare", "--db", BASKETS_CSV, "--items", "3,5", "--split", "4",
                  "--enc", "cyclic", "--seed", "8"],
                 "compare_baskets_cyclic_seed8.json",
+            ),
+            (
+                ["estimate", "--db", MARKET_CSV, "--items", "1,2", "--split", "2", "--p", "6",
+                 "--band", "1.0", "--seed", "3", "--transcript-dump"],
+                "estimate_market_dump_seed3.json",
+            ),
+            (
+                ["compare", "--db", MARKET_CSV, "--items", "1,2", "--split", "2", "--p", "6",
+                 "--band", "1.0", "--seed", "3", "--transcript-dump"],
+                "compare_market_dump_seed3.json",
             ),
         ],
     )

@@ -64,8 +64,10 @@ class TestConfig:
             CountingConfig(p=MAX_COUNTING_WIDTH + 1, s=0.5)
         with pytest.raises(ValueError):
             CountingConfig(p=3, s=1.5)
-        with pytest.raises(ValueError):
-            CountingConfig(p=3, s=0.5, agreement_band=0)
+        # a nan band would make every round disagree
+        for band in (0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CountingConfig(p=3, s=0.5, agreement_band=band)
         with pytest.raises(ValueError):
             CountingConfig(p=3, s=0.5, key_family="rot13")
 
@@ -284,6 +286,16 @@ class TestQuantumCount:
         est = quantum_count("alice", alice, bob, frozenset({1}), config, np.random.default_rng(11))
         # padded-space fraction 5/8 estimated, then rescaled by 8/5 toward 1.0
         assert est == pytest.approx(1.0, abs=0.05)
+
+    def test_count_logs_one_record(self):
+        alice, bob = parties(db_with_marked(3, 2), 1)
+        bob = bob.with_key(make_key("bitflip", 5, 3))
+        config = CountingConfig(p=12, s=0.25)
+        transcript = Transcript()
+        counting_distribution("alice", alice, bob, frozenset({1, 2}), config, transcript)
+        assert transcript.records == [("alice", 3, config.P - 1)]
+        assert transcript.oracle_calls == config.P - 1
+        assert len(transcript.events) == 4 * (config.P - 1)
 
     def test_transcript_full_count_total(self):
         alice, bob = parties(DB16_T4, 1)

@@ -88,6 +88,13 @@ class TestPad:
         db = TransactionDatabase(2, ("10", "01", "11", "00"), 4)
         assert pad_to_power_of_two(db) is db
 
+    def test_one_row_pads_to_two(self):
+        # a one-row database still needs a one-qubit address register
+        db = TransactionDatabase(3, ("110",), 1)
+        padded = pad_to_power_of_two(db)
+        assert padded.rows == ("110", "000")
+        assert padded.original_count == 1
+
     def test_five_rows_pad_to_eight(self):
         db = TransactionDatabase(2, ("10",) * 5, 5)
         padded = pad_to_power_of_two(db)

@@ -14,6 +14,7 @@ from qpdm.protocol import (
     build_qram,
     controlled_grover,
     make_key,
+    oracle_call_events,
     oracle_layout,
     reference_phase_oracle,
     run_oracle_u,
@@ -128,7 +129,7 @@ class TestKeys:
 class TestBuildQram:
     def test_copies_rows(self):
         alice, bob = make_parties(DB8, 2)
-        assert bob.qram_memory == tuple(r[2:] for r in DB8.rows)
+        assert bob.view.rows == tuple(r[2:] for r in DB8.rows)
         assert bob.data_width == 2
         assert bob.address_width == 3
 
@@ -143,9 +144,9 @@ class TestBuildQram:
         layout = oracle_layout(3, 2, 4)
         for j in range(8):
             st = qsim.prepare_basis(layout, layout.replace(0, "address", j))
-            out = qsim.qram_query(st, "address", "bob_data", bob.qram_memory)
+            out = qsim.qram_query(st, "address", "bob_data", bob.view.rows)
             label = next(iter(out.amps))
-            assert layout.extract(label, "bob_data") == int(bob.qram_memory[j], 2)
+            assert layout.extract(label, "bob_data") == int(bob.view.rows[j], 2)
 
 
 class TestReferenceOracle:
@@ -530,13 +531,30 @@ class TestTranscriptTotals:
         assert total == calls * (4 * 3 + 2)
         assert per_call == 14
 
-    def test_partial_group_rejected(self):
+    def test_bad_record_rejected(self):
+        # a record holds whole calls, so a partial call cannot be logged
         transcript = Transcript()
-        transcript.log("alice_to_bob", 3, "step1")
-        with pytest.raises(ValueError):
-            transcript_total(transcript)
+        for role, n, calls in [("carol", 3, 1), ("alice_to_bob", 3, 1), ("alice", 0, 1), ("bob", 3, 0)]:
+            with pytest.raises(ValueError):
+                transcript.log_calls(role, n, calls)
+        assert transcript.records == []
 
     def test_json_export(self):
         transcript = Transcript()
-        transcript.log("alice_to_bob", 3, "step1")
-        assert transcript.to_json() == [{"dir": "alice_to_bob", "qubits": 3, "step": "step1"}]
+        transcript.log_calls("alice", 3)
+        assert transcript.to_json() == [
+            {"dir": "alice_to_bob", "qubits": 3, "step": "step1"},
+            {"dir": "bob_to_alice", "qubits": 4, "step": "step3"},
+            {"dir": "alice_to_bob", "qubits": 4, "step": "step6"},
+            {"dir": "bob_to_alice", "qubits": 3, "step": "step7"},
+        ]
+
+    def test_records_expand_in_order(self):
+        transcript = Transcript()
+        transcript.log_calls("bob", 2, 3)
+        transcript.log_calls("alice", 5)
+        events = transcript.events
+        assert transcript.oracle_calls == 4
+        assert events == [*oracle_call_events("bob", 2) * 3, *oracle_call_events("alice", 5)]
+        assert transcript_total(transcript) == (3 * 10 + 22, 22)
+        assert transcript_total(transcript)[0] == sum(e.qubits for e in events)
