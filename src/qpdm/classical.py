@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .dataset import PartitionedView
 
 MAX_ATTACK_PRIME = 10**6
@@ -92,11 +94,8 @@ def index_set(view: PartitionedView, z: frozenset) -> set[int]:
     """1-based encryptable values of the real transactions whose view rows
     contain this party's part of z."""
     zpart, offset = view.item_part(z)
-    out = set()
-    for j, row in enumerate(view.rows[: view.original_count]):
-        if all(row[i - offset - 1] == "1" for i in zpart):
-            out.add(j + 1)
-    return out
+    hits = view.bits[: view.original_count, [i - offset - 1 for i in zpart]].all(axis=1)
+    return set((np.flatnonzero(hits) + 1).tolist())
 
 
 def classical_support(

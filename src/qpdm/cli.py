@@ -172,7 +172,7 @@ def _load_db(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileError(f"cannot read {path}: {exc}")
     try:
         return parse_database(text)

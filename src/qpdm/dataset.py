@@ -2,18 +2,22 @@
 support / confidence statistics.
 
 A transaction is a k-character '0'/'1' string, leftmost character = item 1.
-All statistics in this module are exact rationals counted over the unpadded
-rows; they are the ground truth every estimated quantity is judged against.
-Padding rows (appended to reach a power-of-two row count) are all-zero, so
-they can never contain a non-empty itemset and never touch a numerator; the
-denominator is always the original row count.
+A database checks its rows once, as a whole array, and holds them as one
+read-only 0/1 matrix ``bits`` (rows x k); column i - 1 is item i. A party's
+view of a vertically partitioned database is a column slice of that matrix,
+a numpy view rather than a copy.
+
+All statistics in this module are exact rationals counted over the
+unpadded rows; they are the ground truth every estimated quantity is judged
+against. Padding rows (appended to reach a power-of-two row count) are
+all-zero, so they can never contain a non-empty itemset and never touch a
+numerator; the denominator is always the original row count.
 """
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +33,23 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _check_row(row: str, k: int) -> None:
-    if len(row) != k:
+def _bit_matrix(rows: tuple[str, ...], k: int) -> np.ndarray:
+    """The rows as a read-only uint8 0/1 matrix (rows x k), checked in whole
+    arrays: every row has k characters, each "0" or "1"."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    bad = np.flatnonzero(lengths != k)
+    if len(bad):
+        row = rows[bad[0]]
         raise ValueError(f"row {row!r} has {len(row)} bits, expected {k}")
-    if set(row) - {"0", "1"}:
-        raise ValueError(f"row {row!r} contains non-binary characters")
+    # "replace" keeps one byte per character; in uint8, every character but
+    # "0" and "1" lands above 1
+    chars = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
+    bits = (chars - ord("0")).reshape(len(rows), k)
+    bad = np.flatnonzero((bits > 1).any(axis=1))
+    if len(bad):
+        raise ValueError(f"row {rows[bad[0]]!r} contains non-binary characters")
+    bits.flags.writeable = False
+    return bits
 
 
 @dataclass(frozen=True)
@@ -48,12 +64,12 @@ class TransactionDatabase:
     rows: tuple[str, ...]
     original_count: int
     item_names: tuple[str, ...] = ()
+    bits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_items < 1:
             raise ValueError("need at least one item")
-        for row in self.rows:
-            _check_row(row, self.n_items)
+        object.__setattr__(self, "bits", _bit_matrix(self.rows, self.n_items))
         if not 0 <= self.original_count <= len(self.rows):
             raise ValueError("original_count out of range")
         if not self.item_names:
@@ -66,50 +82,36 @@ class TransactionDatabase:
     def n_transactions(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def item_columns(self) -> np.ndarray:
-        """The rows as a 0/1 bit matrix, one packed row of bits per item:
-        bit r of column i - 1 is 1 iff transaction r contains item i."""
-        chars = np.frombuffer("".join(self.rows).encode("ascii"), dtype=np.uint8)
-        bits = (chars - ord("0")).reshape(len(self.rows), self.n_items)
-        return np.packbits(bits.T, axis=1)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionedView:
     """One party's half of a vertically partitioned database.
 
-    Alice holds columns 1..l, Bob columns l+1..k. ``original_count`` rides
-    along so estimates over the padded space can be rescaled back.
+    Alice holds columns 1..l, Bob columns l+1..k: ``bits`` is that column
+    slice of the database's read-only bit matrix, checked when the database
+    was built. ``original_count`` rides along so estimates over the padded
+    space can be rescaled back. Views compare by identity.
     """
 
     role: str
     split_point: int
-    rows: tuple[str, ...]
+    bits: np.ndarray = field(repr=False)
     original_count: int
 
     def __post_init__(self):
         if self.role not in ("alice", "bob"):
             raise ValueError(f"unknown role {self.role!r}")
-        if not self.rows:
-            raise ValueError("view has no rows")
-        width = len(self.rows[0])
-        if width < 1:
-            raise ValueError("view rows are empty")
-        if any(len(r) != width or set(r) - {"0", "1"} for r in self.rows):
-            raise ValueError("view rows malformed")
-        if self.role == "alice" and width != self.split_point:
-            raise ValueError("alice view width must equal the split point")
 
     @property
     def width(self) -> int:
-        return len(self.rows[0])
+        return self.bits.shape[1]
 
     def item_part(self, z: ItemSet) -> tuple[ItemSet, int]:
         """Restrict an itemset to this party's columns.
 
-        Returns (sub-itemset, offset); positions minus offset index this
-        view's rows. The sub-itemset may be empty (vacuously satisfied).
+        Returns (sub-itemset, offset); positions minus offset, less one,
+        index this view's columns. The sub-itemset may be empty (vacuously
+        satisfied).
         """
         l = self.split_point
         if self.role == "alice":
@@ -180,8 +182,8 @@ def vertical_partition(db: TransactionDatabase, l: int) -> tuple[PartitionedView
     """Split columns 1..l to Alice and l+1..k to Bob, preserving row order."""
     if not 1 <= l < db.n_items:
         raise ValueError(f"split point {l} must satisfy 1 <= l < {db.n_items}")
-    alice = PartitionedView("alice", l, tuple(r[:l] for r in db.rows), db.original_count)
-    bob = PartitionedView("bob", l, tuple(r[l:] for r in db.rows), db.original_count)
+    alice = PartitionedView("alice", l, db.bits[:, :l], db.original_count)
+    bob = PartitionedView("bob", l, db.bits[:, l:], db.original_count)
     return alice, bob
 
 
@@ -201,9 +203,8 @@ def exact_support(db: TransactionDatabase, z: ItemSet) -> Fraction:
     _check_items(db, z)
     if db.original_count < 1:
         raise ValueError("database has no real rows")
-    # AND of the item columns, then a popcount
-    rows = np.bitwise_and.reduce(db.item_columns[[i - 1 for i in z]], axis=0)
-    return Fraction(int(np.count_nonzero(np.unpackbits(rows))), db.original_count)
+    hits = db.bits[:, [i - 1 for i in z]].all(axis=1)
+    return Fraction(int(np.count_nonzero(hits)), db.original_count)
 
 
 def exact_confidence(db: TransactionDatabase, x: ItemSet, y: ItemSet) -> Fraction:

@@ -17,11 +17,16 @@ erasures run in reverse and the responder undoes the encryption. Every
 query / unquery pair is executed explicitly, and the call verifies at
 exit that all auxiliary registers disentangled back to zero.
 
+A party's QRAM holds one integer cell per row of its view, computed once
+from the view's column slice of the database's bit matrix, leftmost column
+most significant; the queries take these integer cells only.
+
 Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
 n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
 calls) record per run of identical oracle calls, so totals are arithmetic
 and the four-transfer layout lives only in this module; the transfer
-events are expanded from the records on demand. Calls are logged even
+events are expanded from the records on demand, and a JSON dump of more
+than MAX_DUMP_EVENTS of them is refused. Calls are logged even
 when the control is zero everywhere: the physical protocol sends the
 registers regardless of the control qubit's state.
 
@@ -34,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -43,6 +47,10 @@ from . import qsim
 from .dataset import PartitionedView, TransactionDatabase
 
 KEY_FAMILIES = ("bitflip", "modadd", "cyclic")
+# Largest transcript that to_json expands: an event costs about 200 B of
+# Python objects while the dump is built and 74 B of indented JSON text
+# (tracemalloc, 262k events), so 2^21 events is about 420 MB and 155 MB.
+MAX_DUMP_EVENTS = 1 << 21
 
 REGISTER_ORDER = (
     "counting",
@@ -114,30 +122,29 @@ def all_keys(family: str, n: int) -> list[EncryptionKey]:
 class PartyState:
     """One party's handle: its view, its QRAM contents, optionally its key.
 
-    QRAM cell j holds row j of the view. The key is present only on the
-    party acting as responder-encryptor for a given run; modules above the
-    protocol never see key parameters.
+    QRAM cell j holds row j of the view as an integer, leftmost column most
+    significant. The key is present only on the party acting as
+    responder-encryptor for a given run; modules above the protocol never
+    see key parameters.
     """
 
     role: str
     view: PartitionedView
     key: EncryptionKey | None = None
-    # the QRAM cells as one integer array, parsed once from the view's
-    # checked rows; with_key hands the same array on, and every qram_query
-    # checks that the cells fit the data register
+    # the QRAM cells as one integer array, computed once from the view's bit
+    # matrix; with_key hands the same array on, and every qram_query checks
+    # that the cells fit the data register
     memory_ints: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.memory_ints is None:
-            rows = self.view.rows
-            cells = np.fromiter(
-                map(int, rows, repeat(2)), dtype=qsim.label_dtype(self.data_width), count=len(rows)
-            )
-            object.__setattr__(self, "memory_ints", cells)
+            dtype = qsim.label_dtype(self.data_width)
+            weights = np.array([1 << i for i in reversed(range(self.data_width))], dtype=dtype)
+            object.__setattr__(self, "memory_ints", self.view.bits.astype(dtype) @ weights)
 
     @property
     def address_width(self) -> int:
-        return (len(self.view.rows) - 1).bit_length()
+        return (len(self.view.bits) - 1).bit_length()
 
     @property
     def data_width(self) -> int:
@@ -149,8 +156,8 @@ class PartyState:
 
 def build_qram(view: PartitionedView, n: int) -> PartyState:
     """Load a padded view into a party's QRAM, cell j = row j."""
-    if len(view.rows) != 1 << n:
-        raise ValueError(f"view has {len(view.rows)} rows, expected 2^{n}")
+    if len(view.bits) != 1 << n:
+        raise ValueError(f"view has {len(view.bits)} rows, expected 2^{n}")
     return PartyState(view.role, view)
 
 
@@ -202,6 +209,11 @@ class Transcript:
         ]
 
     def to_json(self) -> list[dict]:
+        if 4 * self.oracle_calls > MAX_DUMP_EVENTS:
+            raise ValueError(
+                f"transcript of {4 * self.oracle_calls} transfers exceeds the "
+                f"dump limit of {MAX_DUMP_EVENTS}"
+            )
         return [{"dir": e.direction, "qubits": e.qubits, "step": e.step} for e in self.events]
 
 

@@ -12,9 +12,9 @@ The engine provides exactly the primitives the protocol needs, each a
 handful of whole-array operations, and they fall in two classes:
 
 * signed basis permutations: encryption permutations, QRAM queries (XOR
-  loads, hence self-inverse), membership marks, the zero reflection, phase
-  kickback. These map the label array position by position and never grow
-  the state.
+  loads of integer memory cells, hence self-inverse), membership marks, the
+  zero reflection, phase kickback. These map the label array position by
+  position and never grow the state.
 * spreading operations: the Hadamard wall on a register and the inverse QFT.
   Only these can enlarge the state, by at most a factor of 2^(register
   width); equal labels they produce are merged by a sort.
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -324,40 +323,26 @@ def apply_permutation(state: SparseState, register: str, u: Callable) -> SparseS
     return state._with(new, state.amplitudes)
 
 
-def _memory_cells(memory: Sequence, width: int, dtype: np.dtype) -> np.ndarray:
-    """QRAM memory as one integer array of `dtype`, checked to hold
-    `width`-bit cells: bit strings of exactly `width` characters, leftmost
-    most significant, or integers in [0, 2^width)."""
-    if len(memory) and isinstance(memory[0], str):
-        lengths = np.fromiter(map(len, memory), dtype=np.int64, count=len(memory))
-        chars = np.frombuffer("".join(memory).encode("ascii", "replace"), dtype=np.uint8)
-        # in uint8, every character but "0" and "1" lands above 1
-        if (lengths != width).any() or ((chars - ord("0")) > 1).any():
-            raise ValueError(f"memory cells are not all {width}-bit strings")
-        values = map(int, memory, repeat(2)) if width else repeat(0, len(memory))
-        return np.fromiter(values, dtype=dtype, count=len(memory))
-    cells = np.asarray(memory)
-    if cells.dtype != dtype:
-        cells = cells.astype(dtype)
-    if (cells >> width).any():  # some cell is negative or wider than `width` bits
-        raise ValueError(f"memory cells do not all fit {width} bits")
-    return cells
-
-
-def qram_query(state: SparseState, address: str, data: str, memory: Sequence) -> SparseState:
+def qram_query(state: SparseState, address: str, data: str, memory: Sequence[int]) -> SparseState:
     """XOR the addressed memory cell into the data register (self-inverse).
 
     On every basis label with address content j, the data register content
     is XORed with memory[j]; querying twice therefore erases the load.
-    ``memory`` holds one cell per address: bit strings as wide as the data
-    register, or integers (an array of the label dtype is used uncopied).
+    ``memory`` holds one integer cell per address, each in [0, 2^width) of
+    the data register; an array of the label dtype is used uncopied.
     """
     layout = state.layout
     labels = state.labels
     count = 1 << layout.width(address)
     if len(memory) != count:
         raise ValueError(f"memory must have {count} cells, got {len(memory)}")
-    cells = _memory_cells(memory, layout.width(data), labels.dtype)
+    cells = np.asarray(memory)
+    if cells.dtype.kind not in "iuO":
+        raise ValueError(f"memory cells must be integers, got dtype {cells.dtype}")
+    cells = cells.astype(labels.dtype, copy=False)
+    width = layout.width(data)
+    if (cells >> width).any():  # some cell is negative or wider than the register
+        raise ValueError(f"memory cells do not all fit {width} bits")
     index = layout.extract(labels, address).astype(np.int64, copy=False)
     return state._with(labels ^ (cells[index] << layout.offset(data)), state.amplitudes)
 

@@ -96,6 +96,26 @@ class TestEstimate:
         assert code == EXIT_FILE
         assert "line 2" in err
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b\n1,\xff\n")
+        code, out, err = run(capsys, ["estimate", "--db", str(bad), "--items", "1", "--split", "1"])
+        assert code == EXIT_FILE
+        assert out == ""
+        assert str(bad) in err and err.count("qpdm: error:") == 1
+
+    def test_transcript_dump_size_guard(self, capsys):
+        # two counts at p = 19 expand to 4,194,296 transfers, over the 2^21 limit
+        argv = [
+            "estimate", "--db", MARKET_CSV, "--items", "1,2", "--split", "2",
+            "--p", "19", "--band", "1.0", "--seed", "3", "--transcript-dump",
+        ]
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("qpdm: error:") and err.count("\n") == 1
+        assert "dump limit" in err
+
     def test_bad_flag_usage_exit(self, capsys, db_path):
         code, _, _ = run(capsys, ["estimate", "--db", db_path, "--items", "1", "--split", "2", "--bogus"])
         assert code == EXIT_USAGE

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qpdm.classical import index_set
 from qpdm.dataset import (
     ParseError,
     TransactionDatabase,
@@ -14,6 +17,8 @@ from qpdm.dataset import (
     parse_database,
     vertical_partition,
 )
+from qpdm.protocol import build_qram
+from qpdm.qsim import label_dtype
 
 FOUR_ROWS = TransactionDatabase(3, ("110", "100", "011", "111"), 4)
 
@@ -75,6 +80,26 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_database("I1,I2\n")
 
+    def test_constructor_checks_rows(self):
+        for rows, message in (
+            (("110", "01"), "'01' has 2 bits"),
+            (("110", "1a0"), "'1a0' contains non-binary"),
+            (("1\u00e90", "110"), "contains non-binary"),
+            (("1100",), "expected 3"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                TransactionDatabase(3, rows, len(rows))
+
+    def test_bits_read_only_and_out_of_eq(self):
+        db = TransactionDatabase(3, ("110", "011"), 2)
+        assert db.bits.tolist() == [[1, 1, 0], [0, 1, 1]]
+        assert not db.bits.flags.writeable
+        twin = TransactionDatabase(3, ("110", "011"), 2)
+        assert db == twin and hash(db) == hash(twin)
+        alice, bob = vertical_partition(db, 1)
+        assert not alice.bits.flags.writeable and not bob.bits.flags.writeable
+        assert alice == alice and alice != bob and hash(alice) != hash(bob)
+
 
 class TestPad:
     def test_three_rows_get_one_blank(self):
@@ -106,8 +131,9 @@ class TestPartition:
     def test_string_split(self):
         db = TransactionDatabase(4, ("1101",), 1)
         alice, bob = vertical_partition(db, 2)
-        assert alice.rows == ("11",)
-        assert bob.rows == ("01",)
+        assert alice.bits.tolist() == [[1, 1]]
+        assert bob.bits.tolist() == [[0, 1]]
+        assert (alice.width, bob.width) == (2, 2)
 
     def test_split_at_k_rejected(self):
         db = TransactionDatabase(3, ("101",), 1)
@@ -122,8 +148,10 @@ class TestPartition:
             db = random_db(rng, int(rng.integers(1, 9)), int(rng.integers(2, 7)))
             for l in range(1, db.n_items):
                 alice, bob = vertical_partition(db, l)
-                rejoined = tuple(a + b for a, b in zip(alice.rows, bob.rows))
-                assert rejoined == db.rows
+                assert np.array_equal(np.hstack([alice.bits, bob.bits]), db.bits)
+                # column slices of the database's matrix, not copies
+                assert np.shares_memory(alice.bits, db.bits)
+                assert np.shares_memory(bob.bits, db.bits)
 
     def test_item_part(self):
         db = TransactionDatabase(4, ("1101",), 1)
@@ -250,3 +278,35 @@ class TestMembershipFlag:
             restricted = "".join(x[i - 1] for i in sorted(zpart))
             expected = int(int(restricted, 2) == (1 << len(zpart)) - 1)
             assert membership_flag(x, zpart) == expected
+
+
+class TestRowStore:
+    """The bit matrix, the views, the QRAM cells, index_set and
+    exact_support, each against the string rows the database was built from."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_derived_data_match_string_rows(self, data):
+        # k up to 70, so QRAM cells wider than 62 bits (object arrays) are drawn
+        k = data.draw(st.integers(2, 70), label="k")
+        n_rows = data.draw(st.integers(1, 20), label="rows")
+        values = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n_rows, max_size=n_rows))
+        db = pad_to_power_of_two(TransactionDatabase(k, tuple(format(v, f"0{k}b") for v in values), n_rows))
+        l = data.draw(st.integers(1, k - 1), label="split")
+        z = frozenset(data.draw(st.sets(st.integers(1, k), min_size=1, max_size=4), label="z"))
+        n = (db.n_transactions - 1).bit_length()
+        alice, bob = (build_qram(view, n) for view in vertical_partition(db, l))
+
+        assert db.bits.tolist() == [[int(c) for c in row] for row in db.rows]
+        assert np.array_equal(np.hstack([alice.view.bits, bob.view.bits]), db.bits)
+        for party, part in ((alice, slice(None, l)), (bob, slice(l, None))):
+            view_rows = [row[part] for row in db.rows]
+            assert party.memory_ints.dtype == label_dtype(party.data_width)
+            assert party.memory_ints.tolist() == [int(row, 2) for row in view_rows]
+            zpart, offset = party.view.item_part(z)
+            expected = set()
+            for j, row in enumerate(view_rows[:n_rows]):
+                if all(row[i - offset - 1] == "1" for i in zpart):
+                    expected.add(j + 1)
+            assert index_set(party.view, z) == expected
+        assert exact_support(db, z) == brute_support(db.rows, z, n_rows)

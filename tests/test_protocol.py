@@ -9,6 +9,7 @@ from qpdm import qsim
 from qpdm.dataset import TransactionDatabase, vertical_partition
 from qpdm.protocol import (
     KEY_FAMILIES,
+    MAX_DUMP_EVENTS,
     Transcript,
     all_keys,
     build_qram,
@@ -129,7 +130,9 @@ class TestKeys:
 class TestBuildQram:
     def test_copies_rows(self):
         alice, bob = make_parties(DB8, 2)
-        assert bob.view.rows == tuple(r[2:] for r in DB8.rows)
+        assert np.array_equal(bob.view.bits, DB8.bits[:, 2:])
+        assert bob.memory_ints.tolist() == [int(r[2:], 2) for r in DB8.rows]
+        assert alice.memory_ints.tolist() == [int(r[:2], 2) for r in DB8.rows]
         assert bob.data_width == 2
         assert bob.address_width == 3
 
@@ -144,9 +147,9 @@ class TestBuildQram:
         layout = oracle_layout(3, 2, 4)
         for j in range(8):
             st = qsim.prepare_basis(layout, layout.replace(0, "address", j))
-            out = qsim.qram_query(st, "address", "bob_data", bob.view.rows)
+            out = qsim.qram_query(st, "address", "bob_data", bob.memory_ints)
             label = next(iter(out.amps))
-            assert layout.extract(label, "bob_data") == int(bob.view.rows[j], 2)
+            assert layout.extract(label, "bob_data") == int(DB8.rows[j][2:], 2)
 
 
 class TestReferenceOracle:
@@ -548,6 +551,13 @@ class TestTranscriptTotals:
             {"dir": "alice_to_bob", "qubits": 4, "step": "step6"},
             {"dir": "bob_to_alice", "qubits": 3, "step": "step7"},
         ]
+
+    def test_dump_refused_over_limit(self):
+        # refused before any dict is built: 2^19 + 1 calls are 2^21 + 4 events
+        transcript = Transcript()
+        transcript.log_calls("alice", 3, MAX_DUMP_EVENTS // 4 + 1)
+        with pytest.raises(ValueError, match="dump limit"):
+            transcript.to_json()
 
     def test_records_expand_in_order(self):
         transcript = Transcript()
