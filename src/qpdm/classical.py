@@ -19,9 +19,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dataset import PartitionedView
+from .dataset import MAX_ADDRESS_WIDTH, PartitionedView
 
 MAX_ATTACK_PRIME = 10**6
+# Largest prime ``compare`` accepts, checked before any trial division.
+# valid_exponents lists about a third of the numbers below p, some 40 B per
+# exponent (57 MB traced at p near 2^22). Four times the largest row count,
+# so the default prime, the next one above the row count, always fits.
+MAX_CLASSICAL_PRIME = 4 << MAX_ADDRESS_WIDTH
 
 
 def is_prime(n: int) -> bool:

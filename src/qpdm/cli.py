@@ -5,7 +5,8 @@ JSON on stdout is the canonical output and is byte-identical for identical
 (flags, seed) pairs; csv and table renderings are derived from it. Timing
 goes to stderr. Exit codes: 0 ok, 2 estimate not accepted within
 max_rounds, 64 usage or validation error, 66 unreadable or malformed
-database file.
+database file, or one with more rows than MAX_ADDRESS_WIDTH address qubits
+can hold.
 """
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .classical import (
+    MAX_ATTACK_PRIME,
+    MAX_CLASSICAL_PRIME,
     BitLog,
     ClassicalKey,
     classical_support,
@@ -29,7 +32,7 @@ from .classical import (
     valid_exponents,
 )
 from .counting import CountingConfig, default_counting_width, joint_support
-from .dataset import ParseError, exact_support, pad_to_power_of_two, parse_database, vertical_partition
+from .dataset import exact_support, pad_to_power_of_two, parse_database, vertical_partition
 from .miner import quantum_estimator, run_mining
 from .protocol import KEY_FAMILIES, Transcript, build_qram, transcript_total
 
@@ -169,31 +172,33 @@ def _run_config(args) -> RunConfig:
 
 
 def _load_db(path: str):
+    """The database in the file and its padded copy."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FileError(f"cannot read {path}: {exc}")
     try:
-        return parse_database(text)
-    except ParseError as exc:
+        db = parse_database(text)
+        # refuses more rows than MAX_ADDRESS_WIDTH admits, before allocating
+        return db, pad_to_power_of_two(db)
+    except ValueError as exc:
         raise FileError(f"{path}: {exc}")
 
 
-def _build_parties(db, split):
-    if not 1 <= split < db.n_items:
-        raise UsageError(f"split must lie in 1..{db.n_items - 1}")
-    padded = pad_to_power_of_two(db)
+def _build_parties(padded, split):
+    if not 1 <= split < padded.n_items:
+        raise UsageError(f"split must lie in 1..{padded.n_items - 1}")
     n = (padded.n_transactions - 1).bit_length()
     alice_view, bob_view = vertical_partition(padded, split)
-    return build_qram(alice_view, n), build_qram(bob_view, n), padded, n
+    return build_qram(alice_view, n), build_qram(bob_view, n)
 
 
 def cmd_estimate(args) -> int:
     cfg = _run_config(args)
-    db = _load_db(cfg.db_path)
+    db, padded = _load_db(cfg.db_path)
     items = _parse_items(args.items, db.n_items)
-    alice, bob, padded, n = _build_parties(db, cfg.split)
+    alice, bob = _build_parties(padded, cfg.split)
     transcript = Transcript()
     rng = np.random.default_rng(cfg.seed)
     est = joint_support(alice, bob, items, cfg.counting, rng, transcript)
@@ -230,8 +235,8 @@ def cmd_mine(args) -> int:
     cfg = _run_config(args)
     if cfg.c is None:
         raise UsageError("mine requires --c")
-    db = _load_db(cfg.db_path)
-    alice, bob, padded, n = _build_parties(db, cfg.split)
+    db, padded = _load_db(cfg.db_path)
+    alice, bob = _build_parties(padded, cfg.split)
     transcript = Transcript()
     started = time.perf_counter()
     estimator = quantum_estimator(alice, bob, cfg.counting, cfg.seed, transcript)
@@ -261,18 +266,21 @@ def cmd_mine(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _run_config(args)
-    db = _load_db(cfg.db_path)
+    if args.prime is not None and args.prime > MAX_CLASSICAL_PRIME:
+        raise UsageError(f"--prime must not exceed {MAX_CLASSICAL_PRIME}")
+    db, padded = _load_db(cfg.db_path)
     items = _parse_items(args.items, db.n_items)
-    alice, bob, padded, n = _build_parties(db, cfg.split)
+    alice, bob = _build_parties(padded, cfg.split)
     rng = np.random.default_rng(cfg.seed)
     transcript = Transcript()
     est = joint_support(alice, bob, items, cfg.counting, rng, transcript)
     total_qubits, per_call = transcript_total(transcript)
 
     prime = args.prime if args.prime is not None else next_prime(max(db.original_count, 4))
-    exponents = valid_exponents(prime)
-    if not exponents:
-        raise UsageError(f"prime {prime} admits no valid exponents")
+    if args.eA is None or args.eB is None:
+        exponents = valid_exponents(prime)
+        if not exponents:
+            raise UsageError(f"prime {prime} admits no valid exponents")
     e_a = args.eA if args.eA is not None else int(rng.choice(exponents))
     e_b = args.eB if args.eB is not None else int(rng.choice(exponents))
     try:
@@ -310,6 +318,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_attack_demo(args) -> int:
+    # before the keys' trial division, which takes hours near 2^61
+    if args.p > MAX_ATTACK_PRIME:
+        raise UsageError(f"attack guarded to primes <= {MAX_ATTACK_PRIME}")
     s1 = _parse_items(args.S1)
     try:
         key_a = ClassicalKey(args.p, args.eA)

@@ -1,11 +1,22 @@
 """Boolean transaction databases: parsing, padding, partitioning, and exact
 support / confidence statistics.
 
-A transaction is a k-character '0'/'1' string, leftmost character = item 1.
-A database checks its rows once, as a whole array, and holds them as one
-read-only 0/1 matrix ``bits`` (rows x k); column i - 1 is item i. A party's
-view of a vertically partitioned database is a column slice of that matrix,
-a numpy view rather than a copy.
+A transaction is a row of k 0/1 cells; column i - 1 is item i. A database
+holds its rows as one read-only uint8 matrix ``bits`` (rows x k), the only
+row store. A party's view of a vertically partitioned database is a column
+slice of that matrix, a numpy view rather than a copy; padding appends
+zero rows to it; and the '0'/'1' strings of ``rows`` are derived from it on
+first access, for the string-level references and the tests.
+
+``parse_database`` turns CSV or bit-string text into that matrix with
+whole-array operations. The UTF-8 bytes are cut into one row of 2k (CSV)
+or k + 1 (bit strings) bytes per line, and the rows are compared against
+the comma, the newline, "0" and "1". If that check fails, the text is
+normalised in whole arrays too: every line boundary ``str.splitlines``
+knows becomes a newline, the whitespace ``str.strip`` would take off a
+cell (or a bit-string line) is removed, and trailing blank lines are
+dropped. Then the check runs again, and the first malformed line is looked
+for only if it fails again.
 
 All statistics in this module are exact rationals counted over the
 unpadded rows; they are the ground truth every estimated quantity is judged
@@ -15,14 +26,21 @@ numerator; the denominator is always the original row count.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 ItemSet = frozenset
 """An itemset is a frozenset of 1-based item indices."""
+
+# Widest address register a database may pad to. One oracle extraction
+# peaks at about 90 B per address (tracemalloc, n = 16 and n = 20): 94 MB
+# at n = 20, and 1.5 GB at n = 24. Checked before padding allocates.
+MAX_ADDRESS_WIDTH = 20
+
+NEWLINE, COMMA, ZERO = ord("\n"), ord(","), ord("0")
 
 
 class ParseError(ValueError):
@@ -34,8 +52,8 @@ class ParseError(ValueError):
 
 
 def _bit_matrix(rows: tuple[str, ...], k: int) -> np.ndarray:
-    """The rows as a read-only uint8 0/1 matrix (rows x k), checked in whole
-    arrays: every row has k characters, each "0" or "1"."""
+    """The rows as a uint8 0/1 matrix (rows x k), checked in whole arrays:
+    every row has k characters, each "0" or "1"."""
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     bad = np.flatnonzero(lengths != k)
     if len(bad):
@@ -44,43 +62,95 @@ def _bit_matrix(rows: tuple[str, ...], k: int) -> np.ndarray:
     # "replace" keeps one byte per character; in uint8, every character but
     # "0" and "1" lands above 1
     chars = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
-    bits = (chars - ord("0")).reshape(len(rows), k)
+    bits = (chars - ZERO).reshape(len(rows), k)
     bad = np.flatnonzero((bits > 1).any(axis=1))
     if len(bad):
         raise ValueError(f"row {rows[bad[0]]!r} contains non-binary characters")
-    bits.flags.writeable = False
     return bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TransactionDatabase:
     """N transactions over k items, possibly padded with all-zero rows.
 
-    ``original_count`` is the number of real (non-padding) rows; it is the
-    denominator of every support value.
+    ``bits`` is the read-only rows x k 0/1 matrix. ``original_count`` is
+    the number of real (non-padding) rows; it is the denominator of every
+    support value. The constructor takes '0'/'1' row strings and checks
+    them; ``from_bits`` takes a matrix that is already checked. Databases
+    are equal when their matrices, original counts and item names are,
+    whichever way they were built.
     """
 
-    n_items: int
-    rows: tuple[str, ...]
+    bits: np.ndarray = field(repr=False)
     original_count: int
-    item_names: tuple[str, ...] = ()
-    bits: np.ndarray = field(init=False, repr=False, compare=False)
+    item_names: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.n_items < 1:
+    def __init__(
+        self,
+        n_items: int,
+        rows: tuple[str, ...],
+        original_count: int,
+        item_names: tuple[str, ...] = (),
+    ):
+        if n_items < 1:
             raise ValueError("need at least one item")
-        object.__setattr__(self, "bits", _bit_matrix(self.rows, self.n_items))
-        if not 0 <= self.original_count <= len(self.rows):
+        self._set(_bit_matrix(tuple(rows), n_items), original_count, item_names)
+
+    @classmethod
+    def from_bits(
+        cls, bits: np.ndarray, original_count: int, item_names: tuple[str, ...] = ()
+    ) -> TransactionDatabase:
+        """A database over ``bits``, a rows x k uint8 matrix of 0s and 1s.
+
+        The values are not checked again. The database takes the matrix as
+        it is, without a copy, and makes it read-only.
+        """
+        if bits.ndim != 2 or bits.dtype != np.uint8:
+            raise ValueError(f"bits must be a 2-d uint8 matrix, got {bits.ndim}-d {bits.dtype}")
+        if bits.shape[1] < 1:
+            raise ValueError("need at least one item")
+        db = object.__new__(cls)
+        db._set(bits, original_count, item_names)
+        return db
+
+    def _set(self, bits: np.ndarray, original_count: int, item_names: tuple[str, ...]) -> None:
+        if not 0 <= original_count <= len(bits):
             raise ValueError("original_count out of range")
-        if not self.item_names:
-            names = tuple(f"I{i}" for i in range(1, self.n_items + 1))
-            object.__setattr__(self, "item_names", names)
-        elif len(self.item_names) != self.n_items:
+        if not item_names:
+            item_names = tuple(f"I{i}" for i in range(1, bits.shape[1] + 1))
+        elif len(item_names) != bits.shape[1]:
             raise ValueError("item_names length mismatch")
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "original_count", original_count)
+        object.__setattr__(self, "item_names", tuple(item_names))
+
+    def __eq__(self, other):
+        if not isinstance(other, TransactionDatabase):
+            return NotImplemented
+        return (
+            self.original_count == other.original_count
+            and self.item_names == other.item_names
+            and np.array_equal(self.bits, other.bits)
+        )
+
+    def __hash__(self):
+        return hash((self.original_count, self.item_names, self.bits.shape, self.bits.tobytes()))
+
+    @property
+    def n_items(self) -> int:
+        return self.bits.shape[1]
 
     @property
     def n_transactions(self) -> int:
-        return len(self.rows)
+        return self.bits.shape[0]
+
+    @cached_property
+    def rows(self) -> tuple[str, ...]:
+        """The rows as '0'/'1' strings, leftmost character = item 1."""
+        text = (self.bits + ZERO).tobytes().decode("ascii")
+        k = self.n_items
+        return tuple(text[i : i + k] for i in range(0, len(text), k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,62 +190,174 @@ class PartitionedView:
 
 
 def parse_database(text: str) -> TransactionDatabase:
-    """Parse CSV (header of item names, then 0/1 cells) or one bitstring per line.
+    """Parse CSV (header of item names, then 0/1 cells) or one bit string per line.
 
-    Raises ParseError naming the offending line for malformed rows,
-    non-binary cells, or empty input.
+    Lines are split as ``str.splitlines`` splits them, CSV cells and
+    bit-string lines are stripped of whitespace as ``str.strip`` strips,
+    and trailing blank lines are ignored. Raises ParseError naming the
+    first offending line for malformed rows, non-binary cells, or empty
+    input.
     """
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines or not any(line.strip() for line in lines):
+    if not text or text.isspace():
         raise ParseError(1, "empty input")
-    if "," in lines[0]:
-        return _parse_csv(lines)
-    return _parse_bitstrings(lines)
+    data = text.encode("utf-8", "surrogatepass")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    head = data.find(b"\n")
+    # the closing "\v" keeps a trailing lone "\r" a line boundary of its own
+    first, *more = (data[:head].decode("utf-8", "surrogatepass") + "\v").splitlines()
+    csv = "," in first
+    if csv:
+        names = tuple(cell.strip() for cell in first.split(","))
+        if any(not name for name in names):
+            raise ParseError(1, "empty item name in header")
+        k = len(names)
+    else:
+        names, k = (), len(first.strip())
 
-
-def _parse_csv(lines: list[str]) -> TransactionDatabase:
-    names = tuple(cell.strip() for cell in lines[0].split(","))
-    if any(not name for name in names):
-        raise ParseError(1, "empty item name in header")
-    k = len(names)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != k:
-            raise ParseError(lineno, f"expected {k} cells, got {len(cells)}")
-        for cell in cells:
-            if cell not in ("0", "1"):
-                raise ParseError(lineno, f"non-binary cell {cell!r}")
-        rows.append("".join(cells))
-    if not rows:
+    start = head + 1 if csv else 0
+    bits = None if more else _cells(np.frombuffer(data, dtype=np.uint8, offset=start), k, csv)
+    if bits is None:
+        data = _one_line_end(data)
+        body = _stripped(data[data.find(b"\n") + 1 if csv else 0 :], csv)
+        bits = _cells(body, k, csv)
+        if bits is None:
+            raise _first_error(body, k, csv)
+    if not len(bits):
         raise ParseError(2, "no data rows")
-    return TransactionDatabase(k, tuple(rows), len(rows), names)
+    return TransactionDatabase.from_bits(bits, len(bits), names)
 
 
-def _parse_bitstrings(lines: list[str]) -> TransactionDatabase:
-    stripped = [line.strip() for line in lines]
-    k = len(stripped[0])
-    rows = []
-    for lineno, row in enumerate(stripped, start=1):
-        if len(row) != k:
-            raise ParseError(lineno, f"expected {k} bits, got {len(row)}")
-        if set(row) - {"0", "1"}:
-            raise ParseError(lineno, "non-binary character")
-        rows.append(row)
-    return TransactionDatabase(k, tuple(rows), len(rows))
+def _cells(body: np.ndarray, k: int, csv: bool) -> np.ndarray | None:
+    """The rows x k 0/1 matrix of ``body`` if every line of it is k cells
+    ("0" or "1"; apart by "," in CSV) and a newline, else None."""
+    width = 2 * k if csv else k + 1
+    if len(body) % width:
+        return None
+    grid = body.reshape(-1, width)
+    # in uint8, any byte but "0" and "1" lands above 1
+    bits = grid[:, : width - 1 : 2 if csv else 1] - ZERO
+    if bits.max(initial=0) > 1 or (grid[:, -1] != NEWLINE).any():
+        return None
+    if csv and (grid[:, 1:-1:2] != COMMA).any():
+        return None
+    return bits
+
+
+# every line boundary of str.splitlines but the newline and "\r\n"
+_LINE_ENDS = bytes.maketrans(b"\v\f\r\x1c\x1d\x1e", b"\n" * 6)
+
+
+def _one_line_end(data: bytes) -> bytes:
+    """``data`` (with "\\r\\n" already made "\\n") with every line boundary
+    of ``str.splitlines`` made a newline, so that its lines are those of
+    ``splitlines``."""
+    data = data.translate(_LINE_ENDS)
+    if data.isascii():
+        return data
+    text = data.decode("utf-8", "surrogatepass")
+    for boundary in "\x85\u2028\u2029":
+        text = text.replace(boundary, "\n")
+    return text.encode("utf-8", "surrogatepass")
+
+
+# Bytes of text stripped at a time, cut at a newline: this bounds the index
+# arrays of _strip_runs, about 50 B per whitespace character.
+_BLOCK = 1 << 20
+# Whitespace that str.strip removes but str.splitlines does not cut at, up
+# to U+3000, the last whitespace character (the tests check this against
+# str.isspace), as a lookup table indexed by code point.
+_SPACES = [9, 31, 32, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000]
+_IS_SPACE = np.zeros(_SPACES[-1] + 2, dtype=bool)
+_IS_SPACE[_SPACES] = True
+
+
+def _stripped(data: bytes, csv: bool) -> np.ndarray:
+    """The lines of ``data`` (each ending in a newline) with the whitespace
+    ``str.strip`` takes off each cell (each line of bit strings) removed,
+    and the trailing blank lines dropped, as UTF-8 bytes."""
+    blocks, start = [], 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        blocks.append(_strip_runs(data[start:stop], csv))
+        start = stop
+    body = b"".join(blocks).rstrip(b"\n")
+    return np.frombuffer(body + b"\n" if body else body, dtype=np.uint8)
+
+
+def _strip_runs(block: bytes, csv: bool) -> bytes:
+    """``block`` (whole lines) without the runs of whitespace that touch its
+    start, a newline, or a comma in CSV. Non-ASCII text is handled as an
+    array of code points."""
+    if block.isascii():
+        chars = np.frombuffer(block, dtype=np.uint8)
+        at = np.flatnonzero(_IS_SPACE[chars])
+    else:
+        text = block.decode("utf-8", "surrogatepass").encode("utf-32-le", "surrogatepass")
+        chars = np.frombuffer(text, dtype=np.uint32)
+        at = np.flatnonzero(_IS_SPACE[np.minimum(chars, len(_IS_SPACE) - 1)])
+    if not len(at):
+        return block
+    first = np.r_[True, np.diff(at) > 1]
+    starts, stops = at[first], at[np.r_[first[1:], True]] + 1
+    before = chars[starts - 1]
+    before[starts == 0] = NEWLINE
+    after = chars[stops]
+    edge = (before == NEWLINE) | (after == NEWLINE)
+    if csv:
+        edge |= (before == COMMA) | (after == COMMA)
+    keep = np.ones(len(chars), dtype=bool)
+    keep[at[np.repeat(edge, stops - starts)]] = False
+    chars = chars[keep]
+    if chars.dtype == np.uint8:
+        return chars.tobytes()
+    return chars.tobytes().decode("utf-32-le", "surrogatepass").encode("utf-8", "surrogatepass")
+
+
+def _first_error(body: np.ndarray, k: int, csv: bool) -> ParseError:
+    """The error for the first line of ``body`` that is not k cells."""
+    width = 2 * k if csv else k + 1
+    ends = np.flatnonzero(body == NEWLINE)
+    short = np.flatnonzero(np.diff(ends, prepend=-1) != width)
+    fits = short[0] if len(short) else len(ends)
+    grid = body[: fits * width].reshape(fits, width)
+    bad = (grid[:, : width - 1 : 2 if csv else 1] - ZERO > 1).any(axis=1)
+    if csv:
+        bad |= (grid[:, 1:-1:2] != COMMA).any(axis=1)
+    row = int(np.argmax(bad) if bad.any() else fits)
+    line = body[ends[row - 1] + 1 if row else 0 : ends[row]].tobytes()
+    line = line.decode("utf-8", "surrogatepass")
+    lineno = row + 1 + csv
+    if csv:
+        cells = line.split(",")
+        if len(cells) != k:
+            return ParseError(lineno, f"expected {k} cells, got {len(cells)}")
+        cell = next(cell for cell in cells if cell not in ("0", "1"))
+        return ParseError(lineno, f"non-binary cell {cell!r}")
+    if len(line) != k:
+        return ParseError(lineno, f"expected {k} bits, got {len(line)}")
+    return ParseError(lineno, "non-binary character")
 
 
 def pad_to_power_of_two(db: TransactionDatabase) -> TransactionDatabase:
-    """Append all-zero rows until the row count is a power of two, at least
-    two, so that the address register is at least one qubit wide."""
+    """Append all-zero rows to the matrix until the row count is a power of
+    two, at least two, so that the address register is at least one qubit
+    wide. A database that would need more than MAX_ADDRESS_WIDTH address
+    qubits is refused before anything is allocated."""
     n = db.n_transactions
-    target = 1 << max(1, (n - 1).bit_length())
-    if target == n:
+    width = max(1, (n - 1).bit_length())
+    if width > MAX_ADDRESS_WIDTH:
+        raise ValueError(
+            f"{n} rows need a {width}-qubit address register, above "
+            f"MAX_ADDRESS_WIDTH = {MAX_ADDRESS_WIDTH} ({1 << MAX_ADDRESS_WIDTH} rows)"
+        )
+    if n == 1 << width:
         return db
-    blank = "0" * db.n_items
-    return dataclasses.replace(db, rows=db.rows + (blank,) * (target - n))
+    bits = np.zeros((1 << width, db.n_items), dtype=np.uint8)
+    bits[:n] = db.bits
+    return TransactionDatabase.from_bits(bits, db.original_count, db.item_names)
 
 
 def vertical_partition(db: TransactionDatabase, l: int) -> tuple[PartitionedView, PartitionedView]:

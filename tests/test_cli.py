@@ -1,14 +1,25 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import qpdm.classical
+import qpdm.cli
+from qpdm.classical import MAX_CLASSICAL_PRIME, next_prime
 from qpdm.cli import EXIT_FILE, EXIT_NOT_ACCEPTED, EXIT_OK, EXIT_USAGE, main
+from qpdm.dataset import MAX_ADDRESS_WIDTH
 
 FOUR_ROW_CSV = "I1,I2,I3\n1,1,0\n1,0,0\n0,1,1\n1,1,1\n"
 GOLDEN = Path(__file__).resolve().parent / "data"
 MARKET_CSV = str(Path(__file__).resolve().parent.parent / "demos" / "data" / "market.csv")
 BASKETS_CSV = str(GOLDEN / "baskets_256x8.csv")
+# padded cells (spaces, tabs, NBSP), CRLF line ends, trailing blank lines
+PADDED_CSV = str(GOLDEN / "padded_crlf.csv")
+
+
+def refuse(*_args):
+    raise AssertionError("must not be called")
 
 
 @pytest.fixture
@@ -103,6 +114,25 @@ class TestEstimate:
         assert code == EXIT_FILE
         assert out == ""
         assert str(bad) in err and err.count("qpdm: error:") == 1
+
+    def test_address_width_guard(self, capsys, tmp_path):
+        # one row more than MAX_ADDRESS_WIDTH address qubits hold
+        path = tmp_path / "wide.txt"
+        path.write_bytes(b"10\n" * ((1 << MAX_ADDRESS_WIDTH) + 1))
+        argv = ["estimate", "--db", str(path), "--items", "1,2", "--split", "1", "--seed", "1"]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_FILE
+        assert out == ""
+        assert err.startswith("qpdm: error:") and err.count("\n") == 1
+        assert "MAX_ADDRESS_WIDTH" in err
+        # an oracle extraction at n = MAX_ADDRESS_WIDTH + 1 peaks near 90 B
+        # per address; the refusal stays far below that
+        assert peak < 90 * (2 << MAX_ADDRESS_WIDTH) / 8
 
     def test_transcript_dump_size_guard(self, capsys):
         # two counts at p = 19 expand to 4,194,296 transfers, over the 2^21 limit
@@ -296,6 +326,35 @@ class TestCompare:
         assert code == EXIT_OK
         assert json.loads(out)["classical"]["prime"] == 11
 
+    def test_explicit_keys_skip_the_key_space(self, capsys, db_path, monkeypatch):
+        argv = [
+            "compare", "--db", db_path, "--items", "1,2", "--split", "2",
+            "--p", "5", "--seed", "2", "--prime", "11", "--eA", "9", "--eB", "3",
+        ]
+        _, expected, _ = run(capsys, argv)
+        monkeypatch.setattr(qpdm.cli, "valid_exponents", refuse)
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        assert out == expected
+
+    def test_prime_bound(self, capsys, tmp_path, monkeypatch):
+        # the --db file does not exist: the prime is refused first, and
+        # before any trial division
+        monkeypatch.setattr(qpdm.classical, "is_prime", refuse)
+        monkeypatch.setattr(qpdm.cli, "valid_exponents", refuse)
+        for prime in (MAX_CLASSICAL_PRIME + 1, 2**61 - 1):
+            code, out, err = run(
+                capsys,
+                ["compare", "--db", str(tmp_path / "missing.csv"), "--items", "1,2", "--split", "1",
+                 "--prime", str(prime), "--eA", "3", "--eB", "5"],
+            )
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("qpdm: error:") and err.count("\n") == 1
+
+    def test_default_prime_within_bound(self):
+        assert next_prime(1 << MAX_ADDRESS_WIDTH) <= MAX_CLASSICAL_PRIME
+
     def test_bad_key_usage_error(self, capsys, db_path):
         code, _, _ = run(
             capsys,
@@ -324,6 +383,16 @@ class TestAttackDemo:
             capsys, ["attack-demo", "--p", "12", "--eA", "5", "--eB", "7", "--S1", "2"]
         )
         assert code == EXIT_USAGE
+
+    def test_cap_checked_before_primality(self, capsys, monkeypatch):
+        # trial division of a prime near 2^61 would take hours
+        monkeypatch.setattr(qpdm.classical, "is_prime", refuse)
+        code, out, err = run(
+            capsys, ["attack-demo", "--p", str(2**61 - 1), "--eA", "5", "--eB", "7", "--S1", "2"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("qpdm: error:") and err.count("\n") == 1
 
     def test_random_instance_recovers_key(self, capsys):
         code, out, _ = run(
@@ -402,6 +471,11 @@ class TestGolden:
                 ["compare", "--db", MARKET_CSV, "--items", "1,2", "--split", "2", "--p", "6",
                  "--band", "1.0", "--seed", "3", "--transcript-dump"],
                 "compare_market_dump_seed3.json",
+            ),
+            (
+                ["estimate", "--db", PADDED_CSV, "--items", "1,3", "--split", "2", "--p", "7",
+                 "--seed", "4", "--with-exact-oracle"],
+                "estimate_padded_crlf_seed4.json",
             ),
         ],
     )

@@ -1,13 +1,17 @@
 import itertools
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpdm import dataset
 from qpdm.classical import index_set
 from qpdm.dataset import (
+    MAX_ADDRESS_WIDTH,
     ParseError,
     TransactionDatabase,
     exact_confidence,
@@ -90,6 +94,13 @@ class TestParse:
             with pytest.raises(ValueError, match=message):
                 TransactionDatabase(3, rows, len(rows))
 
+    def test_padded_cells_crlf_and_trailing_blank_lines(self):
+        db = parse_database("a,b\n 1 , 0 \r\n0,1\n\n")
+        assert db.bits.tolist() == [[1, 0], [0, 1]]
+        assert db.item_names == ("a", "b") and db.original_count == 2
+        db = parse_database("\u00a0110 \r\n\t011\r\n \r\n")
+        assert db.bits.tolist() == [[1, 1, 0], [0, 1, 1]]
+
     def test_bits_read_only_and_out_of_eq(self):
         db = TransactionDatabase(3, ("110", "011"), 2)
         assert db.bits.tolist() == [[1, 1, 0], [0, 1, 1]]
@@ -99,6 +110,68 @@ class TestParse:
         alice, bob = vertical_partition(db, 1)
         assert not alice.bits.flags.writeable and not bob.bits.flags.writeable
         assert alice == alice and alice != bob and hash(alice) != hash(bob)
+
+
+class TestFromBits:
+    def test_equals_string_row_database(self):
+        rows = ("110", "011", "000")
+        bits = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 0]], dtype=np.uint8)
+        for names in ((), ("a", "b", "c")):
+            db = TransactionDatabase.from_bits(bits.copy(), 2, names)
+            twin = TransactionDatabase(3, rows, 2, names)
+            assert db == twin and hash(db) == hash(twin)
+            assert db.rows == rows
+            assert db.n_items == 3 and db.n_transactions == 3
+            assert not db.bits.flags.writeable
+        unlike = (
+            TransactionDatabase(3, rows, 3),
+            TransactionDatabase(3, ("110", "011", "001"), 2),
+            TransactionDatabase(3, rows[:2], 2),
+            TransactionDatabase(3, rows, 2, ("a", "b", "d")),
+        )
+        assert all(TransactionDatabase.from_bits(bits.copy(), 2) != other for other in unlike)
+
+    def test_rows_round_trip(self):
+        rng = np.random.default_rng(29)
+        for k in (1, 5, 70):
+            db = random_db(rng, 9, k)
+            again = TransactionDatabase.from_bits(db.bits.copy(), db.original_count)
+            assert again.rows == db.rows
+            assert TransactionDatabase(k, again.rows, 9) == db
+
+    def test_checks_shape_and_counts(self):
+        bits = np.zeros((4, 2), dtype=np.uint8)
+        for args, message in (
+            ((np.zeros(4, dtype=np.uint8), 4), "2-d uint8"),
+            ((bits.astype(np.int64), 4), "2-d uint8"),
+            ((np.zeros((4, 0), dtype=np.uint8), 4), "at least one item"),
+            ((bits, 5), "original_count"),
+            ((bits, -1), "original_count"),
+            ((bits, 4, ("a",)), "item_names"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                TransactionDatabase.from_bits(*args)
+
+    def test_padding_keeps_count_and_names(self):
+        bits = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+        db = TransactionDatabase.from_bits(bits, 3, ("x", "y"))
+        padded = pad_to_power_of_two(db)
+        assert padded.bits.tolist() == [[1, 0], [0, 1], [1, 1], [0, 0]]
+        assert padded.original_count == 3 and padded.item_names == ("x", "y")
+        assert not padded.bits.flags.writeable
+        assert padded == TransactionDatabase(2, ("10", "01", "11", "00"), 3, ("x", "y"))
+
+
+class TestAddressWidth:
+    def test_limit_admits_its_own_width(self):
+        assert MAX_ADDRESS_WIDTH >= 20
+        db = TransactionDatabase.from_bits(np.zeros((1 << MAX_ADDRESS_WIDTH, 1), dtype=np.uint8), 1)
+        assert pad_to_power_of_two(db) is db
+
+    def test_one_row_more_is_refused(self):
+        db = TransactionDatabase.from_bits(np.zeros(((1 << MAX_ADDRESS_WIDTH) + 1, 1), dtype=np.uint8), 1)
+        with pytest.raises(ValueError, match="MAX_ADDRESS_WIDTH"):
+            pad_to_power_of_two(db)
 
 
 class TestPad:
@@ -310,3 +383,171 @@ class TestRowStore:
                     expected.add(j + 1)
             assert index_set(party.view, z) == expected
         assert exact_support(db, z) == brute_support(db.rows, z, n_rows)
+
+
+# The line-by-line parser that parse_database replaced, kept verbatim (bar
+# the names) as the reference the whole-array parser is pinned to.
+def reference_parse_database(text: str) -> TransactionDatabase:
+    """Parse CSV (header of item names, then 0/1 cells) or one bitstring per line.
+
+    Raises ParseError naming the offending line for malformed rows,
+    non-binary cells, or empty input.
+    """
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines or not any(line.strip() for line in lines):
+        raise ParseError(1, "empty input")
+    if "," in lines[0]:
+        return _reference_parse_csv(lines)
+    return _reference_parse_bitstrings(lines)
+
+
+def _reference_parse_csv(lines: list[str]) -> TransactionDatabase:
+    names = tuple(cell.strip() for cell in lines[0].split(","))
+    if any(not name for name in names):
+        raise ParseError(1, "empty item name in header")
+    k = len(names)
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = [cell.strip() for cell in line.split(",")]
+        if len(cells) != k:
+            raise ParseError(lineno, f"expected {k} cells, got {len(cells)}")
+        for cell in cells:
+            if cell not in ("0", "1"):
+                raise ParseError(lineno, f"non-binary cell {cell!r}")
+        rows.append("".join(cells))
+    if not rows:
+        raise ParseError(2, "no data rows")
+    return TransactionDatabase(k, tuple(rows), len(rows), names)
+
+
+def _reference_parse_bitstrings(lines: list[str]) -> TransactionDatabase:
+    stripped = [line.strip() for line in lines]
+    k = len(stripped[0])
+    rows = []
+    for lineno, row in enumerate(stripped, start=1):
+        if len(row) != k:
+            raise ParseError(lineno, f"expected {k} bits, got {len(row)}")
+        if set(row) - {"0", "1"}:
+            raise ParseError(lineno, "non-binary character")
+        rows.append(row)
+    return TransactionDatabase(k, tuple(rows), len(rows))
+
+
+def parse_outcome(parse, text):
+    """What a parser makes of text: the database's fields, or the error."""
+    try:
+        db = parse(text)
+    except ParseError as exc:
+        return ("error", exc.line, str(exc))
+    return ("ok", db.bits.tolist(), db.item_names, db.original_count)
+
+
+PAD = st.text(alphabet=" \t\u00a0\u3000\x1f", max_size=2)
+# line boundaries of str.splitlines, ASCII and not
+LINE_END = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"])
+NAME = st.text(alphabet="ab\u00e9 \t\u00a0", min_size=1, max_size=4).filter(str.strip)
+
+
+@st.composite
+def database_lines(draw):
+    """A well-formed database as (lines, csv): cells, bit-string lines and
+    header names padded with whitespace."""
+    csv = draw(st.booleans())
+    k = draw(st.integers(2 if csv else 1, 6))
+    n_rows = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.sampled_from("01"), min_size=k, max_size=k), min_size=n_rows, max_size=n_rows))
+    if csv:
+        header = ",".join(draw(PAD) + draw(NAME) + draw(PAD) for _ in range(k))
+        lines = [header] + [",".join(draw(PAD) + cell + draw(PAD) for cell in row) for row in rows]
+    else:
+        lines = [draw(PAD) + "".join(row) + draw(PAD) for row in rows]
+    return lines, csv
+
+
+def render(draw, lines):
+    """The lines joined by drawn boundaries, with drawn trailing blank lines."""
+    text = "".join(line + draw(LINE_END) for line in lines)
+    text += "".join(draw(PAD) + draw(LINE_END) for _ in range(draw(st.integers(0, 3))))
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+class TestParserMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_well_formed(self, data):
+        lines, csv = data.draw(database_lines())
+        text = render(data.draw, lines)
+        got = parse_outcome(parse_database, text)
+        assert got == parse_outcome(reference_parse_database, text)
+        assert got[0] == "ok"
+        assert len(got[1]) == len(lines) - csv
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_malformed(self, data):
+        lines, csv = data.draw(database_lines())
+        first = 1 if csv else 0
+        row = data.draw(st.integers(first, len(lines) - 1), label="row")
+        fault = data.draw(st.sampled_from(
+            ["cells", "cell", "name", "blank", "header only", "leading blank"] if csv
+            else ["cells", "cell", "blank", "leading blank"]
+        ))
+        if fault == "cells":
+            cells = lines[row].split(",") if csv else list(lines[row].strip())
+            cells = cells[:-1] if len(cells) > 1 and data.draw(st.booleans()) else cells + ["1"]
+            lines[row] = ",".join(cells) if csv else "".join(cells)
+        elif fault == "cell":
+            bad = data.draw(st.sampled_from(["2", "a", "\u00e9", "1 0", "", "01", "\x00"]))
+            cells = lines[row].split(",") if csv else list(lines[row].strip())
+            cells[data.draw(st.integers(0, len(cells) - 1))] = bad
+            lines[row] = ",".join(cells) if csv else "".join(cells)
+        elif fault == "name":
+            names = lines[0].split(",")
+            names[data.draw(st.integers(0, len(names) - 1))] = data.draw(PAD)
+            lines[0] = ",".join(names)
+        elif fault == "blank":
+            lines.insert(row, data.draw(PAD))
+            lines.append("1" if not csv else lines[-1])
+        elif fault == "header only":
+            lines = lines[:1]
+        else:
+            lines.insert(0, data.draw(PAD))
+        text = render(data.draw, lines)
+        got = parse_outcome(parse_database, text)
+        assert got == parse_outcome(reference_parse_database, text)
+
+    def test_character_tables_match_str(self):
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]
+        boundaries = {ord(c) for c in chars if len(f"a{c}b".splitlines()) == 2}
+        assert boundaries == set(b"\n\v\f\r\x1c\x1d\x1e") | {0x85, 0x2028, 0x2029}
+        spaces = {ord(c) for c in chars if c.isspace()}
+        assert spaces - boundaries == set(dataset._SPACES)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\r\r\n1,0\n",  # a lone "\r" ends the header: line 2 is blank
+            "10\r\r\n01\n",
+            "a,b\r1,0\r0,1\r",
+            "a,b\x1d1,0\x1e0,1\u2029",
+            "a,b\n1,0\x1e\x1e\u2029 \u2029",
+            "\x1e10\n01",
+            "a,b\u20291,0\n0,1\u20280,0",
+            "10\x1c01\x0c11\x0b00\x85",
+            "a ,\u3000b\n 1\u2000,\u202f0\t\n",
+        ],
+    )
+    def test_line_boundaries(self, text):
+        assert parse_outcome(parse_database, text) == parse_outcome(reference_parse_database, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.text(alphabet="0011,,, \t\r\n\n\v\f\x1c\x1f\x85\u00a0\u2028\u3000a2\u00e9", max_size=40),
+        block=st.integers(1, 16),
+    )
+    def test_any_text(self, text, block):
+        # whitespace is stripped block by block; small blocks cut the text often
+        with mock.patch.object(dataset, "_BLOCK", block):
+            assert parse_outcome(parse_database, text) == parse_outcome(reference_parse_database, text)
