@@ -131,13 +131,18 @@ def _parse_items(text: str, k: int | None = None) -> frozenset:
 
 def _resolve_seed(args) -> int | None:
     if args.seed is not None:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     env = os.environ.get("QPDM_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"QPDM_SEED={env!r} is not an integer")
+        if seed < 0:
+            raise UsageError(f"QPDM_SEED must be a non-negative integer, got {env!r}")
+        return seed
     if args.ci:
         raise UsageError("--ci requires a seed (flag or QPDM_SEED)")
     return None
@@ -407,8 +412,11 @@ def _emit(report: dict, fmt: str, output: str | None) -> None:
         print(text)
     else:
         # built fully before writing: no partial files on error
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc.strerror or exc}")
 
 
 COMMANDS = {

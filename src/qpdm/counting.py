@@ -21,8 +21,10 @@ Fejer kernel, so the exact distribution is
 which depends on the marked count M alone. The Fourier form has no 0/0
 case at M = 0 or M = 2^n, where the uniform state is itself an eigenvector
 and both terms coincide. M is taken from one full seven-step protocol
-execution per count on the uniform address state: every query, mark and
-erasure runs, and the output is checked to be a pure sign flip.
+execution per count on the uniform address state, built directly as
+labels j << offset with amplitude 2^(-n/2): every query, mark and erasure
+runs, and since the oracle only negates amplitudes, the output is checked
+exactly to keep every label in place with amplitude +-2^(-n/2).
 
 Every count logs the transcript of the circuit it stands for as one
 record of its P-1 logical oracle calls, and consumes one uniform draw.
@@ -150,20 +152,19 @@ def _oracle_diagonal(init: PartyState, resp: PartyState, z: frozenset) -> np.nda
     """Signs of the oracle, extracted from one full protocol execution on the
     uniform address state (every query, mark and erasure actually runs)."""
     layout, n = _layout_for(init, resp, p=0)
-    st = qsim.apply_w(qsim.prepare_basis(layout), "address")
+    labels = np.arange(1 << n, dtype=layout.label_dtype) << layout.offset("address")
+    amp = 2.0 ** (-n / 2)
+    st = qsim.SparseState.from_arrays(layout, labels, np.full(1 << n, amp, dtype=complex))
     out = run_oracle_u(st, init, resp, z, Transcript())
-    # the signed permutations map labels position by position, so a sign
-    # flip leaves every label where it was
-    if not np.array_equal(out.labels, st.labels):
+    # the oracle only ever negates amplitudes, so it must leave every label
+    # where it was and every amplitude exactly +-amp
+    if not np.array_equal(out.labels, labels):
         raise qsim.SimulationError("oracle output moved basis labels")
-    ratio = out.amplitudes / st.amplitudes
-    bad = (np.abs(np.abs(ratio) - 1.0) > 1e-9) | (np.abs(ratio.imag) > 1e-9)
+    negated = out.amplitudes == -amp
+    bad = ~negated & (out.amplitudes != amp)
     if bad.any():
-        raise qsim.SimulationError(f"oracle output is not a sign flip: {ratio[bad][0]!r}")
-    signs = np.empty(1 << n, dtype=float)
-    address = layout.extract(st.labels, "address").astype(np.int64)
-    signs[address] = np.where(ratio.real > 0, 1.0, -1.0)
-    return signs
+        raise qsim.SimulationError(f"oracle output is not a sign flip: {out.amplitudes[bad][0]!r}")
+    return np.where(negated, -1.0, 1.0)
 
 
 def _statevector_prepared(

@@ -36,7 +36,7 @@ ItemSet = frozenset
 """An itemset is a frozenset of 1-based item indices."""
 
 # Widest address register a database may pad to. One oracle extraction
-# peaks at about 90 B per address (tracemalloc, n = 16 and n = 20): 94 MB
+# peaks at about 90 B per address (tracemalloc, n = 16, 18 and 20): 94 MB
 # at n = 20, and 1.5 GB at n = 24. Checked before padding allocates.
 MAX_ADDRESS_WIDTH = 20
 

@@ -17,6 +17,22 @@ erasures run in reverse and the responder undoes the encryption. Every
 query / unquery pair is executed explicitly, and the call verifies at
 exit that all auxiliary registers disentangled back to zero.
 
+A call runs as a plan over the state's bare label and amplitude arrays,
+and builds a SparseState only at exit, or after each step when a record
+is asked for. Its inputs are checked once per call: Z, the roles, the key
+and the QRAM sizes, and the auxiliary registers at entry; then each
+party's cells (integers that fit its data register), its membership
+selector and its flag position, and the phase qubits, each with the check
+code the qsim primitives use. The address register does not change
+between steps 1 and 7, so u(j) and each party's cells gathered at u(j)
+and shifted into its data register are computed once, in step 1 and when
+the party first queries. Every query, mark and unquery still runs as its
+own XOR on the labels, and every mark reads the data register from the
+labels. Step 4 negates amplitudes, and steps 1 and 7 keep the range and
+bijection checks of a register permutation. The gate-level reference the
+plan is tested against, one qsim primitive per query, mark, phase and
+permutation, lives in the tests.
+
 A party's QRAM holds one integer cell per row of its view, computed once
 from the view's column slice of the database's bit matrix, leftmost column
 most significant; the queries take these integer cells only.
@@ -38,8 +54,9 @@ secret key.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,6 +78,8 @@ REGISTER_ORDER = (
     "a_flag",
     "kick_ancilla",
 )
+# registers that must read zero on every basis label at oracle entry and exit
+AUX_REGISTERS = REGISTER_ORDER[2:]
 
 
 @dataclass(frozen=True)
@@ -132,8 +151,8 @@ class PartyState:
     view: PartitionedView
     key: EncryptionKey | None = None
     # the QRAM cells as one integer array, computed once from the view's bit
-    # matrix; with_key hands the same array on, and every qram_query checks
-    # that the cells fit the data register
+    # matrix; with_key hands the same array on, and every oracle call checks
+    # once that the cells are integers that fit the data register
     memory_ints: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -227,8 +246,11 @@ def transcript_total(transcript: Transcript) -> tuple[int, int]:
     return total, max((4 * n + 2 for _, n, _ in records), default=0)
 
 
+@functools.lru_cache(maxsize=64)
 def oracle_layout(n: int, l: int, k: int, p: int = 0) -> qsim.RegisterLayout:
-    """The canonical composite layout; zero-width counting register when p=0."""
+    """The canonical composite layout; zero-width counting register when p=0.
+    Layouts are immutable, so one is built per shape and shared: a count
+    asks for its layout each time."""
     widths = {
         "counting": p,
         "address": n,
@@ -261,12 +283,32 @@ def _party_registers(party: PartyState) -> tuple[str, str]:
     return "bob_data", "b_flag"
 
 
-def _aux_dirty(state: qsim.SparseState) -> bool:
-    """Whether any basis label has a non-zero data, flag or ancilla bit."""
-    mask = 0
-    for name in ("bob_data", "alice_data", "b_flag", "a_flag", "kick_ancilla"):
-        mask |= state.layout.mask(name)
-    return bool((state.labels & mask).any())
+class _PartyPlan(NamedTuple):
+    """One party's part of an oracle call: its checked cells gathered at the
+    encrypted addresses u(j) and shifted into its data register, its
+    membership selector and its flag qubit."""
+
+    load: np.ndarray
+    sel: int  # the data-register bits containment needs, in place in the label
+    flag: int
+
+    @classmethod
+    def build(cls, party: PartyState, z: frozenset, layout, index: np.ndarray, dtype):
+        data, flag_register = _party_registers(party)
+        count = 1 << layout.width("address")
+        cells = qsim.memory_cells(party.memory_ints, count, layout.width(data), dtype)
+        flag = layout.qubit(flag_register)
+        items, offset = party.view.item_part(z)
+        sel = qsim.membership_selector(layout, data, flag, items, offset)
+        d_off = layout.offset(data)
+        load = cells[index]
+        load <<= d_off
+        return cls(load, sel << d_off, flag)
+
+    def mark(self, labels: np.ndarray) -> np.ndarray:
+        """XOR into the flag whether the loaded data register contains the part."""
+        hit = (labels & self.sel) == self.sel
+        return np.bitwise_xor(labels, 1 << self.flag, out=labels.copy(), where=hit)
 
 
 def run_oracle_u(
@@ -304,66 +346,66 @@ def run_oracle_u(
     k = initiator.view.width + responder.view.width
     if any(not 1 <= i <= k for i in z):
         raise ValueError(f"Z contains items outside 1..{k}")
-    if _aux_dirty(state):
+    aux = 0
+    for name in AUX_REGISTERS:
+        aux |= layout.mask(name)
+    labels, amps = state.labels, state.amplitudes
+    if (labels & aux).any():
         raise ValueError("auxiliary registers must be zero at oracle entry")
-
-    init_items, init_off = initiator.view.item_part(z)
-    resp_items, resp_off = responder.view.item_part(z)
-    init_data, init_flag = _party_registers(initiator)
-    resp_data, resp_flag = _party_registers(responder)
-    init_fq = layout.qubit(init_flag)
-    resp_fq = layout.qubit(resp_flag)
 
     def snap(tag):
         if record is not None:
-            record.append((tag, state))
+            record.append((tag, qsim.SparseState.from_arrays(layout, labels, amps)))
 
     # Step 1: the address register travels to the responder, who encrypts it.
-    state = qsim.apply_permutation(state, "address", key.apply)
+    # No later step touches the address register, so u(j) is computed here
+    # once, and each party's cells are gathered at u(j) once, at its first
+    # query.
+    uj = key.apply(layout.extract(labels, "address"))
+    labels = qsim.relabel(labels, layout, "address", uj)
     snap("step1")
+    index = uj.astype(np.int64, copy=False)
 
     # Step 2: responder loads its rows, marks containment of its part, erases.
-    state = qsim.qram_query(state, "address", resp_data, responder.memory_ints)
-    state = qsim.apply_membership_mark(state, resp_data, resp_fq, resp_items, resp_off)
-    state = qsim.qram_query(state, "address", resp_data, responder.memory_ints)
+    resp = _PartyPlan.build(responder, z, layout, index, labels.dtype)
+    labels = resp.mark(labels ^ resp.load) ^ resp.load
     snap("step2")
 
     # Step 3: address + flag travel back; initiator does the same for its part.
-    state = qsim.qram_query(state, "address", init_data, initiator.memory_ints)
-    state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
+    init = _PartyPlan.build(initiator, z, layout, index, labels.dtype)
+    labels = init.mark(labels ^ init.load)
     if not postpone_unquery:
-        state = qsim.qram_query(state, "address", init_data, initiator.memory_ints)
+        labels = labels ^ init.load
     snap("step3")
 
     # Step 4: phase kickback of the AND of the two flags, gated on the control.
-    state = qsim.apply_phase_and(state, init_fq, resp_fq, control=control)
+    qsim.check_phase_qubits(init.flag, resp.flag, control)
+    gate = (1 << init.flag) | (1 << resp.flag) | (0 if control is None else 1 << control)
+    amps = np.negative(amps, out=amps.copy(), where=(labels & gate) == gate)
     snap("step4")
 
     # Step 5: initiator erases its flag (and, in the postponed variant, its
     # still-loaded data register).
     if postpone_unquery:
-        state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
-        state = qsim.qram_query(state, "address", init_data, initiator.memory_ints)
+        labels = init.mark(labels) ^ init.load
     else:
-        state = qsim.qram_query(state, "address", init_data, initiator.memory_ints)
-        state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
-        state = qsim.qram_query(state, "address", init_data, initiator.memory_ints)
+        labels = init.mark(labels ^ init.load) ^ init.load
     snap("step5")
 
     # Step 6: back to the responder, who erases its flag the same way.
-    state = qsim.qram_query(state, "address", resp_data, responder.memory_ints)
-    state = qsim.apply_membership_mark(state, resp_data, resp_fq, resp_items, resp_off)
-    state = qsim.qram_query(state, "address", resp_data, responder.memory_ints)
+    labels = resp.mark(labels ^ resp.load) ^ resp.load
     snap("step6")
 
-    # Step 7: responder undoes the encryption and returns the register.
-    state = qsim.apply_permutation(state, "address", key.invert)
+    # Step 7: responder undoes the encryption and returns the register. The
+    # loads are dropped first, which keeps this step's peak memory down.
+    del init, resp
+    labels = qsim.relabel(labels, layout, "address", key.invert(uj))
     snap("step7")
 
-    if _aux_dirty(state):
+    if (labels & aux).any():
         raise qsim.SimulationError("auxiliary registers failed to disentangle")
     transcript.log_calls(initiator.role, n)
-    return state
+    return qsim.SparseState.from_arrays(layout, labels, amps)
 
 
 def reference_phase_oracle(

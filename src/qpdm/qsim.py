@@ -19,6 +19,16 @@ handful of whole-array operations, and they fall in two classes:
   Only these can enlarge the state, by at most a factor of 2^(register
   width); equal labels they produce are merged by a sort.
 
+The oracle call in ``protocol`` runs its seven steps over bare label arrays
+and calls none of the four oracle primitives (apply_permutation,
+qram_query, apply_membership_mark, apply_phase_and); they are the
+gate-level reference it is tested against. It shares their checks, which
+live in helpers both call: relabel (a register permutation's range and
+bijection checks), memory_cells, membership_selector and
+check_phase_qubits. The Hadamard wall, the zero reflection, the phase flip
+and the inverse QFT serve the controlled Grover iteration and the
+statevector counting path.
+
 Operations are pure: each returns a fresh SparseState and leaves its input
 untouched. Amplitudes with magnitude below ``PRUNE_EPS`` are dropped after
 spreading operations to bound floating-point dust.
@@ -58,64 +68,65 @@ class RegisterLayout:
 
     ``registers`` lists (name, width) pairs, first entry occupying the most
     significant bits. Zero-width registers are allowed and act as inert
-    placeholders so a single canonical ordering can serve every run.
+    placeholders so a single canonical ordering can serve every run. The
+    width, offset and mask of every register are tabulated at construction.
     """
 
     registers: tuple[tuple[str, int], ...]
-    _offsets: dict = field(init=False, repr=False, compare=False)
+    total_width: int = field(init=False, repr=False, compare=False)
+    label_dtype: np.dtype = field(init=False, repr=False, compare=False)
     _widths: dict = field(init=False, repr=False, compare=False)
+    _offsets: dict = field(init=False, repr=False, compare=False)
+    _masks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        offsets = {}
+        widths, offsets, masks = {}, {}, {}
         total = sum(w for _, w in self.registers)
         pos = total
         for name, width in self.registers:
             if width < 0:
                 raise ValueError(f"register {name!r} has negative width")
-            if name in offsets:
+            if name in widths:
                 raise ValueError(f"duplicate register {name!r}")
             pos -= width
-            offsets[name] = pos
+            widths[name], offsets[name] = width, pos
+            masks[name] = ((1 << width) - 1) << pos
+        object.__setattr__(self, "total_width", total)
+        object.__setattr__(self, "label_dtype", label_dtype(total))
+        object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_widths", dict(self.registers))
+        object.__setattr__(self, "_masks", masks)
 
-    @property
-    def total_width(self) -> int:
-        return sum(w for _, w in self.registers)
-
-    @property
-    def label_dtype(self) -> np.dtype:
-        return label_dtype(self.total_width)
+    def _lookup(self, table: dict, name: str) -> int:
+        value = table.get(name)
+        if value is None:
+            raise ValueError(f"unknown register {name!r}")
+        return value
 
     def width(self, name: str) -> int:
-        w = self._widths.get(name)
-        if w is None:
-            raise ValueError(f"unknown register {name!r}")
-        return w
+        return self._lookup(self._widths, name)
 
     def offset(self, name: str) -> int:
-        if name not in self._offsets:
-            raise ValueError(f"unknown register {name!r}")
-        return self._offsets[name]
+        return self._lookup(self._offsets, name)
 
     def mask(self, name: str) -> int:
-        return ((1 << self.width(name)) - 1) << self.offset(name)
+        return self._lookup(self._masks, name)
 
     def qubit(self, name: str, i: int = 0) -> int:
         """Absolute bit position of qubit i (significance 2^i) of a register."""
         if not 0 <= i < self.width(name):
             raise ValueError(f"register {name!r} has no qubit {i}")
-        return self.offset(name) + i
+        return self._offsets[name] + i
 
     def extract(self, label, name: str):
         """Register content of one label, or elementwise of a label array."""
-        return (label >> self.offset(name)) & ((1 << self.width(name)) - 1)
+        return (label >> self.offset(name)) & ((1 << self._widths[name]) - 1)
 
     def replace(self, label: int, name: str, value: int) -> int:
         w = self.width(name)
         if not 0 <= value < 1 << w:
             raise ValueError(f"value {value} does not fit register {name!r}")
-        return (label & ~self.mask(name)) | (value << self.offset(name))
+        return (label & ~self._masks[name]) | (value << self._offsets[name])
 
 
 class _AmplitudeMap(Mapping):
@@ -297,6 +308,63 @@ def apply_u0(state: SparseState, register: str, control: int | None = None) -> S
     return state._with(labels, np.where(flip, -amps, amps))
 
 
+def relabel(labels: np.ndarray, layout: RegisterLayout, register: str, values) -> np.ndarray:
+    """The labels with the register's content replaced, position by position,
+    by ``values`` (an array of the labels' dtype and shape), checked: every
+    value fits the register, and the new labels are distinct, so the
+    replacement was a bijection on the register."""
+    width = layout.width(register)
+    if (values >> width).any():  # some value is negative or wider than the register
+        bad = values[np.flatnonzero(values >> width)[0]]
+        raise ValueError(f"permutation output {bad} does not fit register {register!r}")
+    new = (labels & ~layout.mask(register)) | (
+        values.astype(labels.dtype, copy=False) << layout.offset(register)
+    )
+    ordered = np.sort(new)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise SimulationError("permutation is not a bijection on the register")
+    return new
+
+
+def memory_cells(memory: Sequence[int], count: int, width: int, dtype: np.dtype) -> np.ndarray:
+    """QRAM memory as an array of ``dtype`` (uncopied when it already is one),
+    checked to hold ``count`` integer cells that each fit ``width`` bits."""
+    if len(memory) != count:
+        raise ValueError(f"memory must have {count} cells, got {len(memory)}")
+    cells = np.asarray(memory)
+    if cells.dtype.kind not in "iuO":
+        raise ValueError(f"memory cells must be integers, got dtype {cells.dtype}")
+    cells = cells.astype(dtype, copy=False)
+    if (cells >> width).any():  # some cell is negative or wider than the register
+        raise ValueError(f"memory cells do not all fit {width} bits")
+    return cells
+
+
+def membership_selector(
+    layout: RegisterLayout, data: str, flag: int, zpart: frozenset, offset: int = 0
+) -> int:
+    """The data-register bits that must all be 1 for the content to contain
+    zpart, checked: the flag qubit lies outside the register and every
+    position, shifted down by ``offset``, inside it."""
+    d_off = layout.offset(data)
+    width = layout.width(data)
+    if d_off <= flag < d_off + width:
+        raise ValueError("flag qubit must lie outside the data register")
+    sel = 0
+    for pos in zpart:
+        q = pos - offset
+        if not 1 <= q <= width:
+            raise ValueError(f"position {pos} (offset {offset}) outside data register of width {width}")
+        sel |= 1 << (width - q)
+    return sel
+
+
+def check_phase_qubits(a: int, b: int, control: int | None = None) -> None:
+    """The two phase qubits and the control, if any, must be distinct."""
+    if a == b or control in (a, b):
+        raise ValueError("phase qubits must be distinct")
+
+
 def apply_permutation(state: SparseState, register: str, u: Callable) -> SparseState:
     """Replace register content j by u(j) on every basis label.
 
@@ -306,21 +374,11 @@ def apply_permutation(state: SparseState, register: str, u: Callable) -> SparseS
     caller (key constructor) guarantees that, but out-of-range outputs and
     collisions are still trapped.
     """
-    off = state.layout.offset(register)
-    width = state.layout.width(register)
-    vmask = (1 << width) - 1
     labels = state.labels
-    uj = np.asarray(u((labels >> off) & vmask))
+    uj = np.asarray(u(state.layout.extract(labels, register)))
     if uj.shape != labels.shape:
         uj = np.broadcast_to(uj, labels.shape)
-    if (uj >> width).any():  # some output is negative or wider than the register
-        bad = uj[np.flatnonzero(uj >> width)[0]]
-        raise ValueError(f"permutation output {bad} does not fit register {register!r}")
-    new = (labels & ~state.layout.mask(register)) | (uj.astype(labels.dtype, copy=False) << off)
-    ordered = np.sort(new)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise SimulationError("permutation is not a bijection on the register")
-    return state._with(new, state.amplitudes)
+    return state._with(relabel(labels, state.layout, register, uj), state.amplitudes)
 
 
 def qram_query(state: SparseState, address: str, data: str, memory: Sequence[int]) -> SparseState:
@@ -333,16 +391,7 @@ def qram_query(state: SparseState, address: str, data: str, memory: Sequence[int
     """
     layout = state.layout
     labels = state.labels
-    count = 1 << layout.width(address)
-    if len(memory) != count:
-        raise ValueError(f"memory must have {count} cells, got {len(memory)}")
-    cells = np.asarray(memory)
-    if cells.dtype.kind not in "iuO":
-        raise ValueError(f"memory cells must be integers, got dtype {cells.dtype}")
-    cells = cells.astype(labels.dtype, copy=False)
-    width = layout.width(data)
-    if (cells >> width).any():  # some cell is negative or wider than the register
-        raise ValueError(f"memory cells do not all fit {width} bits")
+    cells = memory_cells(memory, 1 << layout.width(address), layout.width(data), labels.dtype)
     index = layout.extract(labels, address).astype(np.int64, copy=False)
     return state._with(labels ^ (cells[index] << layout.offset(data)), state.amplitudes)
 
@@ -361,18 +410,9 @@ def apply_membership_mark(
     bitstring). An empty zpart is vacuously contained, so the flag toggles
     on every label. Self-inverse.
     """
-    d_off = state.layout.offset(data)
-    width = state.layout.width(data)
-    if d_off <= flag < d_off + width:
-        raise ValueError("flag qubit must lie outside the data register")
-    sel = 0
-    for pos in zpart:
-        q = pos - offset
-        if not 1 <= q <= width:
-            raise ValueError(f"position {pos} (offset {offset}) outside data register of width {width}")
-        sel |= 1 << (width - q)
+    sel = membership_selector(state.layout, data, flag, zpart, offset)
     labels = state.labels
-    hit = ((labels >> d_off) & sel) == sel
+    hit = ((labels >> state.layout.offset(data)) & sel) == sel
     return state._with(np.where(hit, labels ^ (1 << flag), labels), state.amplitudes)
 
 
@@ -382,8 +422,7 @@ def apply_phase_and(state: SparseState, a: int, b: int, control: int | None = No
     This is the Toffoli-onto-|-> phase kickback applied directly as a phase;
     the ancilla never entangles, so the external behaviour is identical.
     """
-    if a == b or control in (a, b):
-        raise ValueError("phase qubits must be distinct")
+    check_phase_qubits(a, b, control)
     labels, amps = state.labels, state.amplitudes
     flip = _bit_set(labels, a) & _bit_set(labels, b)
     if control is not None:

@@ -235,6 +235,35 @@ class TestEstimate:
         assert json.loads(out_path.read_text())["itemset"] == [1, 3]
 
 
+    def test_negative_seed_refused_before_reading(self, capsys, tmp_path, monkeypatch):
+        # the --db file does not exist: the seed is refused first, naming its source
+        argv = ["estimate", "--db", str(tmp_path / "missing.csv"), "--split", "1", "--items", "1"]
+        code, out, err = run(capsys, argv + ["--seed", "-3"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "qpdm: error: --seed must be a non-negative integer, got -3\n"
+        monkeypatch.setenv("QPDM_SEED", "-1")
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "qpdm: error: QPDM_SEED must be a non-negative integer, got '-1'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--items", "1,3", "--p", "6"],
+            ["mine", "--c", "0.5", "--s", "0.5", "--p", "6"],
+        ],
+    )
+    def test_unwritable_output_refused(self, capsys, db_path, tmp_path, argv):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(
+            capsys, [*argv, "--db", db_path, "--split", "2", "--seed", "42", "--output", str(target)]
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines()[-1].startswith(f"qpdm: error: cannot write {target}: ")
+        assert err.count("qpdm: error:") == 1
+        assert not target.parent.exists()
+
+
 class TestMine:
     def test_matches_exact_miner(self, capsys, db_path):
         code, out, err = run(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from qpdm import qsim
 from qpdm.dataset import TransactionDatabase, vertical_partition
 from qpdm.protocol import (
+    AUX_REGISTERS,
     KEY_FAMILIES,
     MAX_DUMP_EVENTS,
     Transcript,
@@ -61,6 +63,94 @@ def address_vector(state):
         assert label & ~layout.mask("address") & ~layout.mask("counting") == 0
         vec[(label >> off) & ((1 << layout.width("address")) - 1)] += a
     return vec
+
+
+def gate_reference_oracle_u(
+    state, initiator, responder, z, transcript, control=None, postpone_unquery=False, record=None
+):
+    """The seven-step oracle call built gate by gate from the qsim primitives,
+    each step a primitive call that builds its own state: the reference
+    run_oracle_u is pinned to."""
+    z = frozenset(z)
+    if not z:
+        raise ValueError("Z must be non-empty")
+    if initiator.role == responder.role:
+        raise ValueError("initiator and responder must have distinct roles")
+    key = responder.key
+    if key is None:
+        raise ValueError("responder holds no encryption key")
+    layout = state.layout
+    n = layout.width("address")
+    if len(responder.memory_ints) != 1 << n or len(initiator.memory_ints) != 1 << n:
+        raise ValueError("party QRAM size does not match the address register")
+    k = initiator.view.width + responder.view.width
+    if any(not 1 <= i <= k for i in z):
+        raise ValueError(f"Z contains items outside 1..{k}")
+
+    def aux_dirty(state):
+        mask = 0
+        for name in ("bob_data", "alice_data", "b_flag", "a_flag", "kick_ancilla"):
+            mask |= state.layout.mask(name)
+        return bool((state.labels & mask).any())
+
+    def registers(party):
+        return ("alice_data", "a_flag") if party.role == "alice" else ("bob_data", "b_flag")
+
+    if aux_dirty(state):
+        raise ValueError("auxiliary registers must be zero at oracle entry")
+
+    init_items, init_off = initiator.view.item_part(z)
+    resp_items, resp_off = responder.view.item_part(z)
+    init_data, init_flag = registers(initiator)
+    resp_data, resp_flag = registers(responder)
+    init_fq = layout.qubit(init_flag)
+    resp_fq = layout.qubit(resp_flag)
+
+    def snap(tag):
+        if record is not None:
+            record.append((tag, state))
+
+    def query(state, party, data):
+        return qsim.qram_query(state, "address", data, party.memory_ints)
+
+    state = qsim.apply_permutation(state, "address", key.apply)
+    snap("step1")
+
+    state = query(state, responder, resp_data)
+    state = qsim.apply_membership_mark(state, resp_data, resp_fq, resp_items, resp_off)
+    state = query(state, responder, resp_data)
+    snap("step2")
+
+    state = query(state, initiator, init_data)
+    state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
+    if not postpone_unquery:
+        state = query(state, initiator, init_data)
+    snap("step3")
+
+    state = qsim.apply_phase_and(state, init_fq, resp_fq, control=control)
+    snap("step4")
+
+    if postpone_unquery:
+        state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
+        state = query(state, initiator, init_data)
+    else:
+        state = query(state, initiator, init_data)
+        state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
+        state = query(state, initiator, init_data)
+    snap("step5")
+
+    state = query(state, responder, resp_data)
+    state = qsim.apply_membership_mark(state, resp_data, resp_fq, resp_items, resp_off)
+    state = query(state, responder, resp_data)
+    snap("step6")
+
+    state = qsim.apply_permutation(state, "address", key.invert)
+    snap("step7")
+
+    if aux_dirty(state):
+        raise qsim.SimulationError("auxiliary registers failed to disentangle")
+    transcript.log_calls(initiator.role, n)
+    return state
 
 
 class TestKeys:
@@ -356,6 +446,8 @@ class TestOracle:
         if controlled:
             labels += [layout.replace(label, "counting", 1) for label in labels]
         vec = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+        if data.draw(st.booleans(), label="real amplitudes"):
+            vec = vec.real + 0j  # +0.0 imaginary parts: negation must give -0.0
         vec /= np.linalg.norm(vec)
         state = qsim.SparseState(layout, dict(zip(labels, vec.tolist())))
 
@@ -373,6 +465,121 @@ class TestOracle:
         for name in ("bob_data", "alice_data", "b_flag", "a_flag", "kick_ancilla"):
             assert all(layout.extract(label, name) == 0 for label in out.amps), name
         assert len(transcript.events) == 4
+
+
+ORACLE_FAULTS = (
+    "dirty_aux",
+    "empty_z",
+    "z_out_of_range",
+    "missing_key",
+    "negative_cell",
+    "wide_cell",
+    "float_cells",
+)
+
+
+def outcome(call):
+    """(result, None) or (None, (exception type, message))."""
+    try:
+        return call(), None
+    except (ValueError, qsim.SimulationError) as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestOraclePlanAgainstGates:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_arrays_equal_after_every_step(self, data):
+        # k up to 70 items draws both int64 labels and, past 62 bits,
+        # Python-int labels
+        n = data.draw(st.integers(1, 6), label="n")
+        k = data.draw(st.integers(2, 70), label="k")
+        split = data.draw(st.integers(1, k - 1), label="split")
+        z = frozenset(data.draw(st.sets(st.integers(1, k), min_size=1, max_size=4), label="z"))
+        family = data.draw(st.sampled_from(KEY_FAMILIES), label="family")
+        initiator = data.draw(st.sampled_from(["alice", "bob"]), label="initiator")
+        controlled = data.draw(st.booleans(), label="controlled")
+        postpone = data.draw(st.booleans(), label="postpone_unquery")
+        fault = data.draw(st.sampled_from((None,) + ORACLE_FAULTS), label="fault")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        bits = rng.random((1 << n, k)) < 0.8
+        db = TransactionDatabase(k, tuple("".join("01"[int(b)] for b in row) for row in bits), 1 << n)
+        key = sample_key(family, n, rng)
+        alice, bob = make_parties(db, split, key, key_holder="bob" if initiator == "alice" else "alice")
+        init, resp = (alice, bob) if initiator == "alice" else (bob, alice)
+        layout = oracle_layout(n, split, k, p=1 if controlled else 0)
+        event(f"label dtype {layout.label_dtype}")
+        event(f"fault {fault}")
+        control = layout.qubit("counting", 0) if controlled else None
+        # a random subset of the addresses, in random order, on both control
+        # branches when there is a control
+        off = layout.offset("address")
+        addresses = rng.permutation(1 << n)[: data.draw(st.integers(1, 1 << n), label="size")]
+        labels = [int(j) << off for j in addresses]
+        if controlled:
+            labels += [layout.replace(label, "counting", 1) for label in labels]
+        vec = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+        if data.draw(st.booleans(), label="real amplitudes"):
+            vec = vec.real + 0j  # +0.0 imaginary parts: negation must give -0.0
+
+        if fault == "dirty_aux":
+            register = AUX_REGISTERS[int(rng.integers(len(AUX_REGISTERS)))]
+            labels[0] |= 1 << layout.qubit(register)
+        elif fault == "empty_z":
+            z = frozenset()
+        elif fault == "z_out_of_range":
+            z = z | {0 if rng.random() < 0.5 else k + 1}
+        elif fault == "missing_key":
+            resp = resp.with_key(None)
+        elif fault is not None:
+            # explicit QRAM cells, bad in one cell of the responder, the
+            # initiator, or both (then a different fault in the initiator's,
+            # which the responder's query must report first)
+            def spoil(party, fault):
+                cells = party.memory_ints.copy()
+                cell = int(rng.integers(len(cells)))
+                if fault == "negative_cell":
+                    cells[cell] = -1
+                elif fault == "wide_cell":
+                    cells[cell] = 1 << party.data_width
+                else:
+                    cells = cells.astype(float)
+                return dataclasses.replace(party, memory_ints=cells)
+
+            spoiled = data.draw(st.sampled_from(["initiator", "responder", "both"]), label="spoiled")
+            if spoiled != "initiator":
+                resp = spoil(resp, fault)
+            if spoiled != "responder":
+                init = spoil(init, fault if spoiled == "initiator" else
+                             "float_cells" if fault != "float_cells" else "negative_cell")
+        state = qsim.SparseState(layout, dict(zip(labels, vec.tolist())))
+
+        runs = []
+        for oracle in (run_oracle_u, gate_reference_oracle_u):
+            record, transcript = [], Transcript()
+            out, error = outcome(
+                lambda: oracle(
+                    state, init, resp, z, transcript,
+                    control=control, postpone_unquery=postpone, record=record,
+                )
+            )
+            runs.append((out, error, record, transcript))
+        (plan, plan_error, plan_record, plan_log), (gates, gate_error, gate_record, gate_log) = runs
+
+        assert plan_error == gate_error
+        if fault is not None:
+            assert plan_error is not None
+            assert plan_log.records == gate_log.records == []
+            return
+        assert [tag for tag, _ in plan_record] == [tag for tag, _ in gate_record]
+        assert len(plan_record) == 7
+        for (tag, got), (_, want) in zip(plan_record + [("exit", plan)], gate_record + [("exit", gates)]):
+            assert got.labels.dtype == want.labels.dtype, tag
+            assert np.array_equal(got.labels, want.labels), tag
+            assert np.array_equal(got.amplitudes, want.amplitudes), tag
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes(), tag  # signed zeros
+        assert plan_log.records == gate_log.records == [(init.role, n, 1)]
 
 
 class TestTableOneTrace:
