@@ -55,7 +55,7 @@ def classical_attack():
     doubly = {key_b.encrypt(x) for x in singly}
     print(f"   Alice sends u_A(S1) = {sorted(singly)}; Bob returns u_B(u_A(S1)) = {sorted(doubly)}")
     candidates = exhaustive_key_attack(p, singly, doubly)
-    print(f"   trying every admissible exponent w in {valid_exponents(p)}: only w = {candidates}")
+    print(f"   trying every admissible exponent w in {valid_exponents(p).tolist()}: only w = {candidates}")
     print(f"   satisfies the observed mapping, so Bob's key e_B = {candidates[0]} is exposed")
     print()
 
@@ -76,8 +76,9 @@ def communication_costs():
     print(f"              {transcript.oracle_calls} oracle calls, {per_call} qubits per call, {qubits} qubits total")
 
     prime = next_prime(db.original_count)
-    key_a = ClassicalKey(prime, valid_exponents(prime)[0])
-    key_b = ClassicalKey(prime, valid_exponents(prime)[-1])
+    exponents = valid_exponents(prime)
+    key_a = ClassicalKey(prime, int(exponents[0]))
+    key_b = ClassicalKey(prime, int(exponents[-1]))
     bits = BitLog()
     value = classical_support(
         index_set(alice_view, z), index_set(bob_view, z), key_a, key_b, db.original_count, bits

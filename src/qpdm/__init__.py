@@ -1,7 +1,27 @@
 """qpdm: a deterministic desk-scale simulator of a two-party quantum
 privacy-preserving association-rule mining protocol on vertically
 partitioned boolean databases, with exact classical ground truth and the
-commutative-encryption baseline it is measured against."""
+commutative-encryption baseline it is measured against.
+
+Importing the package loads numpy with a one-thread OpenBLAS pool, unless
+numpy is loaded already or one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS
+and OMP_NUM_THREADS is set. qpdm makes no BLAS call, and starting a pool of
+one thread per CPU takes longer than most qpdm commands run. A caller who
+wants a threaded BLAS in the same process imports numpy first or sets one
+of those variables. The environment is left as it was either way."""
+
+import os
+import sys
+
+# The variables OpenBLAS reads for its pool size, in its order of precedence.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .classical import (
     BitLog,

@@ -31,7 +31,7 @@ from .classical import (
     next_prime,
     valid_exponents,
 )
-from .counting import CountingConfig, default_counting_width, joint_support
+from .counting import MAX_COUNTING_WIDTH, CountingConfig, default_counting_width, joint_support
 from .dataset import exact_support, pad_to_power_of_two, parse_database, vertical_partition
 from .miner import quantum_estimator, run_mining
 from .protocol import KEY_FAMILIES, Transcript, build_qram, transcript_total
@@ -155,9 +155,17 @@ def _run_config(args) -> RunConfig:
     c = getattr(args, "c", None)
     if c is not None and not 0 < c < 1:
         raise UsageError("confidence threshold c must lie in (0, 1)")
+    p = args.p
+    if p is None:
+        p = default_counting_width(args.s)
+        if p > MAX_COUNTING_WIDTH:
+            raise UsageError(
+                f"--s {args.s} implies counting width {p} (2^p >= 2000/s), above"
+                f" MAX_COUNTING_WIDTH = {MAX_COUNTING_WIDTH}; set the width with --p"
+            )
     # built before the database is read; main reports its ValueError as usage
     counting = CountingConfig(
-        p=args.p if args.p is not None else default_counting_width(args.s),
+        p=p,
         s=args.s,
         agreement_band=args.band,
         max_rounds=args.max_rounds,
@@ -284,7 +292,7 @@ def cmd_compare(args) -> int:
     prime = args.prime if args.prime is not None else next_prime(max(db.original_count, 4))
     if args.eA is None or args.eB is None:
         exponents = valid_exponents(prime)
-        if not exponents:
+        if exponents.size == 0:
             raise UsageError(f"prime {prime} admits no valid exponents")
     e_a = args.eA if args.eA is not None else int(rng.choice(exponents))
     e_b = args.eB if args.eB is not None else int(rng.choice(exponents))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,11 @@ from qpdm.classical import (
     valid_exponents,
 )
 from qpdm.dataset import TransactionDatabase, vertical_partition
+
+
+def key_space_reference(p):
+    """The key space as first written: one gcd per odd exponent."""
+    return [e for e in range(3, p - 1, 2) if math.gcd(e, p - 1) == 1]
 
 
 class TestKey:
@@ -48,6 +54,13 @@ class TestKey:
             x = int(rng.integers(1, p))
             key_a, key_b = ClassicalKey(p, int(e_a)), ClassicalKey(p, int(e_b))
             assert key_b.encrypt(key_a.encrypt(x)) == key_a.encrypt(key_b.encrypt(x))
+
+    def test_key_space_matches_gcd_definition(self):
+        # composites, p <= 2 and the default prime of a 2^20-row file included
+        for p in [*range(-3, 3000), 1048583]:
+            got = valid_exponents(p)
+            assert got.dtype == np.int64
+            assert got.tolist() == key_space_reference(p), p
 
     def test_prime_helpers(self):
         assert is_prime(2) and is_prime(11) and not is_prime(1) and not is_prime(9)
@@ -123,7 +136,7 @@ class TestAttack:
 
     def test_degenerate_fixed_point(self):
         # {1} -> {1} under every exponent
-        assert exhaustive_key_attack(11, {1}, {1}) == valid_exponents(11)
+        assert exhaustive_key_attack(11, {1}, {1}) == valid_exponents(11).tolist()
 
     def test_true_key_always_recovered(self):
         rng = np.random.default_rng(2)

@@ -203,6 +203,18 @@ class TestEstimate:
         assert err.startswith("qpdm: error:")
         assert err.count("\n") == 1
 
+    def test_implied_counting_width_names_p(self, capsys, tmp_path):
+        # the --db file does not exist: the width implied by --s is refused first
+        code, out, err = run(
+            capsys,
+            ["estimate", "--db", str(tmp_path / "missing.csv"), "--split", "1", "--items", "1",
+             "--seed", "1", "--s", "1e-5"],
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("qpdm: error:")
+        assert err.count("\n") == 1
+        assert "--p" in err and "MAX_COUNTING_WIDTH" in err
+
     def test_one_row_database(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("a,b,c\n1,1,0\n")

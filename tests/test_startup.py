@@ -1,0 +1,54 @@
+"""Importing qpdm loads numpy with a one-thread OpenBLAS pool and leaves the
+environment as it was; a caller's own thread setting or an earlier numpy
+import wins. Each case runs in a fresh interpreter."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# prints whether os.environ changed across the imports, then Threads on Linux
+PROBE = """
+import os
+before = dict(os.environ)
+{imports}
+print(dict(os.environ) == before)
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("Threads:")))
+"""
+
+
+def probe(imports, **variables):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(variables, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE.format(imports=imports)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_import_starts_one_blas_thread():
+    unchanged, openblas, *threads = probe("import qpdm")
+    assert (unchanged, openblas) == ("True", "None")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("Threads is read from /proc/self/status")
+    assert threads == ["1"]
+
+
+@pytest.mark.parametrize("variable", BLAS_THREAD_VARIABLES)
+def test_callers_setting_wins(variable):
+    unchanged, openblas, *_ = probe("import qpdm", **{variable: "2"})
+    assert unchanged == "True"
+    assert openblas == ("2" if variable == "OPENBLAS_NUM_THREADS" else "None")
+
+
+def test_numpy_imported_first_is_left_alone():
+    unchanged, openblas, *_ = probe("import numpy\nimport qpdm")
+    assert (unchanged, openblas) == ("True", "None")
