@@ -4,9 +4,9 @@ classical comparison, and the exhaustive-key attack demo.
 JSON on stdout is the canonical output and is byte-identical for identical
 (flags, seed) pairs; csv and table renderings are derived from it. Timing
 goes to stderr. Exit codes: 0 ok, 2 estimate not accepted within
-max_rounds, 64 usage or validation error, 66 unreadable or malformed
-database file, or one with more rows than MAX_ADDRESS_WIDTH address qubits
-can hold.
+max_rounds, 66 for a FileError (an unreadable or malformed database file,
+or one with more rows than MAX_ADDRESS_WIDTH address qubits can hold), and
+64 for every other ValueError (a usage or validation error).
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -42,25 +41,8 @@ EXIT_USAGE = 64
 EXIT_FILE = 66
 
 
-class UsageError(ValueError):
-    pass
-
-
 class FileError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    db_path: str
-    split: int
-    counting: CountingConfig
-    c: float | None
-    seed: int | None
-    fmt: str
-    output: str | None
-    with_exact_oracle: bool
-    transcript_dump: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +71,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qpdm", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    est = subs.add_parser("estimate", parents=[], help="two-party support estimate")
+    est = subs.add_parser("estimate", help="two-party support estimate")
     _add_common(est)
     est.add_argument("--items", required=True, help="comma-separated item indices, e.g. 1,3")
 
@@ -114,73 +96,60 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_items(text: str, k: int | None = None) -> frozenset:
+def _parse_items(text: str) -> frozenset:
+    """The itemset's syntax; its upper bound needs the database."""
     parts = [cell.strip() for cell in text.split(",") if cell.strip()]
     if not parts:
-        raise UsageError("empty itemset")
+        raise ValueError("empty itemset")
     try:
         items = frozenset(int(cell) for cell in parts)
     except ValueError:
-        raise UsageError(f"itemset {text!r} is not a comma-separated list of integers")
+        raise ValueError(f"itemset {text!r} is not a comma-separated list of integers")
     if any(i < 1 for i in items):
-        raise UsageError("item indices are 1-based")
-    if k is not None and any(i > k for i in items):
-        raise UsageError(f"item index outside 1..{k}")
+        raise ValueError("item indices are 1-based")
     return items
 
 
 def _resolve_seed(args) -> int | None:
     if args.seed is not None:
         if args.seed < 0:
-            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     env = os.environ.get("QPDM_SEED")
     if env is not None:
         try:
             seed = int(env)
         except ValueError:
-            raise UsageError(f"QPDM_SEED={env!r} is not an integer")
+            raise ValueError(f"QPDM_SEED={env!r} is not an integer")
         if seed < 0:
-            raise UsageError(f"QPDM_SEED must be a non-negative integer, got {env!r}")
+            raise ValueError(f"QPDM_SEED must be a non-negative integer, got {env!r}")
         return seed
     if args.ci:
-        raise UsageError("--ci requires a seed (flag or QPDM_SEED)")
+        raise ValueError("--ci requires a seed (flag or QPDM_SEED)")
     return None
 
 
-def _run_config(args) -> RunConfig:
+def _counting_config(args) -> CountingConfig:
     # checked first: default_counting_width divides by s
     if not 0 < args.s < 1:
-        raise UsageError("support threshold s must lie in (0, 1)")
+        raise ValueError("support threshold s must lie in (0, 1)")
     c = getattr(args, "c", None)
     if c is not None and not 0 < c < 1:
-        raise UsageError("confidence threshold c must lie in (0, 1)")
+        raise ValueError("confidence threshold c must lie in (0, 1)")
     p = args.p
     if p is None:
         p = default_counting_width(args.s)
         if p > MAX_COUNTING_WIDTH:
-            raise UsageError(
+            raise ValueError(
                 f"--s {args.s} implies counting width {p} (2^p >= 2000/s), above"
                 f" MAX_COUNTING_WIDTH = {MAX_COUNTING_WIDTH}; set the width with --p"
             )
-    # built before the database is read; main reports its ValueError as usage
-    counting = CountingConfig(
+    return CountingConfig(
         p=p,
         s=args.s,
         agreement_band=args.band,
         max_rounds=args.max_rounds,
         key_family=args.enc,
-    )
-    return RunConfig(
-        db_path=args.db,
-        split=args.split,
-        counting=counting,
-        c=c,
-        seed=_resolve_seed(args),
-        fmt=args.format,
-        output=args.output,
-        with_exact_oracle=args.with_exact_oracle,
-        transcript_dump=args.transcript_dump,
     )
 
 
@@ -199,22 +168,25 @@ def _load_db(path: str):
         raise FileError(f"{path}: {exc}")
 
 
-def _build_parties(padded, split):
+def _build_parties(padded, split, items=frozenset()):
+    if any(i > padded.n_items for i in items):
+        raise ValueError(f"item index outside 1..{padded.n_items}")
     if not 1 <= split < padded.n_items:
-        raise UsageError(f"split must lie in 1..{padded.n_items - 1}")
+        raise ValueError(f"split must lie in 1..{padded.n_items - 1}")
     n = (padded.n_transactions - 1).bit_length()
     alice_view, bob_view = vertical_partition(padded, split)
     return build_qram(alice_view, n), build_qram(bob_view, n)
 
 
 def cmd_estimate(args) -> int:
-    cfg = _run_config(args)
-    db, padded = _load_db(cfg.db_path)
-    items = _parse_items(args.items, db.n_items)
-    alice, bob = _build_parties(padded, cfg.split)
+    counting = _counting_config(args)
+    seed = _resolve_seed(args)
+    items = _parse_items(args.items)
+    db, padded = _load_db(args.db)
+    alice, bob = _build_parties(padded, args.split, items)
     transcript = Transcript()
-    rng = np.random.default_rng(cfg.seed)
-    est = joint_support(alice, bob, items, cfg.counting, rng, transcript)
+    rng = np.random.default_rng(seed)
+    est = joint_support(alice, bob, items, counting, rng, transcript)
     report = {
         "command": "estimate",
         "itemset": sorted(items),
@@ -226,7 +198,7 @@ def cmd_estimate(args) -> int:
         "s2": est.s2,
         "qubits_sent": transcript_total(transcript)[0],
     }
-    if cfg.with_exact_oracle:
+    if args.with_exact_oracle:
         exact = exact_support(db, items)
         report["exact"] = float(exact)
         report["abs_error"] = abs(float(est.value) - float(exact))
@@ -238,72 +210,69 @@ def cmd_estimate(args) -> int:
                 "padded-space support >= 1/2: the counting readout cannot "
                 "distinguish it from its complement"
             )
-    if cfg.transcript_dump:
+    if args.transcript_dump:
         report["transcript"] = transcript.to_json()
-    _emit(report, cfg.fmt, cfg.output)
+    _emit(report, args.format, args.output)
     return EXIT_OK if est.accepted else EXIT_NOT_ACCEPTED
 
 
 def cmd_mine(args) -> int:
-    cfg = _run_config(args)
-    if cfg.c is None:
-        raise UsageError("mine requires --c")
-    db, padded = _load_db(cfg.db_path)
-    alice, bob = _build_parties(padded, cfg.split)
+    counting = _counting_config(args)
+    seed = _resolve_seed(args)
+    db, padded = _load_db(args.db)
+    alice, bob = _build_parties(padded, args.split)
     transcript = Transcript()
     started = time.perf_counter()
-    estimator = quantum_estimator(alice, bob, cfg.counting, cfg.seed, transcript)
+    estimator = quantum_estimator(alice, bob, counting, seed, transcript)
     mining = run_mining(
         alice,
         bob,
-        cfg.counting,
-        cfg.c,
+        counting,
+        args.c,
         estimator,
         transcript,
-        exact_db=db if cfg.with_exact_oracle else None,
+        exact_db=db if args.with_exact_oracle else None,
     )
     elapsed = time.perf_counter() - started
     report = {
         "command": "mine",
-        "s": cfg.counting.s,
-        "c": cfg.c,
-        "split": cfg.split,
+        "s": args.s,
+        "c": args.c,
+        "split": args.split,
         **mining.to_json_dict(),
     }
-    if cfg.transcript_dump:
+    if args.transcript_dump:
         report["transcript"] = transcript.to_json()
     print(f"mine: {elapsed:.2f}s wall clock", file=sys.stderr)
-    _emit(report, cfg.fmt, cfg.output)
+    _emit(report, args.format, args.output)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    cfg = _run_config(args)
+    counting = _counting_config(args)
+    seed = _resolve_seed(args)
     if args.prime is not None and args.prime > MAX_CLASSICAL_PRIME:
-        raise UsageError(f"--prime must not exceed {MAX_CLASSICAL_PRIME}")
-    db, padded = _load_db(cfg.db_path)
-    items = _parse_items(args.items, db.n_items)
-    alice, bob = _build_parties(padded, cfg.split)
-    rng = np.random.default_rng(cfg.seed)
+        raise ValueError(f"--prime must not exceed {MAX_CLASSICAL_PRIME}")
+    items = _parse_items(args.items)
+    db, padded = _load_db(args.db)
+    alice, bob = _build_parties(padded, args.split, items)
+    rng = np.random.default_rng(seed)
     transcript = Transcript()
-    est = joint_support(alice, bob, items, cfg.counting, rng, transcript)
+    est = joint_support(alice, bob, items, counting, rng, transcript)
     total_qubits, per_call = transcript_total(transcript)
 
     prime = args.prime if args.prime is not None else next_prime(max(db.original_count, 4))
     if args.eA is None or args.eB is None:
         exponents = valid_exponents(prime)
         if exponents.size == 0:
-            raise UsageError(f"prime {prime} admits no valid exponents")
+            raise ValueError(f"prime {prime} admits no valid exponents")
     e_a = args.eA if args.eA is not None else int(rng.choice(exponents))
     e_b = args.eB if args.eB is not None else int(rng.choice(exponents))
-    try:
-        key_a, key_b = ClassicalKey(prime, e_a), ClassicalKey(prime, e_b)
-        bits = BitLog()
-        s1 = index_set(alice.view, items)
-        s2 = index_set(bob.view, items)
-        classical_value = classical_support(s1, s2, key_a, key_b, db.original_count, bits)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    key_a, key_b = ClassicalKey(prime, e_a), ClassicalKey(prime, e_b)
+    bits = BitLog()
+    s1 = index_set(alice.view, items)
+    s2 = index_set(bob.view, items)
+    classical_value = classical_support(s1, s2, key_a, key_b, db.original_count, bits)
 
     report = {
         "command": "compare",
@@ -324,27 +293,24 @@ def cmd_compare(args) -> int:
             "bits_total": bits.total,
         },
     }
-    if cfg.transcript_dump:
+    if args.transcript_dump:
         report["transcript"] = transcript.to_json()
-    _emit(report, cfg.fmt, cfg.output)
+    _emit(report, args.format, args.output)
     return EXIT_OK
 
 
 def cmd_attack_demo(args) -> int:
     # before the keys' trial division, which takes hours near 2^61
     if args.p > MAX_ATTACK_PRIME:
-        raise UsageError(f"attack guarded to primes <= {MAX_ATTACK_PRIME}")
+        raise ValueError(f"attack guarded to primes <= {MAX_ATTACK_PRIME}")
     s1 = _parse_items(args.S1)
-    try:
-        key_a = ClassicalKey(args.p, args.eA)
-        key_b = ClassicalKey(args.p, args.eB)
-        singly = {key_a.encrypt(x) for x in s1}
-        doubly = {key_b.encrypt(x) for x in singly}
-        started = time.perf_counter()
-        candidates = exhaustive_key_attack(args.p, singly, doubly)
-        elapsed = time.perf_counter() - started
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    key_a = ClassicalKey(args.p, args.eA)
+    key_b = ClassicalKey(args.p, args.eB)
+    singly = {key_a.encrypt(x) for x in s1}
+    doubly = {key_b.encrypt(x) for x in singly}
+    started = time.perf_counter()
+    candidates = exhaustive_key_attack(args.p, singly, doubly)
+    elapsed = time.perf_counter() - started
     report = {
         "p": args.p,
         "singly": sorted(singly),
@@ -424,7 +390,7 @@ def _emit(report: dict, fmt: str, output: str | None) -> None:
             with open(output, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         except OSError as exc:
-            raise UsageError(f"cannot write {output}: {exc.strerror or exc}")
+            raise ValueError(f"cannot write {output}: {exc.strerror or exc}")
 
 
 COMMANDS = {
@@ -443,9 +409,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"qpdm: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FileError as exc:
         print(f"qpdm: error: {exc}", file=sys.stderr)
         return EXIT_FILE

@@ -52,16 +52,12 @@ class AprioriResult:
     levels: list[list[FrequentItemset]]
     undetermined: list[tuple[int, ...]]
 
-    def all_frequent(self) -> dict[frozenset, FrequentItemset]:
-        return {frozenset(rec.items): rec for level in self.levels for rec in level}
-
 
 @dataclass
 class MiningReport:
     frequent: list[FrequentItemset]
     rules: list[AssociationRule]
     undetermined: list[tuple[int, ...]] = field(default_factory=list)
-    total_rounds: int = 0
     total_qubits: int = 0
     exact_diff: dict | None = None
 
@@ -183,21 +179,18 @@ def apriori_frequent(
 
 
 def generate_rules(
-    frequent: Iterable[FrequentItemset] | dict,
+    frequent: Iterable[FrequentItemset],
     c: float,
     estimator: Estimator | None = None,
 ) -> list[AssociationRule]:
     """All rules X => Y over partitions of frequent itemsets with
     confidence above c, sorted by (size, antecedent, consequent).
 
-    Antecedent supports come from the frequent map; with a noisy estimator
+    Antecedent supports come from the frequent itemsets; with a noisy estimator
     an antecedent can be missing despite monotonicity, in which case the
     injected estimator is consulted (or the partition skipped without one).
     """
-    if isinstance(frequent, dict):
-        known = {frozenset(items): rec for items, rec in frequent.items()}
-    else:
-        known = {frozenset(rec.items): rec for rec in frequent}
+    known = {frozenset(rec.items): rec for rec in frequent}
     if not known:
         raise ValueError("no frequent itemsets to generate rules from")
     rules = []
@@ -279,18 +272,18 @@ def run_mining(
     exact_db: TransactionDatabase | None = None,
 ) -> MiningReport:
     """Full mining pass: frequent itemsets, rules, communication totals, and
-    (when a ground-truth database is supplied) the diff against exact_mine."""
+    (when a ground-truth database is supplied) the diff against exact_mine,
+    which runs first so that its item guard refuses before any estimate."""
+    truth = exact_mine(exact_db, config.s, c) if exact_db is not None else None
     result = apriori_frequent(alice, bob, config, estimator)
-    frequent_map = result.all_frequent()
     flat = [rec for level in result.levels for rec in level]
-    rules = generate_rules(frequent_map, c, estimator) if frequent_map else []
+    rules = generate_rules(flat, c, estimator) if flat else []
     report = MiningReport(
         frequent=flat,
         rules=rules,
         undetermined=result.undetermined,
-        total_rounds=sum(rec.rounds for rec in flat),
         total_qubits=transcript_total(transcript)[0] if transcript is not None else 0,
     )
-    if exact_db is not None:
-        report.exact_diff = _report_diff(report, exact_mine(exact_db, config.s, c))
+    if truth is not None:
+        report.exact_diff = _report_diff(report, truth)
     return report

@@ -147,7 +147,6 @@ class PartyState:
     see key parameters.
     """
 
-    role: str
     view: PartitionedView
     key: EncryptionKey | None = None
     # the QRAM cells as one integer array, computed once from the view's bit
@@ -160,6 +159,10 @@ class PartyState:
             dtype = qsim.label_dtype(self.data_width)
             weights = np.array([1 << i for i in reversed(range(self.data_width))], dtype=dtype)
             object.__setattr__(self, "memory_ints", self.view.bits.astype(dtype) @ weights)
+
+    @property
+    def role(self) -> str:
+        return self.view.role
 
     @property
     def address_width(self) -> int:
@@ -177,7 +180,7 @@ def build_qram(view: PartitionedView, n: int) -> PartyState:
     """Load a padded view into a party's QRAM, cell j = row j."""
     if len(view.bits) != 1 << n:
         raise ValueError(f"view has {len(view.bits)} rows, expected 2^{n}")
-    return PartyState(view.role, view)
+    return PartyState(view)
 
 
 @dataclass(frozen=True)
@@ -318,18 +321,15 @@ def run_oracle_u(
     z: frozenset,
     transcript: Transcript,
     control: int | None = None,
-    postpone_unquery: bool = False,
     record: list | None = None,
 ) -> qsim.SparseState:
     """One oracle call: |j> -> (-1)^(c(u(j))) |j> on control=1 branches.
 
     Preconditions: all auxiliary registers (data, flags, ancilla) are zero
     on every basis label, z is non-empty, and the responder holds the key.
-    ``postpone_unquery`` moves the initiator's first unquery from step 3 to
-    step 5, saving two QRAM queries; the final state is identical either
-    way. ``record``, if given, collects ("stepX", state) snapshots after
-    each step for tracing. The call is logged on the transcript once its
-    exit check has passed.
+    ``record``, if given, collects ("stepX", state) snapshots after each
+    step for tracing. The call is logged on the transcript once its exit
+    check has passed.
     """
     z = frozenset(z)
     if not z:
@@ -373,9 +373,7 @@ def run_oracle_u(
 
     # Step 3: address + flag travel back; initiator does the same for its part.
     init = _PartyPlan.build(initiator, z, layout, index, labels.dtype)
-    labels = init.mark(labels ^ init.load)
-    if not postpone_unquery:
-        labels = labels ^ init.load
+    labels = init.mark(labels ^ init.load) ^ init.load
     snap("step3")
 
     # Step 4: phase kickback of the AND of the two flags, gated on the control.
@@ -384,12 +382,8 @@ def run_oracle_u(
     amps = np.negative(amps, out=amps.copy(), where=(labels & gate) == gate)
     snap("step4")
 
-    # Step 5: initiator erases its flag (and, in the postponed variant, its
-    # still-loaded data register).
-    if postpone_unquery:
-        labels = init.mark(labels) ^ init.load
-    else:
-        labels = init.mark(labels ^ init.load) ^ init.load
+    # Step 5: initiator loads its rows again, erases its flag, erases the load.
+    labels = init.mark(labels ^ init.load) ^ init.load
     snap("step5")
 
     # Step 6: back to the responder, who erases its flag the same way.

@@ -42,6 +42,7 @@ invariant under the opposite sign choice.
 from __future__ import annotations
 
 import math
+import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -129,36 +130,6 @@ class RegisterLayout:
         return (label & ~self._masks[name]) | (value << self._offsets[name])
 
 
-class _AmplitudeMap(Mapping):
-    """Read-only {label: amplitude} view of a state's arrays. The dict
-    behind it is built on the first lookup; taking its length, as a caller
-    counting labels does, builds none."""
-
-    __slots__ = ("_labels", "_amplitudes", "_table")
-
-    def __init__(self, labels: np.ndarray, amplitudes: np.ndarray):
-        self._labels = labels
-        self._amplitudes = amplitudes
-        self._table = None
-
-    def _dict(self) -> dict[int, complex]:
-        if self._table is None:
-            self._table = dict(zip(self._labels.tolist(), self._amplitudes.tolist()))
-        return self._table
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def __getitem__(self, label: int) -> complex:
-        return self._dict()[label]
-
-    def __repr__(self) -> str:
-        return repr(self._dict())
-
-
 class SparseState:
     """Distinct basis labels and their complex amplitudes, as two parallel
     read-only arrays over one register layout.
@@ -198,11 +169,12 @@ class SparseState:
     def amps(self) -> Mapping[int, complex]:
         """The state as a read-only {label: amplitude} mapping."""
         if self._amps is None:
-            self._amps = _AmplitudeMap(self.labels, self.amplitudes)
+            table = dict(zip(self.labels.tolist(), self.amplitudes.tolist()))
+            self._amps = types.MappingProxyType(table)
         return self._amps
 
     def __repr__(self) -> str:
-        return f"SparseState({self.layout!r}, {self.amps!r})"
+        return f"SparseState({self.layout!r}, {dict(self.amps)!r})"
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))

@@ -6,6 +6,7 @@ import pytest
 
 import qpdm.classical
 import qpdm.cli
+import qpdm.miner
 from qpdm.classical import MAX_CLASSICAL_PRIME, next_prime
 from qpdm.cli import EXIT_FILE, EXIT_NOT_ACCEPTED, EXIT_OK, EXIT_USAGE, main
 from qpdm.dataset import MAX_ADDRESS_WIDTH
@@ -215,6 +216,18 @@ class TestEstimate:
         assert err.count("\n") == 1
         assert "--p" in err and "MAX_COUNTING_WIDTH" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    @pytest.mark.parametrize(
+        "items, message",
+        [("", "empty itemset"), ("1,x", "itemset '1,x' is not a comma-separated list of integers")],
+        ids=["empty", "non-integer"],
+    )
+    def test_items_refused_before_reading(self, capsys, tmp_path, command, items, message):
+        # the --db file does not exist: the itemset's syntax is refused first
+        argv = [command, "--db", str(tmp_path / "missing.csv"), "--split", "1", "--items", items,
+                "--seed", "1"]
+        assert run(capsys, argv) == (EXIT_USAGE, "", f"qpdm: error: {message}\n")
+
     def test_one_row_database(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("a,b,c\n1,1,0\n")
@@ -295,6 +308,17 @@ class TestMine:
         }
         assert report["communication"]["total_qubits"] > 0
         assert "wall clock" in err
+
+    def test_exact_oracle_guard_before_mining(self, capsys, tmp_path, monkeypatch):
+        # 21 items: exact enumeration is refused before any support is estimated
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(f"I{i}" for i in range(1, 22)) + "\n" + ",".join("10" * 10 + "1") + "\n")
+        monkeypatch.setattr(qpdm.miner, "joint_support", refuse)
+        argv = ["mine", "--db", str(path), "--split", "10", "--s", "0.3", "--c", "0.6", "--p", "6",
+                "--seed", "1", "--with-exact-oracle"]
+        assert run(capsys, argv) == (
+            EXIT_USAGE, "", "qpdm: error: exact enumeration refused beyond 20 items\n"
+        )
 
     def test_s_validation(self, capsys, db_path):
         code, _, err = run(
@@ -477,6 +501,69 @@ class TestFormats:
         assert len(header.split(",")) == len(row.split(","))
 
 
+def estimate(*flags, db=MARKET_CSV, items="1,2", seed="1"):
+    """An estimate command line; a flag given again in ``flags`` wins."""
+    argv = ["estimate", "--db", db, "--items", items, "--split", "2", *flags]
+    return argv if seed is None else [*argv, "--seed", seed]
+
+
+COMPARE = ["compare", "--db", MARKET_CSV, "--items", "1,2", "--split", "2", "--seed", "1"]
+
+
+class TestErrorLines:
+    """Exit code and the one stderr line of each refusal, recorded from an
+    earlier version; {missing} and {bad} stand for the paths of a missing
+    and a malformed database file."""
+
+    @pytest.mark.parametrize(
+        "argv, env_seed, code, line",
+        [
+            pytest.param(estimate("--s", "1.5"), None, EXIT_USAGE,
+                         "support threshold s must lie in (0, 1)", id="s"),
+            pytest.param(["mine", "--db", MARKET_CSV, "--split", "2", "--seed", "1", "--c", "1.5"],
+                         None, EXIT_USAGE, "confidence threshold c must lie in (0, 1)", id="c"),
+            pytest.param(estimate("--s", "1e-5"), None, EXIT_USAGE,
+                         "--s 1e-05 implies counting width 28 (2^p >= 2000/s), above"
+                         " MAX_COUNTING_WIDTH = 24; set the width with --p", id="implied-p"),
+            pytest.param(estimate("--p", "40"), None, EXIT_USAGE,
+                         "counting width p must lie in 1..24, got 40", id="p"),
+            pytest.param(estimate("--band", "nan"), None, EXIT_USAGE,
+                         "agreement band must be positive and finite", id="band"),
+            pytest.param(estimate("--max-rounds", "0"), None, EXIT_USAGE,
+                         "max_rounds must be >= 1", id="max-rounds"),
+            pytest.param(estimate(seed="-3"), None, EXIT_USAGE,
+                         "--seed must be a non-negative integer, got -3", id="seed"),
+            pytest.param(estimate(seed=None), "-1", EXIT_USAGE,
+                         "QPDM_SEED must be a non-negative integer, got '-1'", id="env-seed"),
+            pytest.param([*COMPARE, "--prime", str(MAX_CLASSICAL_PRIME + 1), "--eA", "3", "--eB", "5"],
+                         None, EXIT_USAGE, "--prime must not exceed 4194304", id="prime"),
+            pytest.param([*COMPARE, "--prime", "11", "--eA", "4", "--eB", "3"], None, EXIT_USAGE,
+                         "exponent 4 outside {3, 5, ..., 9}", id="even-eA"),
+            pytest.param(estimate(items="1,9"), None, EXIT_USAGE,
+                         "item index outside 1..5", id="item-range"),
+            pytest.param(estimate("--split", "0"), None, EXIT_USAGE,
+                         "split must lie in 1..4", id="split"),
+            pytest.param(["attack-demo", "--p", "1000003", "--eA", "5", "--eB", "7", "--S1", "2"],
+                         None, EXIT_USAGE, "attack guarded to primes <= 1000000", id="attack-prime"),
+            pytest.param(estimate(db="{missing}"), None, EXIT_FILE,
+                         "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'",
+                         id="missing-file"),
+            pytest.param(estimate(db="{bad}"), None, EXIT_FILE,
+                         "{bad}: line 2: non-binary cell '2'", id="malformed-file"),
+        ],
+    )
+    def test_error_line(self, capsys, tmp_path, monkeypatch, argv, env_seed, code, line):
+        paths = {"{missing}": str(tmp_path / "missing.csv"), "{bad}": str(tmp_path / "bad.csv")}
+        (tmp_path / "bad.csv").write_text("I1,I2\n1,2\n")
+        monkeypatch.delenv("QPDM_SEED", raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv("QPDM_SEED", env_seed)
+        for mark, path in paths.items():
+            argv = [path if arg == mark else arg for arg in argv]
+            line = line.replace(mark, path)
+        assert run(capsys, argv) == (code, "", f"qpdm: error: {line}\n")
+
+
 class TestGolden:
     """Seeded stdout recorded from an earlier version must not change by a byte."""
 
@@ -517,6 +604,16 @@ class TestGolden:
                 ["estimate", "--db", PADDED_CSV, "--items", "1,3", "--split", "2", "--p", "7",
                  "--seed", "4", "--with-exact-oracle"],
                 "estimate_padded_crlf_seed4.json",
+            ),
+            *(
+                (argv + ["--format", fmt], f"{name}.{fmt}")
+                for argv, name in [
+                    (["mine", "--db", MARKET_CSV, "--split", "2", "--s", "0.3", "--c", "0.6",
+                      "--seed", "11", "--with-exact-oracle"], "mine_market_seed11"),
+                    (["compare", "--db", MARKET_CSV, "--items", "1,2", "--split", "2", "--seed", "3"],
+                     "compare_market_seed3"),
+                ]
+                for fmt in ("csv", "table")
             ),
         ],
     )

@@ -66,7 +66,7 @@ def address_vector(state):
 
 
 def gate_reference_oracle_u(
-    state, initiator, responder, z, transcript, control=None, postpone_unquery=False, record=None
+    state, initiator, responder, z, transcript, control=None, record=None
 ):
     """The seven-step oracle call built gate by gate from the qsim primitives,
     each step a primitive call that builds its own state: the reference
@@ -123,20 +123,15 @@ def gate_reference_oracle_u(
 
     state = query(state, initiator, init_data)
     state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
-    if not postpone_unquery:
-        state = query(state, initiator, init_data)
+    state = query(state, initiator, init_data)
     snap("step3")
 
     state = qsim.apply_phase_and(state, init_fq, resp_fq, control=control)
     snap("step4")
 
-    if postpone_unquery:
-        state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
-        state = query(state, initiator, init_data)
-    else:
-        state = query(state, initiator, init_data)
-        state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
-        state = query(state, initiator, init_data)
+    state = query(state, initiator, init_data)
+    state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
+    state = query(state, initiator, init_data)
     snap("step5")
 
     state = query(state, responder, resp_data)
@@ -389,18 +384,6 @@ class TestOracle:
             "alice_to_bob",
         ]
 
-    def test_postponed_unquery_same_final_state(self):
-        rng = np.random.default_rng(8)
-        key = make_key("modadd", 5, 3)
-        layout = oracle_layout(3, 2, 4)
-        st = random_address_state(layout, rng)
-        alice, bob = make_parties(DB8, 2, key)
-        literal = run_oracle_u(st, alice, bob, frozenset({1, 3}), Transcript())
-        postponed = run_oracle_u(
-            st, alice, bob, frozenset({1, 3}), Transcript(), postpone_unquery=True
-        )
-        assert qsim.max_deviation(literal, postponed) == 0.0
-
     def test_one_sided_itemset_degenerates_gracefully(self):
         # Z entirely on Bob's side: Alice's flag is vacuously 1 on every row
         key = make_key("bitflip", 2, 3)
@@ -429,7 +412,6 @@ class TestOracle:
         family = data.draw(st.sampled_from(KEY_FAMILIES), label="family")
         initiator = data.draw(st.sampled_from(["alice", "bob"]), label="initiator")
         controlled = data.draw(st.booleans(), label="controlled")
-        postpone = data.draw(st.booleans(), label="postpone_unquery")
         density = data.draw(st.sampled_from([0.5, 0.8, 0.95]), label="density")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
 
@@ -452,9 +434,7 @@ class TestOracle:
         state = qsim.SparseState(layout, dict(zip(labels, vec.tolist())))
 
         transcript = Transcript()
-        out = run_oracle_u(
-            state, init, resp, z, transcript, control=control, postpone_unquery=postpone
-        )
+        out = run_oracle_u(state, init, resp, z, transcript, control=control)
 
         signs = reference_phase_oracle(db, z, key.apply)
         expected = {}
@@ -499,7 +479,6 @@ class TestOraclePlanAgainstGates:
         family = data.draw(st.sampled_from(KEY_FAMILIES), label="family")
         initiator = data.draw(st.sampled_from(["alice", "bob"]), label="initiator")
         controlled = data.draw(st.booleans(), label="controlled")
-        postpone = data.draw(st.booleans(), label="postpone_unquery")
         fault = data.draw(st.sampled_from((None,) + ORACLE_FAULTS), label="fault")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
 
@@ -561,7 +540,7 @@ class TestOraclePlanAgainstGates:
             out, error = outcome(
                 lambda: oracle(
                     state, init, resp, z, transcript,
-                    control=control, postpone_unquery=postpone, record=record,
+                    control=control, record=record,
                 )
             )
             runs.append((out, error, record, transcript))
