@@ -169,6 +169,8 @@ def _load_db(path: str):
 
 
 def _build_parties(padded, split, items=frozenset()):
+    if padded.n_items == 1:
+        raise ValueError("a database of one item cannot be split between two parties")
     if any(i > padded.n_items for i in items):
         raise ValueError(f"item index outside 1..{padded.n_items}")
     if not 1 <= split < padded.n_items:
@@ -251,8 +253,14 @@ def cmd_mine(args) -> int:
 def cmd_compare(args) -> int:
     counting = _counting_config(args)
     seed = _resolve_seed(args)
-    if args.prime is not None and args.prime > MAX_CLASSICAL_PRIME:
-        raise ValueError(f"--prime must not exceed {MAX_CLASSICAL_PRIME}")
+    if args.prime is not None:
+        if args.prime > MAX_CLASSICAL_PRIME:
+            raise ValueError(f"--prime must not exceed {MAX_CLASSICAL_PRIME}")
+        # explicit exponents are refused before the quantum run; the default
+        # prime needs the row count, so its exponents wait for the file
+        for e in (args.eA, args.eB):
+            if e is not None:
+                ClassicalKey(args.prime, e)
     items = _parse_items(args.items)
     db, padded = _load_db(args.db)
     alice, bob = _build_parties(padded, args.split, items)

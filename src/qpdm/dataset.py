@@ -9,14 +9,17 @@ zero rows to it; and the '0'/'1' strings of ``rows`` are derived from it on
 first access, for the string-level references and the tests.
 
 ``parse_database`` turns CSV or bit-string text into that matrix with
-whole-array operations. The UTF-8 bytes are cut into one row of 2k (CSV)
-or k + 1 (bit strings) bytes per line, and the rows are compared against
-the comma, the newline, "0" and "1". If that check fails, the text is
-normalised in whole arrays too: every line boundary ``str.splitlines``
-knows becomes a newline, the whitespace ``str.strip`` would take off a
-cell (or a bit-string line) is removed, and trailing blank lines are
-dropped. Then the check runs again, and the first malformed line is looked
-for only if it fails again.
+whole-array operations. A canonical CSV line is k two-byte cells, each a
+digit and a comma, the last a digit and the newline. The UTF-8 bytes are
+read as little-endian uint16 cells with the digit's low bit masked off;
+every k-th cell must then be "0" and the newline, every other one "0" and
+the comma, and the digits are the even bytes. A bit-string line is cut
+into one row of k + 1 bytes and compared against "0", "1" and the
+newline. If that check fails, the text is normalised in whole arrays
+too: every line boundary ``str.splitlines`` knows becomes a newline, the
+whitespace ``str.strip`` would take off a cell (or a bit-string line) is
+removed, and trailing blank lines are dropped. Then the check runs again,
+and the first malformed line is looked for only if it fails again.
 
 All statistics in this module are exact rationals counted over the
 unpadded rows; they are the ground truth every estimated quantity is judged
@@ -230,18 +233,39 @@ def parse_database(text: str) -> TransactionDatabase:
     return TransactionDatabase.from_bits(bits, len(bits), names)
 
 
+# "0," or "1,", and "0\n" or "1\n", as little-endian uint16 with the digit's
+# low bit masked off; no other pair of bytes masks to either
+_DIGIT_MASK = 0xFFFE
+_COMMA_CELL, _NEWLINE_CELL = ZERO | COMMA << 8, ZERO | NEWLINE << 8
+# CSV cells checked at a time, rounded down to whole lines: this bounds the
+# temporaries of _cells (3 B per cell of a block, 768 KB) and keeps them in
+# cache, where one pass over a large file's cells would take 3 B per cell
+# of fresh memory.
+_CELL_BLOCK = 1 << 18
+
+
 def _cells(body: np.ndarray, k: int, csv: bool) -> np.ndarray | None:
     """The rows x k 0/1 matrix of ``body`` if every line of it is k cells
     ("0" or "1"; apart by "," in CSV) and a newline, else None."""
     width = 2 * k if csv else k + 1
     if len(body) % width:
         return None
+    if csv:
+        cells = body.view("<u2")
+        step = k * max(1, _CELL_BLOCK // k)
+        for start in range(0, len(cells), step):
+            block = cells[start : start + step] & _DIGIT_MASK
+            if (block[k - 1 :: k] != _NEWLINE_CELL).any():
+                return None
+            # the newline cells cannot equal _COMMA_CELL, so this count
+            # leaves room for no other cell
+            if np.count_nonzero(block == _COMMA_CELL) != len(block) - len(block) // k:
+                return None
+        return (body[0::2] - ZERO).reshape(-1, k)
     grid = body.reshape(-1, width)
     # in uint8, any byte but "0" and "1" lands above 1
-    bits = grid[:, : width - 1 : 2 if csv else 1] - ZERO
+    bits = grid[:, :k] - ZERO
     if bits.max(initial=0) > 1 or (grid[:, -1] != NEWLINE).any():
-        return None
-    if csv and (grid[:, 1:-1:2] != COMMA).any():
         return None
     return bits
 

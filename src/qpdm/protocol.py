@@ -150,15 +150,20 @@ class PartyState:
     view: PartitionedView
     key: EncryptionKey | None = None
     # the QRAM cells as one integer array, computed once from the view's bit
-    # matrix; with_key hands the same array on, and every oracle call checks
-    # once that the cells are integers that fit the data register
+    # matrix: the first column cast to the label dtype, then for each further
+    # column a shift left by one and an OR of the column (an object array
+    # stays Python ints). with_key hands the same array on, and every oracle
+    # call checks once that the cells are integers that fit the data register
     memory_ints: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.memory_ints is None:
-            dtype = qsim.label_dtype(self.data_width)
-            weights = np.array([1 << i for i in reversed(range(self.data_width))], dtype=dtype)
-            object.__setattr__(self, "memory_ints", self.view.bits.astype(dtype) @ weights)
+            bits = self.view.bits
+            cells = bits[:, 0].astype(qsim.label_dtype(self.data_width))
+            for c in range(1, self.data_width):
+                cells <<= 1
+                cells |= bits[:, c]
+            object.__setattr__(self, "memory_ints", cells)
 
     @property
     def role(self) -> str:

@@ -228,6 +228,17 @@ class TestEstimate:
                 "--seed", "1"]
         assert run(capsys, argv) == (EXIT_USAGE, "", f"qpdm: error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["estimate", "mine", "compare"])
+    @pytest.mark.parametrize("split", ["0", "1", "2"])
+    def test_one_item_database(self, capsys, tmp_path, command, split):
+        path = tmp_path / "one_item.txt"
+        path.write_text("1\n0\n1\n")
+        flags = ["--c", "0.5"] if command == "mine" else ["--items", "1"]
+        argv = [command, "--db", str(path), "--split", split, "--seed", "1", "--p", "6", *flags]
+        assert run(capsys, argv) == (
+            EXIT_USAGE, "", "qpdm: error: a database of one item cannot be split between two parties\n"
+        )
+
     def test_one_row_database(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("a,b,c\n1,1,0\n")
@@ -416,6 +427,22 @@ class TestCompare:
             assert code == EXIT_USAGE
             assert out == ""
             assert err.startswith("qpdm: error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("exponents, message", [
+        (["--eA", "4", "--eB", "3"], "exponent 4 outside {3, 5, ..., 9}"),
+        (["--eB", "5"], "exponent 5 not coprime to p-1 = 10"),
+    ], ids=["even-eA", "eB-not-coprime"])
+    def test_explicit_exponents_refused_before_the_run(self, capsys, tmp_path, monkeypatch,
+                                                       exponents, message):
+        # with --prime given, a bad explicit exponent is refused before the
+        # file is read, and so before any support is estimated
+        argv = ["compare", "--db", str(tmp_path / "missing.csv"), "--items", "1,2", "--split", "2",
+                "--seed", "1", "--prime", "11", *exponents]
+        expected = (EXIT_USAGE, "", f"qpdm: error: {message}\n")
+        assert run(capsys, argv) == expected
+        monkeypatch.setattr(qpdm.cli, "joint_support", refuse)
+        argv[2] = MARKET_CSV
+        assert run(capsys, argv) == expected
 
     def test_default_prime_within_bound(self):
         assert next_prime(1 << MAX_ADDRESS_WIDTH) <= MAX_CLASSICAL_PRIME

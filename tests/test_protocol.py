@@ -7,7 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from qpdm import qsim
-from qpdm.dataset import TransactionDatabase, vertical_partition
+from qpdm.dataset import PartitionedView, TransactionDatabase, vertical_partition
 from qpdm.protocol import (
     AUX_REGISTERS,
     KEY_FAMILIES,
@@ -220,6 +220,31 @@ class TestBuildQram:
         assert alice.memory_ints.tolist() == [int(r[:2], 2) for r in DB8.rows]
         assert bob.data_width == 2
         assert bob.address_width == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_cells_match_weighted_sum(self, data):
+        # widths up to 70 draw both label tiers: int64 up to INT_LABEL_BITS,
+        # Python ints beyond. The view is a column slice of a wider matrix,
+        # so its rows are not contiguous.
+        width = data.draw(st.integers(1, 70), label="width")
+        n = data.draw(st.integers(0, 4), label="n")
+        before = data.draw(st.integers(0, 3), label="columns before")
+        after = data.draw(st.integers(1, 3), label="columns after")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        wide = rng.integers(0, 2, size=(1 << n, before + width + after), dtype=np.uint8)
+        wide.flags.writeable = False
+        view = PartitionedView("bob", before, wide[:, before : before + width], 1 << n)
+        assert not view.bits.flags.c_contiguous or n == 0
+        cells = build_qram(view, n).memory_ints
+
+        dtype = qsim.label_dtype(width)
+        weights = np.array([1 << i for i in reversed(range(width))], dtype=dtype)
+        assert cells.dtype == dtype
+        assert cells.tolist() == (view.bits.astype(dtype) @ weights).tolist()
+        assert cells.tolist() == [int("".join(map(str, row)), 2) for row in view.bits.tolist()]
+        if dtype == object:
+            assert all(type(cell) is int for cell in cells)
 
     def test_unpadded_rejected(self):
         db = TransactionDatabase(3, ("101",) * 3, 3)
