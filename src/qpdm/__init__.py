@@ -27,7 +27,6 @@ from .classical import (
     BitLog,
     ClassicalKey,
     classical_support,
-    commutative_pow,
     exhaustive_key_attack,
 )
 from .counting import (
@@ -47,7 +46,6 @@ from .dataset import (
     TransactionDatabase,
     exact_confidence,
     exact_support,
-    membership_flag,
     pad_to_power_of_two,
     parse_database,
     vertical_partition,

@@ -84,14 +84,10 @@ class ClassicalKey:
             raise ValueError(f"exponent {self.e} not coprime to p-1 = {self.p - 1}")
 
     def encrypt(self, x: int) -> int:
+        """x^e mod p; commutes with any other key over the same prime."""
         if not 1 <= x <= self.p - 1:
             raise ValueError(f"value {x} outside [1, {self.p - 1}]")
         return pow(x, self.e, self.p)
-
-
-def commutative_pow(x: int, key: ClassicalKey) -> int:
-    """x^e mod p; commutes with any other key over the same prime."""
-    return key.encrypt(x)
 
 
 @dataclass

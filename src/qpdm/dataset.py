@@ -423,17 +423,3 @@ def exact_confidence(db: TransactionDatabase, x: ItemSet, y: ItemSet) -> Fractio
     if supp_x == 0:
         raise ValueError("antecedent has zero support")
     return exact_support(db, frozenset(x) | frozenset(y)) / supp_x
-
-
-def membership_flag(x: str, zpart: ItemSet, offset: int = 0) -> int:
-    """1 iff the bitstring x has a 1 at every position of zpart (shifted by offset).
-
-    An empty zpart is vacuously contained, so the flag is 1 for any x.
-    """
-    for pos in zpart:
-        q = pos - offset
-        if not 1 <= q <= len(x):
-            raise ValueError(f"position {pos} (offset {offset}) outside bitstring of length {len(x)}")
-        if x[q - 1] != "1":
-            return 0
-    return 1

@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .counting import CountingConfig, SupportEstimate, joint_support
+from .counting import CountingConfig, SupportEstimate, confidence_bound, joint_support
 from .dataset import TransactionDatabase, exact_support
 from .protocol import PartyState, Transcript, transcript_total
 
@@ -215,9 +215,8 @@ def generate_rules(
                     continue
                 if supp_x <= 0:
                     continue
-                confidence = supp_z / supp_x
+                confidence, conf_err = confidence_bound(supp_z, err_z, supp_x, err_x)
                 if confidence > c:
-                    conf_err = err_z / supp_x + err_x * supp_z / (supp_x * supp_x)
                     rules.append(
                         AssociationRule(
                             antecedent=x,

@@ -82,6 +82,11 @@ REGISTER_ORDER = (
 AUX_REGISTERS = REGISTER_ORDER[2:]
 
 
+def _key_space(family: str, n: int) -> int:
+    """Number of keys of a family at width n: the parameter lies in [0, this)."""
+    return n if family == "cyclic" else 1 << n
+
+
 @dataclass(frozen=True)
 class EncryptionKey:
     """A secret bijection u on the n-bit address space.
@@ -105,13 +110,12 @@ class EncryptionKey:
         return ((j << r) | (j >> (self.n - r))) & mask if r else j
 
     def invert(self, j: int) -> int:
-        if self.family == "bitflip":
-            return j ^ self.parameter
-        if self.family == "modadd":
-            return (j - self.parameter) & ((1 << self.n) - 1)
-        r = self.parameter % self.n
-        mask = (1 << self.n) - 1
-        return ((j >> r) | (j << (self.n - r))) & mask if r else j
+        """u^-1(j): the same family applied under the inverse parameter, lam
+        for bitflip (its own inverse) and -parameter modulo the key space
+        for modadd and cyclic."""
+        size = _key_space(self.family, self.n)
+        inverse = self.parameter if self.family == "bitflip" else -self.parameter % size
+        return EncryptionKey(self.family, inverse, self.n).apply(j)
 
 
 def make_key(family: str, parameter: int, n: int) -> EncryptionKey:
@@ -119,7 +123,7 @@ def make_key(family: str, parameter: int, n: int) -> EncryptionKey:
         raise ValueError(f"unknown key family {family!r}")
     if n < 1:
         raise ValueError("address width must be at least 1")
-    bound = n if family == "cyclic" else 1 << n
+    bound = _key_space(family, n)
     if not 0 <= parameter < bound:
         raise ValueError(f"{family} parameter {parameter} outside [0, {bound})")
     return EncryptionKey(family, parameter, n)
@@ -127,14 +131,12 @@ def make_key(family: str, parameter: int, n: int) -> EncryptionKey:
 
 def sample_key(family: str, n: int, rng: np.random.Generator) -> EncryptionKey:
     """Draw a key parameter uniformly from its family's range."""
-    bound = n if family == "cyclic" else 1 << n
-    return make_key(family, int(rng.integers(0, bound)), n)
+    return make_key(family, int(rng.integers(0, _key_space(family, n))), n)
 
 
 def all_keys(family: str, n: int) -> list[EncryptionKey]:
     """Every key of one family at width n (enumerable at desk scale)."""
-    bound = n if family == "cyclic" else 1 << n
-    return [make_key(family, par, n) for par in range(bound)]
+    return [make_key(family, par, n) for par in range(_key_space(family, n))]
 
 
 @dataclass(frozen=True)
@@ -193,14 +195,6 @@ class TransferEvent:
     direction: str  # "alice_to_bob" | "bob_to_alice"
     qubits: int
     step: str  # step1 | step3 | step6 | step7
-
-    def __post_init__(self):
-        if self.direction not in ("alice_to_bob", "bob_to_alice"):
-            raise ValueError(f"bad direction {self.direction!r}")
-        if self.qubits < 1:
-            raise ValueError("transfers carry at least one qubit")
-        if self.step not in ("step1", "step3", "step6", "step7"):
-            raise ValueError(f"bad step tag {self.step!r}")
 
 
 @dataclass

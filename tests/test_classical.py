@@ -8,7 +8,6 @@ from qpdm.classical import (
     BitLog,
     ClassicalKey,
     classical_support,
-    commutative_pow,
     exhaustive_key_attack,
     index_set,
     is_prime,
@@ -26,8 +25,8 @@ def key_space_reference(p):
 class TestKey:
     def test_known_values(self):
         key_a = ClassicalKey(11, 9)
-        assert commutative_pow(2, key_a) == 6
-        assert commutative_pow(8, key_a) == 7
+        assert key_a.encrypt(2) == 6
+        assert key_a.encrypt(8) == 7
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -41,9 +40,9 @@ class TestKey:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            commutative_pow(0, ClassicalKey(11, 3))
+            ClassicalKey(11, 3).encrypt(0)
         with pytest.raises(ValueError):
-            commutative_pow(11, ClassicalKey(11, 3))
+            ClassicalKey(11, 3).encrypt(11)
 
     def test_commutativity(self):
         rng = np.random.default_rng(0)

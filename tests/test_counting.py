@@ -310,6 +310,24 @@ class TestQuantumCount:
 
 
 class TestJointSupport:
+    def test_different_address_spaces_refused(self):
+        # alice over 2^2 rows, bob over 2^3: refused before any oracle call
+        alice, _ = parties(FOUR_ROWS, 2)
+        _, bob = parties(TransactionDatabase(3, FOUR_ROWS.rows * 2, 8), 2)
+        config = CountingConfig(p=4, s=0.4)
+        z = frozenset({1, 3})
+        refusal = "parties are built over different address spaces"
+        transcript = Transcript()
+        with pytest.raises(ValueError, match=refusal):
+            joint_support(alice, bob, z, config, np.random.default_rng(0), transcript)
+        for initiator, a, b in (
+            ("alice", alice, bob.with_key(make_key("bitflip", 0, 3))),
+            ("bob", alice.with_key(make_key("bitflip", 0, 2)), bob),
+        ):
+            with pytest.raises(ValueError, match=refusal):
+                quantum_count(initiator, a, b, z, config, np.random.default_rng(0), transcript)
+        assert transcript.records == []
+
     def test_agreement_rule_accepts(self, monkeypatch):
         values = iter([0.250, 0.252])
         monkeypatch.setattr(
@@ -429,5 +447,11 @@ class TestConfidence:
         )
         assert est.error_bound > 0
         assert est.error_bound_sum > 0
+        num, den = est.numerator, est.antecedent
+        assert est.value == num.value / den.value
+        assert est.error_bound == (
+            num.error_bound / den.value + den.error_bound * num.value / (den.value * den.value)
+        )
+        assert est.error_bound_sum == num.error_bound + den.error_bound
         assert isinstance(est.numerator, SupportEstimate)
         assert isinstance(est.antecedent, SupportEstimate)

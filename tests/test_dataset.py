@@ -16,7 +16,6 @@ from qpdm.dataset import (
     TransactionDatabase,
     exact_confidence,
     exact_support,
-    membership_flag,
     pad_to_power_of_two,
     parse_database,
     vertical_partition,
@@ -319,38 +318,6 @@ class TestConfidence:
         db = TransactionDatabase(2, ("01", "01"), 2)
         with pytest.raises(ValueError):
             exact_confidence(db, frozenset({1}), frozenset({2}))
-
-
-class TestMembershipFlag:
-    def test_all_named_bits_set(self):
-        assert membership_flag("1011", frozenset({1, 3, 4})) == 1
-
-    def test_missing_bit(self):
-        assert membership_flag("1011", frozenset({1, 2})) == 0
-
-    def test_vacuous_empty_part(self):
-        assert membership_flag("0000", frozenset()) == 1
-        assert membership_flag("1", frozenset()) == 1
-
-    def test_offset_positions(self):
-        # bob-side view of "01" under split l=2: item 4 is position 2 of the view
-        assert membership_flag("01", frozenset({4}), offset=2) == 1
-        assert membership_flag("01", frozenset({3}), offset=2) == 0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            membership_flag("10", frozenset({3}))
-
-    def test_matches_all_ones_test(self):
-        # containment of zpart == restriction of x to zpart is the all-ones string
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            x = "".join(rng.choice(["0", "1"], size=6))
-            size = int(rng.integers(1, 6))
-            zpart = frozenset(int(i) for i in rng.choice(range(1, 7), size=size, replace=False))
-            restricted = "".join(x[i - 1] for i in sorted(zpart))
-            expected = int(int(restricted, 2) == (1 << len(zpart)) - 1)
-            assert membership_flag(x, zpart) == expected
 
 
 class TestRowStore:

@@ -7,6 +7,7 @@ import pytest
 from qpdm.counting import CountingConfig, SupportEstimate
 from qpdm.dataset import TransactionDatabase, pad_to_power_of_two, vertical_partition
 from qpdm.miner import (
+    FrequentItemset,
     MiningReport,
     apriori_frequent,
     exact_estimator,
@@ -106,6 +107,28 @@ class TestGenerateRules:
         report = exact_mine(db, 0.3, 0.1)
         assert {rec.items for rec in report.frequent} == {(1,), (2,)}
         assert report.rules == []
+
+    def test_confidence_and_its_error_bound(self):
+        # conf = supp(X u Y) / supp(X),
+        # bound = err(X u Y) / supp(X) + err(X) * supp(X u Y) / supp(X)^2,
+        # with supp(X) and err(X) from the frequent itemsets or the estimator
+        singles = {(1,): (0.5, 0.03), (2,): (0.4, 0.02)}
+        pair = FrequentItemset((1, 2), 0.3, 0.01, 2, False)
+
+        def estimator(z):
+            value, err = singles[tuple(sorted(z))]
+            return SupportEstimate(value, err, 1, value, value, True)
+
+        listed = [FrequentItemset(x, v, e, 1, False) for x, (v, e) in singles.items()]
+        for frequent, est in (([*listed, pair], None), ([pair], estimator)):
+            rules = {(r.antecedent, r.consequent): r for r in generate_rules(frequent, 0.5, est)}
+            assert set(rules) == {((1,), (2,)), ((2,), (1,))}
+            for x, y in rules:
+                supp_x, err_x = singles[x]
+                rule = rules[(x, y)]
+                assert (rule.support, rule.support_error) == (0.3, 0.01)
+                assert rule.confidence == 0.3 / supp_x
+                assert rule.confidence_error == 0.01 / supp_x + err_x * 0.3 / (supp_x * supp_x)
 
     def test_empty_frequent_rejected(self):
         with pytest.raises(ValueError):

@@ -172,6 +172,17 @@ class TestKeys:
                     assert key.invert(key.apply(int(j))) == int(j)
                     assert key.apply(key.invert(int(j))) == int(j)
 
+    def test_inverse_on_label_arrays(self):
+        # run_oracle_u inverts whole arrays of the label dtype: int64 or object
+        for n in range(1, 6):
+            for dtype in (np.int64, object):
+                a = np.arange(1 << n).astype(dtype)
+                for family in KEY_FAMILIES:
+                    for key in all_keys(family, n):
+                        back = key.invert(key.apply(a))
+                        assert back.dtype == a.dtype
+                        assert np.array_equal(back, a), key
+
     def test_out_of_range_parameter(self):
         with pytest.raises(ValueError):
             make_key("bitflip", 8, 3)
