@@ -27,6 +27,7 @@ from .classical import (
     classical_support,
     exhaustive_key_attack,
     index_set,
+    is_prime,
     next_prime,
     valid_exponents,
 )
@@ -256,6 +257,8 @@ def cmd_compare(args) -> int:
     if args.prime is not None:
         if args.prime > MAX_CLASSICAL_PRIME:
             raise ValueError(f"--prime must not exceed {MAX_CLASSICAL_PRIME}")
+        if not is_prime(args.prime):
+            raise ValueError(f"{args.prime} is not prime")
         # explicit exponents are refused before the quantum run; the default
         # prime needs the row count, so its exponents wait for the file
         for e in (args.eA, args.eB):
@@ -264,16 +267,18 @@ def cmd_compare(args) -> int:
     items = _parse_items(args.items)
     db, padded = _load_db(args.db)
     alice, bob = _build_parties(padded, args.split, items)
-    rng = np.random.default_rng(seed)
-    transcript = Transcript()
-    est = joint_support(alice, bob, items, counting, rng, transcript)
-    total_qubits, per_call = transcript_total(transcript)
-
+    # the prime is checked before the quantum run, its keys drawn after it
     prime = args.prime if args.prime is not None else next_prime(max(db.original_count, 4))
+    if db.original_count >= prime:
+        raise ValueError("prime must exceed N")
     if args.eA is None or args.eB is None:
         exponents = valid_exponents(prime)
         if exponents.size == 0:
             raise ValueError(f"prime {prime} admits no valid exponents")
+    rng = np.random.default_rng(seed)
+    transcript = Transcript()
+    est = joint_support(alice, bob, items, counting, rng, transcript)
+    total_qubits, per_call = transcript_total(transcript)
     e_a = args.eA if args.eA is not None else int(rng.choice(exponents))
     e_b = args.eB if args.eB is not None else int(rng.choice(exponents))
     key_a, key_b = ClassicalKey(prime, e_a), ClassicalKey(prime, e_b)

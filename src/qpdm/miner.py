@@ -8,7 +8,9 @@ quantum joint estimator gives the two-party protocol run. Because the
 quantum estimator is noisy, the frequency test keeps anything above
 s - agreement_band*s and marks itemsets within the band as borderline;
 itemsets whose estimate never reached agreement are recorded as
-undetermined and excluded from candidate joins.
+undetermined and excluded from candidate joins. A candidate is formed only
+when all its subsets were kept, so every subset of a kept itemset is kept
+too, and rules read each antecedent's support from the kept itemsets.
 """
 from __future__ import annotations
 
@@ -131,8 +133,6 @@ def _join_level(level_sets: set[frozenset], size: int) -> list[frozenset]:
             if a[: size - 2] != b[: size - 2]:
                 break
             cand = frozenset(a) | frozenset(b)
-            if len(cand) != size:
-                continue
             if all(
                 frozenset(sub) in level_sets
                 for sub in itertools.combinations(sorted(cand), size - 1)
@@ -178,21 +178,15 @@ def apriori_frequent(
     return AprioriResult(levels, undetermined)
 
 
-def generate_rules(
-    frequent: Iterable[FrequentItemset],
-    c: float,
-    estimator: Estimator | None = None,
-) -> list[AssociationRule]:
+def generate_rules(frequent: Iterable[FrequentItemset], c: float) -> list[AssociationRule]:
     """All rules X => Y over partitions of frequent itemsets with
     confidence above c, sorted by (size, antecedent, consequent).
 
-    Antecedent supports come from the frequent itemsets; with a noisy estimator
-    an antecedent can be missing despite monotonicity, in which case the
-    injected estimator is consulted (or the partition skipped without one).
+    Antecedent supports come from the frequent itemsets only. Both miners
+    list every subset of a listed itemset, so an antecedent can be missing
+    only from a hand-built list, and its partitions are then skipped.
     """
     known = {frozenset(rec.items): rec for rec in frequent}
-    if not known:
-        raise ValueError("no frequent itemsets to generate rules from")
     rules = []
     for z in sorted(known, key=lambda z: (len(z), tuple(sorted(z)))):
         if len(z) < 2:
@@ -203,17 +197,10 @@ def generate_rules(
         for size in range(1, len(items)):
             for x in itertools.combinations(items, size):
                 xf = frozenset(x)
-                if xf in known:
-                    supp_x = known[xf].estimate
-                    err_x = known[xf].error_bound
-                elif estimator is not None:
-                    est = estimator(xf)
-                    if not est.accepted:
-                        continue
-                    supp_x, err_x = est.value, est.error_bound
-                else:
+                if xf not in known:
                     continue
-                if supp_x <= 0:
+                supp_x, err_x = known[xf].estimate, known[xf].error_bound
+                if supp_x <= 0:  # an estimate of 0 is kept when the band exceeds 1
                     continue
                 confidence, conf_err = confidence_bound(supp_z, err_z, supp_x, err_x)
                 if confidence > c:
@@ -244,8 +231,7 @@ def exact_mine(db: TransactionDatabase, s: float, c: float) -> MiningReport:
             supp = exact_support(db, frozenset(combo))
             if supp > s:
                 frequent.append(FrequentItemset(combo, supp, 0.0, 0, False))
-    rules = generate_rules(frequent, c) if frequent else []
-    return MiningReport(frequent=frequent, rules=rules)
+    return MiningReport(frequent=frequent, rules=generate_rules(frequent, c))
 
 
 def _report_diff(report: MiningReport, truth: MiningReport) -> dict:
@@ -276,10 +262,9 @@ def run_mining(
     truth = exact_mine(exact_db, config.s, c) if exact_db is not None else None
     result = apriori_frequent(alice, bob, config, estimator)
     flat = [rec for level in result.levels for rec in level]
-    rules = generate_rules(flat, c, estimator) if flat else []
     report = MiningReport(
         frequent=flat,
-        rules=rules,
+        rules=generate_rules(flat, c),
         undetermined=result.undetermined,
         total_qubits=transcript_total(transcript)[0] if transcript is not None else 0,
     )

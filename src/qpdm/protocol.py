@@ -20,9 +20,10 @@ exit that all auxiliary registers disentangled back to zero.
 A call runs as a plan over the state's bare label and amplitude arrays,
 and builds a SparseState only at exit, or after each step when a record
 is asked for. Its inputs are checked once per call: Z, the roles, the key
-and the QRAM sizes, and the auxiliary registers at entry; then each
-party's cells (integers that fit its data register), its membership
-selector and its flag position, and the phase qubits, each with the check
+and the QRAM sizes, and the auxiliary registers at entry; then that each
+party's data register is exactly as wide as its view (its cells, checked
+once when the party was built, are not passed over), its membership
+selector and flag position, and the phase qubits, each with the check
 code the qsim primitives use. The address register does not change
 between steps 1 and 7, so u(j) and each party's cells gathered at u(j)
 and shifted into its data register are computed once, in step 1 and when
@@ -33,9 +34,9 @@ bijection checks of a register permutation. The gate-level reference the
 plan is tested against, one qsim primitive per query, mark, phase and
 permutation, lives in the tests.
 
-A party's QRAM holds one integer cell per row of its view, computed once
-from the view's column slice of the database's bit matrix, leftmost column
-most significant; the queries take these integer cells only.
+A party's QRAM holds one read-only integer cell per row of its view,
+computed once from the view's column slice of the database's bit matrix,
+leftmost column most significant, and checked then to fit the view's width.
 
 Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
 n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
@@ -53,7 +54,7 @@ secret key.
 """
 from __future__ import annotations
 
-import dataclasses
+import copy
 import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -151,21 +152,21 @@ class PartyState:
 
     view: PartitionedView
     key: EncryptionKey | None = None
-    # the QRAM cells as one integer array, computed once from the view's bit
-    # matrix: the first column cast to the label dtype, then for each further
-    # column a shift left by one and an OR of the column (an object array
-    # stays Python ints). with_key hands the same array on, and every oracle
-    # call checks once that the cells are integers that fit the data register
-    memory_ints: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # the QRAM cells as one read-only integer array, built only from the
+    # view's bit matrix: the first column cast to the label dtype, then for
+    # each further column a shift left by one and an OR of the column (an
+    # object array stays Python ints), checked once to fit the view's width
+    memory_ints: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.memory_ints is None:
-            bits = self.view.bits
-            cells = bits[:, 0].astype(qsim.label_dtype(self.data_width))
-            for c in range(1, self.data_width):
-                cells <<= 1
-                cells |= bits[:, c]
-            object.__setattr__(self, "memory_ints", cells)
+        bits = self.view.bits
+        cells = bits[:, 0].astype(qsim.label_dtype(self.data_width))
+        for c in range(1, self.data_width):
+            cells <<= 1
+            cells |= bits[:, c]
+        qsim.memory_cells(cells, len(bits), self.data_width, cells.dtype)
+        cells.flags.writeable = False
+        object.__setattr__(self, "memory_ints", cells)
 
     @property
     def role(self) -> str:
@@ -180,7 +181,9 @@ class PartyState:
         return self.view.width
 
     def with_key(self, key: EncryptionKey | None) -> "PartyState":
-        return dataclasses.replace(self, key=key)
+        keyed = copy.copy(self)  # shares the cells, where replace() would rebuild them
+        object.__setattr__(keyed, "key", key)
+        return keyed
 
 
 def build_qram(view: PartitionedView, n: int) -> PartyState:
@@ -286,7 +289,7 @@ def _party_registers(party: PartyState) -> tuple[str, str]:
 
 
 class _PartyPlan(NamedTuple):
-    """One party's part of an oracle call: its checked cells gathered at the
+    """One party's part of an oracle call: its cells gathered at the
     encrypted addresses u(j) and shifted into its data register, its
     membership selector and its flag qubit."""
 
@@ -297,13 +300,14 @@ class _PartyPlan(NamedTuple):
     @classmethod
     def build(cls, party: PartyState, z: frozenset, layout, index: np.ndarray, dtype):
         data, flag_register = _party_registers(party)
-        count = 1 << layout.width("address")
-        cells = qsim.memory_cells(party.memory_ints, count, layout.width(data), dtype)
+        width = layout.width(data)
+        if width != party.data_width:  # the width its cells were checked to fit
+            raise ValueError(f"{data} register has {width} qubits, its view {party.data_width} items")
         flag = layout.qubit(flag_register)
         items, offset = party.view.item_part(z)
         sel = qsim.membership_selector(layout, data, flag, items, offset)
         d_off = layout.offset(data)
-        load = cells[index]
+        load = party.memory_ints[index].astype(dtype, copy=False)
         load <<= d_off
         return cls(load, sel << d_off, flag)
 

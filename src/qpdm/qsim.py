@@ -307,7 +307,9 @@ def memory_cells(memory: Sequence[int], count: int, width: int, dtype: np.dtype)
     if cells.dtype.kind not in "iuO":
         raise ValueError(f"memory cells must be integers, got dtype {cells.dtype}")
     cells = cells.astype(dtype, copy=False)
-    if (cells >> width).any():  # some cell is negative or wider than the register
+    # the OR of all cells has a bit at or above `width` exactly when some cell
+    # is negative or wider than the register; one reduction, no temporary
+    if np.bitwise_or.reduce(cells) >> width:
         raise ValueError(f"memory cells do not all fit {width} bits")
     return cells
 

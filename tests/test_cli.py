@@ -10,6 +10,7 @@ import qpdm.miner
 from qpdm.classical import MAX_CLASSICAL_PRIME, next_prime
 from qpdm.cli import EXIT_FILE, EXIT_NOT_ACCEPTED, EXIT_OK, EXIT_USAGE, main
 from qpdm.dataset import MAX_ADDRESS_WIDTH
+from qpdm.protocol import Transcript
 
 FOUR_ROW_CSV = "I1,I2,I3\n1,1,0\n1,0,0\n0,1,1\n1,1,1\n"
 GOLDEN = Path(__file__).resolve().parent / "data"
@@ -331,6 +332,27 @@ class TestMine:
             EXIT_USAGE, "", "qpdm: error: exact enumeration refused beyond 20 items\n"
         )
 
+    def test_transcript_dump(self, capsys, monkeypatch):
+        # four transfers per oracle call, whose qubits add up to the total
+        transcripts = []
+
+        def transcript():
+            transcripts.append(Transcript())
+            return transcripts[-1]
+
+        monkeypatch.setattr(qpdm.cli, "Transcript", transcript)
+        code, out, _ = run(capsys, ["mine", "--db", MARKET_CSV, "--split", "2", "--s", "0.3",
+                                    "--c", "0.6", "--p", "8", "--seed", "11", "--transcript-dump"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        (log,) = transcripts
+        assert log.oracle_calls > 0
+        dump = report["transcript"]
+        assert len(dump) == 4 * log.oracle_calls
+        assert sum(event["qubits"] for event in dump) == report["communication"]["total_qubits"]
+        n = 4  # 16 rows
+        assert [event["qubits"] for event in dump[:4]] == [n, n + 1, n + 1, n]
+
     def test_s_validation(self, capsys, db_path):
         code, _, err = run(
             capsys, ["mine", "--db", db_path, "--split", "2", "--s", "1.1", "--c", "0.5"]
@@ -443,6 +465,20 @@ class TestCompare:
         monkeypatch.setattr(qpdm.cli, "joint_support", refuse)
         argv[2] = MARKET_CSV
         assert run(capsys, argv) == expected
+
+    @pytest.mark.parametrize("prime, csv, message", [
+        ("4", None, "4 is not prime"),
+        ("5", None, "prime must exceed N"),
+        ("3", "I1,I2\n1,1\n0,1\n", "prime 3 admits no valid exponents"),
+    ], ids=["non-prime", "prime-below-rows", "no-exponents"])
+    def test_bad_prime_refused_before_the_run(self, capsys, tmp_path, monkeypatch, prime, csv, message):
+        db = MARKET_CSV
+        if csv is not None:
+            db = str(tmp_path / "db.csv")
+            Path(db).write_text(csv)
+        monkeypatch.setattr(qpdm.cli, "joint_support", refuse)
+        argv = ["compare", "--db", db, "--items", "1,2", "--split", "1", "--seed", "1", "--prime", prime]
+        assert run(capsys, argv) == (EXIT_USAGE, "", f"qpdm: error: {message}\n")
 
     def test_default_prime_within_bound(self):
         assert next_prime(1 << MAX_ADDRESS_WIDTH) <= MAX_CLASSICAL_PRIME
@@ -562,10 +598,18 @@ class TestErrorLines:
                          "--seed must be a non-negative integer, got -3", id="seed"),
             pytest.param(estimate(seed=None), "-1", EXIT_USAGE,
                          "QPDM_SEED must be a non-negative integer, got '-1'", id="env-seed"),
+            pytest.param(estimate(seed=None), "abc", EXIT_USAGE,
+                         "QPDM_SEED='abc' is not an integer", id="env-seed-syntax"),
             pytest.param([*COMPARE, "--prime", str(MAX_CLASSICAL_PRIME + 1), "--eA", "3", "--eB", "5"],
                          None, EXIT_USAGE, "--prime must not exceed 4194304", id="prime"),
             pytest.param([*COMPARE, "--prime", "11", "--eA", "4", "--eB", "3"], None, EXIT_USAGE,
                          "exponent 4 outside {3, 5, ..., 9}", id="even-eA"),
+            pytest.param([*COMPARE, "--prime", "4"], None, EXIT_USAGE, "4 is not prime",
+                         id="non-prime"),
+            pytest.param([*COMPARE, "--prime", "5"], None, EXIT_USAGE, "prime must exceed N",
+                         id="prime-below-rows"),
+            pytest.param(estimate(items="0,2"), None, EXIT_USAGE,
+                         "item indices are 1-based", id="item-zero"),
             pytest.param(estimate(items="1,9"), None, EXIT_USAGE,
                          "item index outside 1..5", id="item-range"),
             pytest.param(estimate("--split", "0"), None, EXIT_USAGE,

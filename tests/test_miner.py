@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpdm.counting import CountingConfig, SupportEstimate
 from qpdm.dataset import TransactionDatabase, pad_to_power_of_two, vertical_partition
@@ -87,6 +89,30 @@ class TestAprioriExact:
         assert all(2 not in z for z in mined)  # nothing joined through {2}
         assert frozenset({1, 3}) in mined
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_subset_of_a_kept_itemset_is_kept(self, data):
+        # generate_rules reads each antecedent from the kept itemsets, so
+        # Apriori must keep every subset of what it keeps whatever the
+        # estimates: random values, random acceptance, bands up to 2
+        k = data.draw(st.integers(2, 7), label="k")
+        split = data.draw(st.integers(1, k - 1), label="split")
+        s = data.draw(st.floats(0.01, 0.99), label="s")
+        band = data.draw(st.floats(0.01, 2.0), label="band")
+        acceptance = data.draw(st.floats(0.0, 1.0), label="acceptance")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        def noisy(z):
+            value = float(rng.random())
+            return SupportEstimate(value, 0.01, 1, value, value, bool(rng.random() < acceptance))
+
+        alice, bob = parties(TransactionDatabase(k, ("0" * k,) * 2, 2), split)
+        result = apriori_frequent(alice, bob, config_for(s, band=band), noisy)
+        kept = {rec.items for level in result.levels for rec in level}
+        for items in kept:
+            for size in range(1, len(items)):
+                assert set(itertools.combinations(items, size)) <= kept, items
+
 
 class TestGenerateRules:
     def test_four_row_example(self):
@@ -111,28 +137,30 @@ class TestGenerateRules:
     def test_confidence_and_its_error_bound(self):
         # conf = supp(X u Y) / supp(X),
         # bound = err(X u Y) / supp(X) + err(X) * supp(X u Y) / supp(X)^2,
-        # with supp(X) and err(X) from the frequent itemsets or the estimator
+        # with supp(X) and err(X) from the frequent itemsets
         singles = {(1,): (0.5, 0.03), (2,): (0.4, 0.02)}
         pair = FrequentItemset((1, 2), 0.3, 0.01, 2, False)
-
-        def estimator(z):
-            value, err = singles[tuple(sorted(z))]
-            return SupportEstimate(value, err, 1, value, value, True)
-
         listed = [FrequentItemset(x, v, e, 1, False) for x, (v, e) in singles.items()]
-        for frequent, est in (([*listed, pair], None), ([pair], estimator)):
-            rules = {(r.antecedent, r.consequent): r for r in generate_rules(frequent, 0.5, est)}
-            assert set(rules) == {((1,), (2,)), ((2,), (1,))}
-            for x, y in rules:
-                supp_x, err_x = singles[x]
-                rule = rules[(x, y)]
-                assert (rule.support, rule.support_error) == (0.3, 0.01)
-                assert rule.confidence == 0.3 / supp_x
-                assert rule.confidence_error == 0.01 / supp_x + err_x * 0.3 / (supp_x * supp_x)
+        rules = {(r.antecedent, r.consequent): r for r in generate_rules([*listed, pair], 0.5)}
+        assert set(rules) == {((1,), (2,)), ((2,), (1,))}
+        for x, y in rules:
+            supp_x, err_x = singles[x]
+            rule = rules[(x, y)]
+            assert (rule.support, rule.support_error) == (0.3, 0.01)
+            assert rule.confidence == 0.3 / supp_x
+            assert rule.confidence_error == 0.01 / supp_x + err_x * 0.3 / (supp_x * supp_x)
 
-    def test_empty_frequent_rejected(self):
-        with pytest.raises(ValueError):
-            generate_rules([], 0.5)
+    def test_missing_antecedent_skipped(self):
+        # only a hand-built list can leave an antecedent out: its partitions
+        # are skipped, and nothing is counted in its place
+        pair = FrequentItemset((1, 2), 0.3, 0.01, 2, False)
+        single = FrequentItemset((1,), 0.5, 0.03, 1, False)
+        rules = generate_rules([single, pair], 0.5)
+        assert [(r.antecedent, r.consequent) for r in rules] == [((1,), (2,))]
+        assert generate_rules([pair], 0.5) == []
+
+    def test_empty_frequent_gives_no_rules(self):
+        assert generate_rules([], 0.5) == []
 
     def test_sorted_deterministically(self):
         db = TransactionDatabase(3, ("111",) * 4, 4)

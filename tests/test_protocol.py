@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -257,6 +256,23 @@ class TestBuildQram:
         if dtype == object:
             assert all(type(cell) is int for cell in cells)
 
+    def test_cells_that_do_not_fit_refused(self):
+        # a hand-built view whose bits are not all 0/1: the cells are checked
+        # once, when the party is built
+        view = PartitionedView("alice", 2, np.array([[2, 0]], dtype=np.int64), 1)
+        with pytest.raises(ValueError, match="memory cells do not all fit 2 bits"):
+            build_qram(view, 0)
+
+    def test_cells_read_only_and_shared_by_with_key(self):
+        _, bob = make_parties(DB8, 2)
+        with pytest.raises(ValueError):
+            bob.memory_ints[0] = 3
+        keyed = bob.with_key(make_key("bitflip", 5, 3))
+        assert keyed.key == make_key("bitflip", 5, 3) and bob.key is None
+        assert keyed.memory_ints is bob.memory_ints
+        assert keyed.view is bob.view
+        assert keyed.with_key(None).memory_ints is bob.memory_ints
+
     def test_unpadded_rejected(self):
         db = TransactionDatabase(3, ("101",) * 3, 3)
         view, _ = vertical_partition(db, 1)
@@ -400,6 +416,40 @@ class TestOracle:
         with pytest.raises(ValueError):
             run_oracle_u(st, alice, bob, frozenset({1}), Transcript())
 
+    def test_data_register_wider_than_view_refused(self):
+        # Bob's view is 2 items wide; on a layout built for 5 items his data
+        # register has 3 qubits. His cells fit it, but reading z = {3} at
+        # the wrong offset would leave all eight signs +1 where the
+        # reference marks five rows
+        alice, bob = make_parties(DB8, 2, make_key("bitflip", 0, 3))
+        z = frozenset({3})
+        assert (reference_phase_oracle(DB8, z, lambda j: j) == -1).sum() == 5
+        layout = oracle_layout(3, 2, 5)
+        st = qsim.apply_w(qsim.prepare_basis(layout), "address")
+        transcript = Transcript()
+        with pytest.raises(ValueError, match="bob_data register has 3 qubits"):
+            run_oracle_u(st, alice, bob, z, transcript)
+        assert transcript.records == []
+
+    def test_no_pass_over_the_cells(self, monkeypatch):
+        # the cells were checked when each party was built; a call gathers
+        # them at u(j) and checks nothing else about them
+        key = make_key("modadd", 3, 3)
+        z = frozenset({2, 3})
+        alice, bob = make_parties(DB8, 2, key)
+        layout = oracle_layout(3, 2, 4)
+        st = random_address_state(layout, np.random.default_rng(10))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle call passed over the cells")
+
+        monkeypatch.setattr(qsim, "memory_cells", refuse)
+        out = run_oracle_u(st, alice, bob, z, Transcript())
+        signs = reference_phase_oracle(DB8, z, key.apply)
+        off = layout.offset("address")
+        expected = qsim.SparseState(layout, {l: a * signs[l >> off] for l, a in st.amps.items()})
+        assert qsim.max_deviation(out, expected) <= 1e-12
+
     def test_transcript_shape(self):
         key = make_key("bitflip", 6, 3)
         _, _, transcript = self.run(DB8, 2, frozenset({2, 4}), key)
@@ -483,15 +533,7 @@ class TestOracle:
         assert len(transcript.events) == 4
 
 
-ORACLE_FAULTS = (
-    "dirty_aux",
-    "empty_z",
-    "z_out_of_range",
-    "missing_key",
-    "negative_cell",
-    "wide_cell",
-    "float_cells",
-)
+ORACLE_FAULTS = ("dirty_aux", "empty_z", "z_out_of_range", "missing_key")
 
 
 def outcome(call):
@@ -547,27 +589,6 @@ class TestOraclePlanAgainstGates:
             z = z | {0 if rng.random() < 0.5 else k + 1}
         elif fault == "missing_key":
             resp = resp.with_key(None)
-        elif fault is not None:
-            # explicit QRAM cells, bad in one cell of the responder, the
-            # initiator, or both (then a different fault in the initiator's,
-            # which the responder's query must report first)
-            def spoil(party, fault):
-                cells = party.memory_ints.copy()
-                cell = int(rng.integers(len(cells)))
-                if fault == "negative_cell":
-                    cells[cell] = -1
-                elif fault == "wide_cell":
-                    cells[cell] = 1 << party.data_width
-                else:
-                    cells = cells.astype(float)
-                return dataclasses.replace(party, memory_ints=cells)
-
-            spoiled = data.draw(st.sampled_from(["initiator", "responder", "both"]), label="spoiled")
-            if spoiled != "initiator":
-                resp = spoil(resp, fault)
-            if spoiled != "responder":
-                init = spoil(init, fault if spoiled == "initiator" else
-                             "float_cells" if fault != "float_cells" else "negative_cell")
         state = qsim.SparseState(layout, dict(zip(labels, vec.tolist())))
 
         runs = []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpdm.qsim import (
     RegisterLayout,
@@ -14,8 +16,10 @@ from qpdm.qsim import (
     apply_u0,
     apply_w,
     inverse_qft,
+    label_dtype,
     max_deviation,
     measure_register,
+    memory_cells,
     prepare_basis,
     qram_query,
 )
@@ -197,6 +201,24 @@ class TestQramQuery:
         # cells are integers only: bit strings are refused, not parsed
         with pytest.raises(ValueError):
             qram_query(st, "addr", "data", ["01", "10"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cells_refused_exactly_when_one_does_not_fit(self, data):
+        # widths up to 70 draw both label tiers; a cell fits when c >> width
+        # is 0, so negative cells never fit
+        width = data.draw(st.integers(1, 70), label="width")
+        top = 1 << min(width + 2, 62 if label_dtype(width) != object else 72)
+        cells = data.draw(st.lists(st.integers(-3, top), min_size=1, max_size=6), label="cells")
+        memory = np.array(cells, dtype=label_dtype(width))
+        fits = all(c >> width == 0 for c in cells)
+        if fits:
+            assert memory_cells(memory, len(cells), width, memory.dtype) is memory
+        else:
+            with pytest.raises(ValueError, match=f"memory cells do not all fit {width} bits"):
+                memory_cells(memory, len(cells), width, memory.dtype)
+        with pytest.raises(ValueError, match="memory cells must be integers"):
+            memory_cells(memory.astype(float), len(cells), width, memory.dtype)
 
     def test_all_zero_memory_is_identity(self):
         rng = np.random.default_rng(3)
