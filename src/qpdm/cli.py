@@ -157,12 +157,14 @@ def _counting_config(args) -> CountingConfig:
 def _load_db(path: str):
     """The database in the file and its padded copy."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if not data.isascii():
+            data.decode("utf-8")  # only checked: the parser reads the bytes
     except (OSError, UnicodeDecodeError) as exc:
         raise FileError(f"cannot read {path}: {exc}")
     try:
-        db = parse_database(text)
+        db = parse_database(data)
         # refuses more rows than MAX_ADDRESS_WIDTH admits, before allocating
         return db, pad_to_power_of_two(db)
     except ValueError as exc:

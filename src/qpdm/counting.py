@@ -26,8 +26,13 @@ labels j << offset with amplitude 2^(-n/2): every query, mark and erasure
 runs, and since the oracle only negates amplitudes, the output is checked
 exactly to keep every label in place with amplitude +-2^(-n/2).
 
-Every count logs the transcript of the circuit it stands for as one
-record of its P-1 logical oracle calls, and consumes one uniform draw.
+The distribution is computed once per (M, n, P) and held, read-only with
+its cumulative sum, until a count needs another: all 2R counts of an
+R-round joint_support share one marked count, since u is a bijection, and
+so share one distribution. At most one is held, and it is dropped before
+the next is formed. Every count logs the transcript of the circuit it
+stands for as one record of its P-1 logical oracle calls, and consumes
+one uniform draw, compared against the held cumulative sum.
 statevector_distribution runs the circuit itself, every controlled Grover
 call over the full counting register; it is exponential in p and is the
 reference the tests pin this module to.
@@ -51,10 +56,12 @@ from .protocol import (
     sample_key,
 )
 
-# A count builds its readout distribution in a few length-P arrays and
-# pocketfft's work buffers, which tracemalloc does not see. Measured as peak
-# RSS above the interpreter's own, that is about 64 B per readout value:
-# 264 MB at p = 22, and about 1 GB at p = 24.
+# A count forms its readout distribution in place from one length-P complex
+# array, and pocketfft's in-place transform takes work space for two more,
+# which tracemalloc does not see. Measured as peak RSS above the
+# interpreter's own, that is about 48 B per readout value: 199 MiB at
+# p = 22, and 775 MiB at p = 24. The distribution and its cumulative sum,
+# held for the next count, take 16 B of that per value.
 MAX_COUNTING_WIDTH = 24
 
 
@@ -199,14 +206,63 @@ def _statevector_prepared(
 
 def _readout_distribution(marked: int, n: int, P: int) -> np.ndarray:
     """Exact readout distribution of a count with `marked` of 2^n addresses
-    marked: the mean of the Fejer kernels around the eigenphases +-2 theta."""
+    marked: the mean of the Fejer kernels around the eigenphases +-2 theta.
+    Formed in place, one length-P array at a time where it can be."""
     theta = math.asin(math.sqrt(marked / (1 << n)))
-    kernel = np.abs(np.fft.fft(np.exp(2j * theta * np.arange(P))) / P) ** 2
+    wave = 2j * theta * np.arange(P)
+    np.exp(wave, out=wave)
+    np.fft.fft(wave, out=wave)
+    wave /= P
+    kernel = np.abs(wave)
+    del wave  # the transform is freed before the kernel is squared and mirrored
+    kernel **= 2
     # the -2 theta kernel is the +2 theta kernel mirrored, f -> -f mod P
-    probs = 0.5 * (kernel + np.roll(kernel[::-1], 1))
+    probs = np.roll(kernel[::-1], 1)
+    probs += kernel
+    del kernel
+    probs *= 0.5
     if abs(probs.sum() - 1.0) > 1e-9:
         raise qsim.SimulationError("counting distribution lost normalization")
     return probs
+
+
+# The readout distribution depends on (M, n, P) alone, and every count of a
+# joint_support has the same marked count M, so the last one formed is held
+# with its cumulative sum for the next count. Both are read-only and a pure
+# function of the key, so every caller may share them. One entry at most:
+# it is dropped before a new one is formed, so no two are alive at once.
+_readout_memo: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _readout(marked: int, n: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, cdf): the readout distribution and its cumulative sum."""
+    key = (marked, n, P)
+    held = _readout_memo.get(key)
+    if held is None:
+        _readout_memo.clear()
+        probs = _readout_distribution(marked, n, P)
+        cdf = np.cumsum(probs)
+        probs.flags.writeable = cdf.flags.writeable = False
+        held = _readout_memo[key] = probs, cdf
+    return held
+
+
+def _count_readout(
+    initiator: str,
+    alice: PartyState,
+    bob: PartyState,
+    z: frozenset,
+    config: CountingConfig,
+    transcript: Transcript | None,
+) -> tuple[PartyState, np.ndarray, np.ndarray]:
+    """(initiating party, probs, cdf) of one count: runs the protocol once to
+    find the marked count and logs the transcript of all P-1 oracle calls of
+    the counting circuit."""
+    init, resp = _resolve_parties(initiator, alice, bob)
+    marked = int(np.count_nonzero(_oracle_diagonal(init, resp, z) < 0))
+    if transcript is not None:
+        transcript.log_calls(init.role, init.address_width, config.P - 1)
+    return (init, *_readout(marked, init.address_width, config.P))
 
 
 def counting_distribution(
@@ -217,15 +273,12 @@ def counting_distribution(
     config: CountingConfig,
     transcript: Transcript | None = None,
 ) -> np.ndarray:
-    """Exact probability vector over the counting readout f = 0 .. P-1.
+    """Exact probability vector over the counting readout f = 0 .. P-1, as a
+    read-only array that later counts with the same (M, n, P) share.
 
     Runs the protocol once to find the marked count and logs the transcript
     of all P-1 oracle calls of the counting circuit."""
-    init, resp = _resolve_parties(initiator, alice, bob)
-    marked = int(np.count_nonzero(_oracle_diagonal(init, resp, z) < 0))
-    if transcript is not None:
-        transcript.log_calls(init.role, init.address_width, config.P - 1)
-    return _readout_distribution(marked, init.address_width, config.P)
+    return _count_readout(initiator, alice, bob, z, config, transcript)[1]
 
 
 def statevector_distribution(
@@ -259,11 +312,10 @@ def quantum_count(
 ) -> float:
     """One count: run phase estimation, measure, and return the support
     estimate rescaled from the padded space to the real row count."""
-    probs = counting_distribution(initiator, alice, bob, z, config, transcript)
+    init, _, cdf = _count_readout(initiator, alice, bob, z, config, transcript)
     # the first readout whose cumulative probability exceeds one uniform
     # draw; the clamp catches a cumulative sum that rounds to just below 1
-    f = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), config.P - 1)
-    init, _ = _resolve_parties(initiator, alice, bob)
+    f = min(int(np.searchsorted(cdf, rng.random(), side="right")), config.P - 1)
     scale = (1 << init.address_width) / init.view.original_count
     return min(1.0, phase_readout(f, config.P) * scale)
 

@@ -39,11 +39,14 @@ ItemSet = frozenset
 """An itemset is a frozenset of 1-based item indices."""
 
 # Widest address register a database may pad to. One oracle extraction
-# peaks at about 90 B per address (tracemalloc, n = 16, 18 and 20): 94 MB
-# at n = 20, and 1.5 GB at n = 24. Checked before padding allocates.
+# peaks at about 64 B per address and 2 MB of per-block buffers
+# (tracemalloc, n = 16, 18 and 20): 66 MB at n = 20, and 1 GB at n = 24.
+# Checked before padding allocates.
 MAX_ADDRESS_WIDTH = 20
 
 NEWLINE, COMMA, ZERO = ord("\n"), ord(","), ord("0")
+# the ASCII characters str.isspace holds to be whitespace
+_ASCII_ISSPACE = bytes(c for c in range(0x80) if chr(c).isspace())
 
 
 class ParseError(ValueError):
@@ -192,18 +195,19 @@ class PartitionedView:
         return frozenset(i for i in z if i > l), l
 
 
-def parse_database(text: str) -> TransactionDatabase:
+def parse_database(text: str | bytes) -> TransactionDatabase:
     """Parse CSV (header of item names, then 0/1 cells) or one bit string per line.
 
-    Lines are split as ``str.splitlines`` splits them, CSV cells and
-    bit-string lines are stripped of whitespace as ``str.strip`` strips,
-    and trailing blank lines are ignored. Raises ParseError naming the
-    first offending line for malformed rows, non-binary cells, or empty
-    input.
+    ``text`` is a str or its UTF-8 bytes. Lines are split as
+    ``str.splitlines`` splits them, CSV cells and bit-string lines are
+    stripped of whitespace as ``str.strip`` strips, and trailing blank
+    lines are ignored. Raises ParseError naming the first offending line for
+    malformed rows, non-binary cells, or empty input.
     """
-    if not text or text.isspace():
+    data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
+    rest = data.lstrip(_ASCII_ISSPACE)
+    if not rest or (rest[0] >= 0x80 and rest.decode("utf-8", "surrogatepass").isspace()):
         raise ParseError(1, "empty input")
-    data = text.encode("utf-8", "surrogatepass")
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
     if not data.endswith(b"\n"):
@@ -287,8 +291,8 @@ def _one_line_end(data: bytes) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-# Bytes of text stripped at a time, cut at a newline: this bounds the index
-# arrays of _strip_runs, about 50 B per whitespace character.
+# Bytes of text stripped at a time, cut at a newline: this bounds the masks
+# of _strip_runs, about 11 B per byte of ASCII text and 15 B otherwise.
 _BLOCK = 1 << 20
 # Whitespace that str.strip removes but str.splitlines does not cut at, up
 # to U+3000, the last whitespace character (the tests check this against
@@ -296,6 +300,7 @@ _BLOCK = 1 << 20
 _SPACES = [9, 31, 32, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000]
 _IS_SPACE = np.zeros(_SPACES[-1] + 2, dtype=bool)
 _IS_SPACE[_SPACES] = True
+_ASCII_SPACES = [c for c in _SPACES if c < 0x80]
 
 
 def _stripped(data: bytes, csv: bool) -> np.ndarray:
@@ -317,24 +322,36 @@ def _strip_runs(block: bytes, csv: bool) -> bytes:
     array of code points."""
     if block.isascii():
         chars = np.frombuffer(block, dtype=np.uint8)
-        at = np.flatnonzero(_IS_SPACE[chars])
+        space = chars == _ASCII_SPACES[0]
+        for c in _ASCII_SPACES[1:]:
+            space |= chars == c
     else:
         text = block.decode("utf-8", "surrogatepass").encode("utf-32-le", "surrogatepass")
         chars = np.frombuffer(text, dtype=np.uint32)
-        at = np.flatnonzero(_IS_SPACE[np.minimum(chars, len(_IS_SPACE) - 1)])
-    if not len(at):
+        space = np.take(_IS_SPACE, chars, mode="clip")
+    if not space.any():
         return block
-    first = np.r_[True, np.diff(at) > 1]
-    starts, stops = at[first], at[np.r_[first[1:], True]] + 1
-    before = chars[starts - 1]
-    before[starts == 0] = NEWLINE
-    after = chars[stops]
-    edge = (before == NEWLINE) | (after == NEWLINE)
+    edge = chars == NEWLINE
     if csv:
-        edge |= (before == COMMA) | (after == COMMA)
-    keep = np.ones(len(chars), dtype=bool)
-    keep[at[np.repeat(edge, stops - starts)]] = False
-    chars = chars[keep]
+        edge |= chars == COMMA
+    # A run of spaces goes when the character before it (or the block's
+    # start) or the one after it is an edge. Each test marks the run's first
+    # or last position, and the marks are spread along the runs by doubling:
+    # the pass that spreads by d reaches d positions further, and the passes
+    # stop once no run is as long as the next d.
+    after_edge = space.copy()
+    after_edge[1:] &= edge[:-1]
+    before_edge = space.copy()  # the block ends in a newline, not a space
+    before_edge[:-1] &= edge[1:]
+    run, d = space, 1  # run[i]: the d positions up to i are all spaces
+    while run.any():
+        after_edge[d:] |= run[d:] & after_edge[:-d]
+        before_edge[:-d] |= run[d - 1 : -1] & before_edge[d:]
+        longer = np.zeros_like(run)
+        np.logical_and(run[d:], run[:-d], out=longer[d:])
+        run, d = longer, 2 * d
+    after_edge |= before_edge
+    chars = np.compress(~after_edge, chars)
     if chars.dtype == np.uint8:
         return chars.tobytes()
     return chars.tobytes().decode("utf-32-le", "surrogatepass").encode("utf-8", "surrogatepass")

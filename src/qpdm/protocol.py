@@ -18,21 +18,25 @@ query / unquery pair is executed explicitly, and the call verifies at
 exit that all auxiliary registers disentangled back to zero.
 
 A call runs as a plan over the state's bare label and amplitude arrays,
-and builds a SparseState only at exit, or after each step when a record
-is asked for. Its inputs are checked once per call: Z, the roles, the key
-and the QRAM sizes, and the auxiliary registers at entry; then that each
-party's data register is exactly as wide as its view (its cells, checked
-once when the party was built, are not passed over), its membership
-selector and flag position, and the phase qubits, each with the check
-code the qsim primitives use. The address register does not change
-between steps 1 and 7, so u(j) and each party's cells gathered at u(j)
-and shifted into its data register are computed once, in step 1 and when
-the party first queries. Every query, mark and unquery still runs as its
-own XOR on the labels, and every mark reads the data register from the
-labels. Step 4 negates amplitudes, and steps 1 and 7 keep the range and
-bijection checks of a register permutation. The gate-level reference the
-plan is tested against, one qsim primitive per query, mark, phase and
-permutation, lives in the tests.
+and builds a SparseState only at exit, and after each step when a record
+is asked for. Its inputs are checked once per call, before any label
+moves: Z, the roles, the key and the QRAM sizes, and the auxiliary
+registers at entry; then the key, whose 2^n images one scatter checks to
+fit the address register and to be a bijection on it (so it keeps
+distinct labels distinct, and its inverse table serves step 7); then that
+each party's data register is exactly as wide as its view (its cells,
+checked once when the party was built, are not passed over), its
+membership selector and flag position, and the phase qubits, each with
+the check code the qsim primitives use. The labels then go through all
+seven steps a block at a time, each block a fresh copy that every step
+changes in place while it stays in cache. The address register does not
+change between steps 1 and 7, so u(j) and each party's cells gathered at
+u(j) and shifted into its data register are computed once per block, in
+step 1 and when the party first queries. Every query, mark and unquery
+still runs as its own XOR on the labels, and every mark reads the data
+register from the labels. Step 4 negates amplitudes. The gate-level
+reference the plan is tested against, one qsim primitive per query, mark,
+phase and permutation, lives in the tests.
 
 A party's QRAM holds one read-only integer cell per row of its view,
 computed once from the view's column slice of the database's bit matrix,
@@ -289,16 +293,16 @@ def _party_registers(party: PartyState) -> tuple[str, str]:
 
 
 class _PartyPlan(NamedTuple):
-    """One party's part of an oracle call: its cells gathered at the
-    encrypted addresses u(j) and shifted into its data register, its
-    membership selector and its flag qubit."""
+    """One party's part of an oracle call: its cells, the offset of its data
+    register, its membership selector and its flag qubit."""
 
-    load: np.ndarray
+    cells: np.ndarray
+    shift: int
     sel: int  # the data-register bits containment needs, in place in the label
     flag: int
 
     @classmethod
-    def build(cls, party: PartyState, z: frozenset, layout, index: np.ndarray, dtype):
+    def build(cls, party: PartyState, z: frozenset, layout):
         data, flag_register = _party_registers(party)
         width = layout.width(data)
         if width != party.data_width:  # the width its cells were checked to fit
@@ -306,15 +310,31 @@ class _PartyPlan(NamedTuple):
         flag = layout.qubit(flag_register)
         items, offset = party.view.item_part(z)
         sel = qsim.membership_selector(layout, data, flag, items, offset)
-        d_off = layout.offset(data)
-        load = party.memory_ints[index].astype(dtype, copy=False)
-        load <<= d_off
-        return cls(load, sel << d_off, flag)
+        shift = layout.offset(data)
+        return cls(party.memory_ints, shift, sel << shift, flag)
 
-    def mark(self, labels: np.ndarray) -> np.ndarray:
-        """XOR into the flag whether the loaded data register contains the part."""
-        hit = (labels & self.sel) == self.sel
-        return np.bitwise_xor(labels, 1 << self.flag, out=labels.copy(), where=hit)
+    def load(self, index: np.ndarray, dtype) -> np.ndarray:
+        """The cells at the encrypted addresses, shifted into the data register."""
+        load = self.cells[index].astype(dtype, copy=False)
+        load <<= self.shift
+        return load
+
+    def mark(self, labels: np.ndarray, load: np.ndarray, scratch: np.ndarray) -> None:
+        """Query, mark and unquery in place: XOR the loaded cells into the
+        data register, XOR into the flag whether it contains the part, and
+        XOR the cells out again. ``scratch`` is an array like ``labels``."""
+        labels ^= load
+        np.bitwise_and(labels, self.sel, out=scratch)
+        np.equal(scratch, self.sel, out=scratch)  # 1 where the part is contained
+        scratch <<= self.flag
+        labels ^= scratch
+        labels ^= load
+
+
+# Labels an oracle call carries through all seven steps at a time: each
+# block stays in cache from step 1 to step 7, where whole-array steps would
+# stream every label through memory some thirty times.
+_LABEL_BLOCK = 1 << 15
 
 
 def run_oracle_u(
@@ -356,53 +376,83 @@ def run_oracle_u(
     if (labels & aux).any():
         raise ValueError("auxiliary registers must be zero at oracle entry")
 
-    def snap(tag):
-        if record is not None:
-            record.append((tag, qsim.SparseState.from_arrays(layout, labels, amps)))
-
-    # Step 1: the address register travels to the responder, who encrypts it.
-    # No later step touches the address register, so u(j) is computed here
-    # once, and each party's cells are gathered at u(j) once, at its first
-    # query.
-    uj = key.apply(layout.extract(labels, "address"))
-    labels = qsim.relabel(labels, layout, "address", uj)
-    snap("step1")
-    index = uj.astype(np.int64, copy=False)
-
-    # Step 2: responder loads its rows, marks containment of its part, erases.
-    resp = _PartyPlan.build(responder, z, layout, index, labels.dtype)
-    labels = resp.mark(labels ^ resp.load) ^ resp.load
-    snap("step2")
-
-    # Step 3: address + flag travel back; initiator does the same for its part.
-    init = _PartyPlan.build(initiator, z, layout, index, labels.dtype)
-    labels = init.mark(labels ^ init.load) ^ init.load
-    snap("step3")
-
-    # Step 4: phase kickback of the AND of the two flags, gated on the control.
+    # What each step needs is checked and set up before any label moves, in
+    # step order. Step 1: the key's 2^n images are checked once to be a
+    # bijection, which keeps distinct labels distinct, and inverted for
+    # step 7. Steps 2 and 3: each party's registers and selector.
+    # Step 4: the phase qubits.
+    images = key.apply(np.arange(1 << n))
+    inverse = qsim.inverse_permutation(images, n, "address")
+    resp = _PartyPlan.build(responder, z, layout)
+    init = _PartyPlan.build(initiator, z, layout)
     qsim.check_phase_qubits(init.flag, resp.flag, control)
     gate = (1 << init.flag) | (1 << resp.flag) | (0 if control is None else 1 << control)
-    amps = np.negative(amps, out=amps.copy(), where=(labels & gate) == gate)
-    snap("step4")
 
-    # Step 5: initiator loads its rows again, erases its flag, erases the load.
-    labels = init.mark(labels ^ init.load) ^ init.load
-    snap("step5")
+    address, shift, dtype = layout.mask("address"), layout.offset("address"), labels.dtype
+    out_labels, out_amps = np.empty_like(labels), amps.copy()
+    # the labels after steps 1-6 when a record is asked for; step 7's are the output
+    steps = [np.empty_like(labels) for _ in range(6)] if record is not None else []
+    scratch = np.empty(min(len(labels), _LABEL_BLOCK), dtype=dtype)
+    dirty = False
+    for start in range(0, len(labels), _LABEL_BLOCK):
+        part = slice(start, start + _LABEL_BLOCK)
+        block = labels[part]
+        spare = scratch[: len(block)]
 
-    # Step 6: back to the responder, who erases its flag the same way.
-    labels = resp.mark(labels ^ resp.load) ^ resp.load
-    snap("step6")
+        # Step 1: the address register travels to the responder, who
+        # encrypts it. No later step touches the address register, so u(j)
+        # is computed here once, and each party's cells are gathered at u(j)
+        # once, at its first query.
+        index = images[layout.extract(block, "address").astype(np.int64, copy=False)]
+        block = block & ~address
+        block |= index.astype(dtype, copy=False) << shift
+        if steps:
+            steps[0][part] = block
 
-    # Step 7: responder undoes the encryption and returns the register. The
-    # loads are dropped first, which keeps this step's peak memory down.
-    del init, resp
-    labels = qsim.relabel(labels, layout, "address", key.invert(uj))
-    snap("step7")
+        # Step 2: responder loads its rows, marks containment of its part, erases.
+        resp_load = resp.load(index, dtype)
+        resp.mark(block, resp_load, spare)
+        if steps:
+            steps[1][part] = block
 
-    if (labels & aux).any():
+        # Step 3: address + flag travel back; initiator does the same for its part.
+        init_load = init.load(index, dtype)
+        init.mark(block, init_load, spare)
+        if steps:
+            steps[2][part] = block
+
+        # Step 4: phase kickback of the AND of the two flags, gated on the control.
+        np.bitwise_and(block, gate, out=spare)
+        np.negative(amps[part], out=out_amps[part], where=spare == gate)
+        if steps:
+            steps[3][part] = block
+
+        # Step 5: initiator loads its rows again, erases its flag, erases the load.
+        init.mark(block, init_load, spare)
+        if steps:
+            steps[4][part] = block
+
+        # Step 6: back to the responder, who erases its flag the same way.
+        resp.mark(block, resp_load, spare)
+        if steps:
+            steps[5][part] = block
+
+        # Step 7: responder undoes the encryption of the register it holds
+        # and returns it.
+        back = inverse[layout.extract(block, "address").astype(np.int64, copy=False)]
+        block &= ~address
+        block |= back.astype(dtype, copy=False) << shift
+        out_labels[part] = block
+        dirty = dirty or bool(np.bitwise_and(block, aux, out=spare).any())
+
+    if record is not None:
+        for step, step_labels in enumerate(steps + [out_labels], start=1):
+            step_amps = amps if step < 4 else out_amps
+            record.append((f"step{step}", qsim.SparseState.from_arrays(layout, step_labels, step_amps)))
+    if dirty:
         raise qsim.SimulationError("auxiliary registers failed to disentangle")
     transcript.log_calls(initiator.role, n)
-    return qsim.SparseState.from_arrays(layout, labels, amps)
+    return qsim.SparseState.from_arrays(layout, out_labels, out_amps)
 
 
 def reference_phase_oracle(

@@ -23,11 +23,12 @@ The oracle call in ``protocol`` runs its seven steps over bare label arrays
 and calls none of the four oracle primitives (apply_permutation,
 qram_query, apply_membership_mark, apply_phase_and); they are the
 gate-level reference it is tested against. It shares their checks, which
-live in helpers both call: relabel (a register permutation's range and
-bijection checks), memory_cells, membership_selector and
-check_phase_qubits. The Hadamard wall, the zero reflection, the phase flip
-and the inverse QFT serve the controlled Grover iteration and the
-statevector counting path.
+live in helpers both call: the range check of a register permutation
+(the oracle checks the key's 2^n images once, in inverse_permutation,
+where apply_permutation sorts the new labels), memory_cells,
+membership_selector and check_phase_qubits. The Hadamard wall, the zero
+reflection, the phase flip and the inverse QFT serve the controlled Grover
+iteration and the statevector counting path.
 
 Operations are pure: each returns a fresh SparseState and leaves its input
 untouched. Amplitudes with magnitude below ``PRUNE_EPS`` are dropped after
@@ -280,22 +281,25 @@ def apply_u0(state: SparseState, register: str, control: int | None = None) -> S
     return state._with(labels, np.where(flip, -amps, amps))
 
 
-def relabel(labels: np.ndarray, layout: RegisterLayout, register: str, values) -> np.ndarray:
-    """The labels with the register's content replaced, position by position,
-    by ``values`` (an array of the labels' dtype and shape), checked: every
-    value fits the register, and the new labels are distinct, so the
-    replacement was a bijection on the register."""
-    width = layout.width(register)
-    if (values >> width).any():  # some value is negative or wider than the register
+def _check_fits(values: np.ndarray, width: int, register: str) -> None:
+    """Every value fits the register: none is negative or ``width`` bits wide or wider."""
+    if (values >> width).any():
         bad = values[np.flatnonzero(values >> width)[0]]
         raise ValueError(f"permutation output {bad} does not fit register {register!r}")
-    new = (labels & ~layout.mask(register)) | (
-        values.astype(labels.dtype, copy=False) << layout.offset(register)
-    )
-    ordered = np.sort(new)
-    if (ordered[1:] == ordered[:-1]).any():
+
+
+def inverse_permutation(images: np.ndarray, width: int, register: str) -> np.ndarray:
+    """The inverse, as an int64 table, of the map on a register's 2^width
+    values that sends j to images[j], checked as apply_permutation checks:
+    every image fits the register, and no two are equal, so the map is a
+    bijection and keeps distinct labels distinct. One scatter, O(2^width)."""
+    size = 1 << width
+    _check_fits(images, width, register)
+    inverse = np.full(size, -1, dtype=np.int64)
+    inverse[images] = np.arange(size)
+    if inverse.min() < 0:  # a value no image reached: two images are equal
         raise SimulationError("permutation is not a bijection on the register")
-    return new
+    return inverse
 
 
 def memory_cells(memory: Sequence[int], count: int, width: int, dtype: np.dtype) -> np.ndarray:
@@ -348,11 +352,16 @@ def apply_permutation(state: SparseState, register: str, u: Callable) -> SparseS
     caller (key constructor) guarantees that, but out-of-range outputs and
     collisions are still trapped.
     """
-    labels = state.labels
-    uj = np.asarray(u(state.layout.extract(labels, register)))
+    labels, layout = state.labels, state.layout
+    uj = np.asarray(u(layout.extract(labels, register)))
     if uj.shape != labels.shape:
         uj = np.broadcast_to(uj, labels.shape)
-    return state._with(relabel(labels, state.layout, register, uj), state.amplitudes)
+    _check_fits(uj, layout.width(register), register)
+    new = (labels & ~layout.mask(register)) | (uj.astype(labels.dtype, copy=False) << layout.offset(register))
+    ordered = np.sort(new)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise SimulationError("permutation is not a bijection on the register")
+    return state._with(new, state.amplitudes)
 
 
 def qram_query(state: SparseState, address: str, data: str, memory: Sequence[int]) -> SparseState:

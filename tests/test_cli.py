@@ -117,6 +117,22 @@ class TestEstimate:
         assert out == ""
         assert str(bad) in err and err.count("qpdm: error:") == 1
 
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            # the position counts bytes of the file, "\r\n" as two
+            (b"a,b\r\n1,0\r\n1,\xff\n",
+             "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+            # valid UTF-8 is parsed from the bytes, a lone "\r" a line end
+            ("a,b\r\n1,0\r1,1\n\u00e9,0\n".encode(), "{path}: line 4: non-binary cell '\u00e9'"),
+        ],
+    )
+    def test_file_read_as_bytes(self, capsys, tmp_path, content, line):
+        path = tmp_path / "db.csv"
+        path.write_bytes(content)
+        argv = ["estimate", "--db", str(path), "--items", "1", "--split", "1", "--seed", "1"]
+        assert run(capsys, argv) == (EXIT_FILE, "", f"qpdm: error: {line.format(path=path)}\n")
+
     def test_address_width_guard(self, capsys, tmp_path):
         # one row more than MAX_ADDRESS_WIDTH address qubits hold
         path = tmp_path / "wide.txt"

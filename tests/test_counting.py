@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpdm import qsim
+from qpdm import counting, qsim
 from qpdm.counting import (
     MAX_COUNTING_WIDTH,
     CountingConfig,
@@ -20,7 +20,7 @@ from qpdm.counting import (
     quantum_count,
     statevector_distribution,
 )
-from qpdm.counting import _oracle_diagonal, _statevector_prepared
+from qpdm.counting import _oracle_diagonal, _readout_distribution, _statevector_prepared
 from qpdm.dataset import TransactionDatabase, exact_confidence, pad_to_power_of_two, vertical_partition
 from qpdm.protocol import (
     KEY_FAMILIES,
@@ -307,6 +307,46 @@ class TestQuantumCount:
         n = 4
         assert total == (config.P - 1) * (4 * n + 2)
         assert per_call == 4 * n + 2 <= 4 * (n + 1)
+
+
+class TestReadoutMemo:
+    """The readout distribution is formed once per (M, n, P) and held, with
+    its cumulative sum, as read-only arrays; at most one is held."""
+
+    def test_alternating_marked_counts_match_fresh(self):
+        config = CountingConfig(p=7, s=0.25)
+        z = frozenset({1, 2})
+        for marked in (2, 5, 2, 2, 0, 5, 8, 0):
+            alice, bob = parties(db_with_marked(3, marked, seed=marked), 1)
+            bob = bob.with_key(make_key("modadd", 3, 3))
+            got = counting_distribution("alice", alice, bob, z, config)
+            assert got.tobytes() == _readout_distribution(marked, 3, config.P).tobytes()
+            # read-only, not a copy: a write must fail rather than change the held one
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+            assert list(counting._readout_memo) == [(marked, 3, config.P)]
+            probs, cdf = counting._readout_memo[(marked, 3, config.P)]
+            assert probs is got and not cdf.flags.writeable
+            assert cdf.tobytes() == np.cumsum(got).tobytes()
+
+    def test_one_readout_per_marked_count(self, monkeypatch):
+        formed = []
+
+        def spy(marked, n, P):
+            formed.append((marked, n, P))
+            return _readout_distribution(marked, n, P)
+
+        monkeypatch.setattr(counting, "_readout_distribution", spy)
+        monkeypatch.setattr(counting, "_readout_memo", {})
+        alice, bob = parties(DB16_T4, 1)
+        config = CountingConfig(p=6, s=0.25, agreement_band=1e-9, max_rounds=3)
+        rng = np.random.default_rng(5)
+        est = joint_support(alice, bob, frozenset({1, 2}), config, rng)
+        assert est.rounds_used == 3  # six counts
+        joint_support(alice, bob, frozenset({1}), config, rng)
+        joint_support(alice, bob, frozenset({1, 2}), config, rng)
+        assert formed == [(4, 4, 64), (8, 4, 64), (4, 4, 64)]
 
 
 class TestJointSupport:

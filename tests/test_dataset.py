@@ -1,3 +1,4 @@
+import io
 import itertools
 import sys
 from fractions import Fraction
@@ -484,6 +485,24 @@ class TestParserMatchesReference:
         text = render(data.draw, lines)
         got = parse_outcome(parse_database, text)
         assert got == parse_outcome(reference_parse_database, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bytes_str_and_read_text_agree(self, data):
+        # the file's bytes, its text, and the text a universal-newline read
+        # of the file gives parse alike: the same database or the same error
+        if data.draw(st.booleans(), label="well formed"):
+            text = render(data.draw, data.draw(database_lines())[0])
+        else:
+            text = data.draw(st.text(alphabet="0011,,, \t\r\n\n\v\f\x1c\x1f\x85\u00a0\u2028\u3000a2\u00e9", max_size=40))
+        raw = text.encode("utf-8")
+        read = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        got = parse_outcome(parse_database, raw)
+        assert got == parse_outcome(parse_database, text) == parse_outcome(parse_database, read)
+
+    def test_blank_input_as_str_isspace_sees_it(self):
+        for text in (b"", b" \t\r\n\x1c\x1f", " \u3000\n\x85".encode(), "\u2028".encode()):
+            assert parse_outcome(parse_database, text) == ("error", 1, "line 1: empty input")
 
     def test_character_tables_match_str(self):
         chars = [chr(c) for c in range(sys.maxunicode + 1)]

@@ -1,14 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qpdm import qsim
+from qpdm import protocol, qsim
 from qpdm.dataset import PartitionedView, TransactionDatabase, vertical_partition
 from qpdm.protocol import (
     AUX_REGISTERS,
+    EncryptionKey,
     KEY_FAMILIES,
     MAX_DUMP_EVENTS,
     Transcript,
@@ -449,6 +451,63 @@ class TestOracle:
         off = layout.offset("address")
         expected = qsim.SparseState(layout, {l: a * signs[l >> off] for l, a in st.amps.items()})
         assert qsim.max_deviation(out, expected) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "image, error, message",
+        [
+            # 0 and 1 both go to 0: no bijection
+            (lambda j: j & ~1, qsim.SimulationError, "permutation is not a bijection on the register"),
+            # 7 goes to 8, outside the 3-qubit register
+            (lambda j: j + 1, ValueError, "permutation output 8 does not fit register 'address'"),
+        ],
+    )
+    @pytest.mark.parametrize("addresses", [range(8), [3]])
+    def test_key_that_is_no_permutation_refused(self, monkeypatch, image, error, message, addresses):
+        # the key's 2^n images are checked, whichever addresses the state holds
+        alice, bob = make_parties(DB8, 2, make_key("bitflip", 0, 3))
+        monkeypatch.setattr(EncryptionKey, "apply", lambda self, j: image(j))
+        layout = oracle_layout(3, 2, 4)
+        st = address_state(layout, {j: 1 / math.sqrt(len(addresses)) for j in addresses})
+        transcript, record = Transcript(), []
+        with pytest.raises(error, match=f"^{message}$"):
+            run_oracle_u(st, alice, bob, frozenset({1}), transcript, record=record)
+        assert transcript.records == [] and record == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_blocks_change_no_step(self, data):
+        # labels go through the seven steps a block at a time; blocks of a
+        # few labels must give the gate-level reference's arrays after every
+        # step, on int64 and Python-int labels, in any label order
+        n = data.draw(st.integers(1, 5), label="n")
+        k = data.draw(st.integers(2, 70), label="k")
+        split = data.draw(st.integers(1, k - 1), label="split")
+        z = frozenset(data.draw(st.sets(st.integers(1, k), min_size=1, max_size=3), label="z"))
+        family = data.draw(st.sampled_from(KEY_FAMILIES), label="family")
+        controlled = data.draw(st.booleans(), label="controlled")
+        block = data.draw(st.integers(1, 9), label="block")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        bits = rng.random((1 << n, k)) < 0.8
+        db = TransactionDatabase(k, tuple("".join("01"[int(b)] for b in row) for row in bits), 1 << n)
+        key = sample_key(family, n, rng)
+        alice, bob = make_parties(db, split, key)
+        layout = oracle_layout(n, split, k, p=1 if controlled else 0)
+        control = layout.qubit("counting", 0) if controlled else None
+        off = layout.offset("address")
+        labels = [int(j) << off for j in rng.permutation(1 << n)]
+        if controlled:
+            labels += [layout.replace(label, "counting", 1) for label in labels[::2]]
+        vec = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+        state = qsim.SparseState(layout, dict(zip(labels, vec.tolist())))
+
+        want_record, got_record = [], []
+        want = gate_reference_oracle_u(state, alice, bob, z, Transcript(), control, want_record)
+        with mock.patch.object(protocol, "_LABEL_BLOCK", block):
+            got = run_oracle_u(state, alice, bob, z, Transcript(), control, got_record)
+        for (tag, a), (_, b) in zip(got_record + [("exit", got)], want_record + [("exit", want)]):
+            assert np.array_equal(a.labels, b.labels), tag
+            assert a.amplitudes.tobytes() == b.amplitudes.tobytes(), tag
+        assert [tag for tag, _ in got_record] == [tag for tag, _ in want_record]
 
     def test_transcript_shape(self):
         key = make_key("bitflip", 6, 3)

@@ -15,6 +15,7 @@ from qpdm.qsim import (
     apply_phase_flip,
     apply_u0,
     apply_w,
+    inverse_permutation,
     inverse_qft,
     label_dtype,
     max_deviation,
@@ -160,6 +161,32 @@ class TestPermutation:
         st = apply_w(prepare_basis(layout), "r")
         with pytest.raises(SimulationError):
             apply_permutation(st, "r", lambda j: 0)
+
+
+class TestInversePermutation:
+    @settings(max_examples=50, deadline=None)
+    @given(width=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_inverts_every_permutation(self, width, seed):
+        images = np.random.default_rng(seed).permutation(1 << width)
+        inverse = inverse_permutation(images, width, "r")
+        assert inverse.dtype == np.int64
+        assert np.array_equal(inverse[images], np.arange(1 << width))
+
+    @pytest.mark.parametrize(
+        "images, error, message",
+        [
+            ([0, 0, 2, 3], SimulationError, "permutation is not a bijection on the register"),
+            ([3, 2, 1, 4], ValueError, "permutation output 4 does not fit register 'r'"),
+            ([1, -1, 2, 3], ValueError, "permutation output -1 does not fit register 'r'"),
+        ],
+    )
+    def test_refusals_as_apply_permutation(self, images, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            inverse_permutation(np.array(images), 2, "r")
+        table = np.array(images)
+        st = apply_w(prepare_basis(single(2)), "r")
+        with pytest.raises(error, match=f"^{message}$"):
+            apply_permutation(st, "r", lambda j: table[j])
 
 
 class TestQramQuery:
