@@ -253,6 +253,13 @@ def cmd_mine(args) -> int:
     return EXIT_OK
 
 
+def _check_exponents(args, prime: int) -> None:
+    """Refuse a bad explicit --eA or --eB under the given prime."""
+    for e in (args.eA, args.eB):
+        if e is not None:
+            ClassicalKey(prime, e)
+
+
 def cmd_compare(args) -> int:
     counting = _counting_config(args)
     seed = _resolve_seed(args)
@@ -261,16 +268,15 @@ def cmd_compare(args) -> int:
             raise ValueError(f"--prime must not exceed {MAX_CLASSICAL_PRIME}")
         if not is_prime(args.prime):
             raise ValueError(f"{args.prime} is not prime")
-        # explicit exponents are refused before the quantum run; the default
-        # prime needs the row count, so its exponents wait for the file
-        for e in (args.eA, args.eB):
-            if e is not None:
-                ClassicalKey(args.prime, e)
+        _check_exponents(args, args.prime)
     items = _parse_items(args.items)
     db, padded = _load_db(args.db)
     alice, bob = _build_parties(padded, args.split, items)
-    # the prime is checked before the quantum run, its keys drawn after it
+    # the prime and any explicit exponents are checked as soon as the prime
+    # is known, before the quantum run; the other keys are drawn after it
     prime = args.prime if args.prime is not None else next_prime(max(db.original_count, 4))
+    if args.prime is None:
+        _check_exponents(args, prime)
     if db.original_count >= prime:
         raise ValueError("prime must exceed N")
     if args.eA is None or args.eB is None:

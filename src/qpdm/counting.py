@@ -24,7 +24,8 @@ and both terms coincide. M is taken from one full seven-step protocol
 execution per count on the uniform address state, built directly as
 labels j << offset with amplitude 2^(-n/2): every query, mark and erasure
 runs, and since the oracle only negates amplitudes, the output is checked
-exactly to keep every label in place with amplitude +-2^(-n/2).
+exactly to keep every label in place with amplitude +-2^(-n/2); M is the
+number of negated ones, read as one integer.
 
 The distribution is computed once per (M, n, P) and held, read-only with
 its cumulative sum, until a count needs another: all 2R counts of an
@@ -166,9 +167,9 @@ def _layout_for(init: PartyState, resp: PartyState, p: int):
     return oracle_layout(n, alice_view.split_point, k, p=p), n
 
 
-def _oracle_diagonal(init: PartyState, resp: PartyState, z: frozenset) -> np.ndarray:
-    """Signs of the oracle, extracted from one full protocol execution on the
-    uniform address state (every query, mark and erasure actually runs)."""
+def _marked_count(init: PartyState, resp: PartyState, z: frozenset) -> int:
+    """The marked count M, from one full protocol execution on the uniform
+    address state (every query, mark and erasure actually runs)."""
     layout, n = _layout_for(init, resp, p=0)
     labels = np.arange(1 << n, dtype=layout.label_dtype) << layout.offset("address")
     amp = 2.0 ** (-n / 2)
@@ -178,11 +179,11 @@ def _oracle_diagonal(init: PartyState, resp: PartyState, z: frozenset) -> np.nda
     # where it was and every amplitude exactly +-amp
     if not np.array_equal(out.labels, labels):
         raise qsim.SimulationError("oracle output moved basis labels")
-    negated = out.amplitudes == -amp
-    bad = ~negated & (out.amplitudes != amp)
-    if bad.any():
-        raise qsim.SimulationError(f"oracle output is not a sign flip: {out.amplitudes[bad][0]!r}")
-    return np.where(negated, -1.0, 1.0)
+    marked = int(np.count_nonzero(out.amplitudes == -amp))
+    if marked + int(np.count_nonzero(out.amplitudes == amp)) != 1 << n:
+        bad = out.amplitudes[(out.amplitudes != amp) & (out.amplitudes != -amp)]
+        raise qsim.SimulationError(f"oracle output is not a sign flip: {bad[0]!r}")
+    return marked
 
 
 def _statevector_prepared(
@@ -254,15 +255,15 @@ def _count_readout(
     z: frozenset,
     config: CountingConfig,
     transcript: Transcript | None,
-) -> tuple[PartyState, np.ndarray, np.ndarray]:
-    """(initiating party, probs, cdf) of one count: runs the protocol once to
-    find the marked count and logs the transcript of all P-1 oracle calls of
-    the counting circuit."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, cdf) of one count: runs the protocol once to find the marked
+    count and logs the transcript of all P-1 oracle calls of the counting
+    circuit."""
     init, resp = _resolve_parties(initiator, alice, bob)
-    marked = int(np.count_nonzero(_oracle_diagonal(init, resp, z) < 0))
+    marked = _marked_count(init, resp, z)
     if transcript is not None:
         transcript.log_calls(init.role, init.address_width, config.P - 1)
-    return (init, *_readout(marked, init.address_width, config.P))
+    return _readout(marked, init.address_width, config.P)
 
 
 def counting_distribution(
@@ -274,11 +275,9 @@ def counting_distribution(
     transcript: Transcript | None = None,
 ) -> np.ndarray:
     """Exact probability vector over the counting readout f = 0 .. P-1, as a
-    read-only array that later counts with the same (M, n, P) share.
-
-    Runs the protocol once to find the marked count and logs the transcript
-    of all P-1 oracle calls of the counting circuit."""
-    return _count_readout(initiator, alice, bob, z, config, transcript)[1]
+    read-only array that later counts with the same (M, n, P) share. Runs
+    the protocol once and logs all P-1 oracle calls, as a count does."""
+    return _count_readout(initiator, alice, bob, z, config, transcript)[0]
 
 
 def statevector_distribution(
@@ -311,12 +310,15 @@ def quantum_count(
     transcript: Transcript | None = None,
 ) -> float:
     """One count: run phase estimation, measure, and return the support
-    estimate rescaled from the padded space to the real row count."""
-    init, _, cdf = _count_readout(initiator, alice, bob, z, config, transcript)
+    estimate rescaled from the padded space to the real row count, which is
+    checked to be positive before the oracle runs."""
+    if alice.view.original_count < 1:
+        raise ValueError("database has no real rows")
+    _, cdf = _count_readout(initiator, alice, bob, z, config, transcript)
     # the first readout whose cumulative probability exceeds one uniform
     # draw; the clamp catches a cumulative sum that rounds to just below 1
     f = min(int(np.searchsorted(cdf, rng.random(), side="right")), config.P - 1)
-    scale = (1 << init.address_width) / init.view.original_count
+    scale = (1 << alice.address_width) / alice.view.original_count
     return min(1.0, phase_readout(f, config.P) * scale)
 
 
@@ -337,19 +339,17 @@ def joint_support(
     n = alice.address_width
     band = config.agreement_band * config.s
     s1 = s2 = math.nan
-    rounds = 0
+    rounds, accepted = 0, False
     for rounds in range(1, config.max_rounds + 1):
         bob_keyed = bob.with_key(sample_key(config.key_family, n, rng))
         s1 = quantum_count("alice", alice, bob_keyed, z, config, rng, transcript)
         alice_keyed = alice.with_key(sample_key(config.key_family, n, rng))
         s2 = quantum_count("bob", alice_keyed, bob, z, config, rng, transcript)
-        if abs(s1 - s2) < band:
-            value = (s1 + s2) / 2
-            return SupportEstimate(
-                value, estimate_error_bound(value, config.P), rounds, s1, s2, True
-            )
+        accepted = abs(s1 - s2) < band
+        if accepted:
+            break
     value = (s1 + s2) / 2
-    return SupportEstimate(value, estimate_error_bound(value, config.P), rounds, s1, s2, False)
+    return SupportEstimate(value, estimate_error_bound(value, config.P), rounds, s1, s2, accepted)
 
 
 def estimate_confidence(

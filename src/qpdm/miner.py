@@ -11,6 +11,8 @@ itemsets whose estimate never reached agreement are recorded as
 undetermined and excluded from candidate joins. A candidate is formed only
 when all its subsets were kept, so every subset of a kept itemset is kept
 too, and rules read each antecedent's support from the kept itemsets.
+An itemset is one sorted tuple from candidate to rule; the estimator alone
+is handed a frozenset.
 """
 from __future__ import annotations
 
@@ -123,20 +125,19 @@ def quantum_estimator(
     return estimate
 
 
-def _join_level(level_sets: set[frozenset], size: int) -> list[frozenset]:
-    """Classic Apriori join + prune: merge m-1 sets sharing a (m-2)-prefix,
-    keep candidates whose every (m-1)-subset is frequent."""
-    sorted_sets = sorted(tuple(sorted(z)) for z in level_sets)
+def _join_level(level: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Classic Apriori join + prune over one level's sorted itemsets, taken
+    in order: merge two that share all but their last item, and keep the
+    candidate when every one of its (m-1)-subsets is in the level. The
+    candidates come out in order too."""
+    kept = set(level)
     candidates = []
-    for i, a in enumerate(sorted_sets):
-        for b in sorted_sets[i + 1 :]:
-            if a[: size - 2] != b[: size - 2]:
+    for i, a in enumerate(level):
+        for b in level[i + 1 :]:
+            if a[:-1] != b[:-1]:
                 break
-            cand = frozenset(a) | frozenset(b)
-            if all(
-                frozenset(sub) in level_sets
-                for sub in itertools.combinations(sorted(cand), size - 1)
-            ):
+            cand = a + b[-1:]
+            if all(sub in kept for sub in itertools.combinations(cand, len(a))):
                 candidates.append(cand)
     return candidates
 
@@ -151,30 +152,23 @@ def apriori_frequent(
     threshold = config.s - margin
     levels: list[list[FrequentItemset]] = []
     undetermined: list[tuple[int, ...]] = []
-    candidates = [frozenset({i}) for i in range(1, k + 1)]
+    candidates = [(i,) for i in range(1, k + 1)]
     while candidates:
         level: list[FrequentItemset] = []
-        kept: set[frozenset] = set()
-        for z in sorted(candidates, key=lambda c: tuple(sorted(c))):
-            est = estimator(z)
+        for z in candidates:
+            est = estimator(frozenset(z))
             if not est.accepted:
-                undetermined.append(tuple(sorted(z)))
+                undetermined.append(z)
                 continue
             if est.value > threshold:
+                borderline = abs(est.value - config.s) <= margin
                 level.append(
-                    FrequentItemset(
-                        items=tuple(sorted(z)),
-                        estimate=est.value,
-                        error_bound=est.error_bound,
-                        rounds=est.rounds_used,
-                        borderline=abs(est.value - config.s) <= margin,
-                    )
+                    FrequentItemset(z, est.value, est.error_bound, est.rounds_used, borderline)
                 )
-                kept.add(z)
         if not level:
             break
         levels.append(level)
-        candidates = _join_level(kept, len(next(iter(kept))) + 1)
+        candidates = _join_level([rec.items for rec in level])
     return AprioriResult(levels, undetermined)
 
 
@@ -184,22 +178,18 @@ def generate_rules(frequent: Iterable[FrequentItemset], c: float) -> list[Associ
 
     Antecedent supports come from the frequent itemsets only. Both miners
     list every subset of a listed itemset, so an antecedent can be missing
-    only from a hand-built list, and its partitions are then skipped.
+    only from a hand-built list, and its partitions are then skipped; such
+    a list may also give a record's items in any order.
     """
-    known = {frozenset(rec.items): rec for rec in frequent}
+    known = {tuple(sorted(rec.items)): rec for rec in frequent}
     rules = []
-    for z in sorted(known, key=lambda z: (len(z), tuple(sorted(z)))):
-        if len(z) < 2:
-            continue
-        rec = known[z]
+    for items, rec in known.items():
         supp_z, err_z = rec.estimate, rec.error_bound
-        items = tuple(sorted(z))
         for size in range(1, len(items)):
             for x in itertools.combinations(items, size):
-                xf = frozenset(x)
-                if xf not in known:
+                if x not in known:
                     continue
-                supp_x, err_x = known[xf].estimate, known[xf].error_bound
+                supp_x, err_x = known[x].estimate, known[x].error_bound
                 if supp_x <= 0:  # an estimate of 0 is kept when the band exceeds 1
                     continue
                 confidence, conf_err = confidence_bound(supp_z, err_z, supp_x, err_x)
@@ -207,7 +197,7 @@ def generate_rules(frequent: Iterable[FrequentItemset], c: float) -> list[Associ
                     rules.append(
                         AssociationRule(
                             antecedent=x,
-                            consequent=tuple(sorted(z - xf)),
+                            consequent=tuple(i for i in items if i not in x),
                             support=supp_z,
                             confidence=confidence,
                             support_error=float(err_z),

@@ -482,6 +482,20 @@ class TestCompare:
         argv[2] = MARKET_CSV
         assert run(capsys, argv) == expected
 
+    @pytest.mark.parametrize("exponents, message", [
+        (["--eA", "4"], "exponent 4 outside {3, 5, ..., 15}"),
+        (["--eA", "3", "--eB", "6"], "exponent 6 outside {3, 5, ..., 15}"),
+    ], ids=["even-eA", "even-eB"])
+    def test_explicit_exponents_refused_before_the_run_with_default_prime(
+        self, capsys, monkeypatch, exponents, message
+    ):
+        # market.csv has 16 rows, so the default prime is 17: known once the
+        # file is read, and the exponents are checked before any estimate
+        monkeypatch.setattr(qpdm.cli, "joint_support", refuse)
+        argv = ["compare", "--db", MARKET_CSV, "--items", "1,2", "--split", "2", "--seed", "1",
+                *exponents]
+        assert run(capsys, argv) == (EXIT_USAGE, "", f"qpdm: error: {message}\n")
+
     @pytest.mark.parametrize("prime, csv, message", [
         ("4", None, "4 is not prime"),
         ("5", None, "prime must exceed N"),

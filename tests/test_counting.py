@@ -20,7 +20,7 @@ from qpdm.counting import (
     quantum_count,
     statevector_distribution,
 )
-from qpdm.counting import _oracle_diagonal, _readout_distribution, _statevector_prepared
+from qpdm.counting import _marked_count, _readout_distribution, _statevector_prepared
 from qpdm.dataset import TransactionDatabase, exact_confidence, pad_to_power_of_two, vertical_partition
 from qpdm.protocol import (
     KEY_FAMILIES,
@@ -29,6 +29,7 @@ from qpdm.protocol import (
     make_key,
     oracle_layout,
     reference_phase_oracle,
+    run_oracle_u,
     sample_key,
     transcript_total,
 )
@@ -148,7 +149,15 @@ class TestDistribution:
         bob = bob.with_key(key)
         signs = reference_phase_oracle(db, z, key.apply)
         assert 0 < np.count_nonzero(signs < 0) < 64
-        assert np.array_equal(_oracle_diagonal(alice, bob, z), signs)
+        # position by position: the oracle run on the uniform state keeps
+        # every label and negates exactly the reference's marked addresses
+        layout = oracle_layout(6, split, 70)
+        labels = np.arange(64, dtype=layout.label_dtype) << layout.offset("address")
+        uniform = qsim.SparseState.from_arrays(layout, labels, np.full(64, 1 / 8, dtype=complex))
+        out = run_oracle_u(uniform, alice, bob, z, Transcript())
+        assert np.array_equal(out.labels, labels)
+        assert np.array_equal(out.amplitudes * 8, signs)
+        assert _marked_count(alice, bob, z) == np.count_nonzero(signs < 0)
         config = CountingConfig(p=3, s=0.3)
         sv = statevector_distribution("alice", alice, bob, z, config)
         cf = counting_distribution("alice", alice, bob, z, config)
@@ -254,6 +263,52 @@ class TestDistribution:
             assert abs(phase_readout(f, 64) - 0.25) <= estimate_error_bound(0.25, 64)
 
 
+class TestMarkedCount:
+    @pytest.mark.parametrize("family", KEY_FAMILIES)
+    def test_matches_reference_phase_oracle(self, family):
+        rng = np.random.default_rng(len(family))
+        for n, k in ((1, 2), (3, 4), (5, 3)):
+            rows = tuple("".join("01"[int(b)] for b in row) for row in rng.random((1 << n, k)) < 0.6)
+            db = TransactionDatabase(k, rows, 1 << n)
+            alice, bob = parties(db, 1)
+            for z in (frozenset({1}), frozenset({2, k}), frozenset(range(1, k + 1))):
+                key = sample_key(family, n, rng)
+                marked = np.count_nonzero(reference_phase_oracle(db, z, key.apply) < 0)
+                assert _marked_count(alice, bob.with_key(key), z) == marked
+                assert _marked_count(bob, alice.with_key(key), z) == marked
+
+    @pytest.mark.parametrize("label_moved", [True, False], ids=["moved-label", "scaled-amplitude"])
+    def test_inexact_oracle_output_refused(self, monkeypatch, label_moved):
+        def tampered(state, *args, **kwargs):
+            out = run_oracle_u(state, *args, **kwargs)
+            labels, amps = out.labels.copy(), out.amplitudes.copy()
+            if label_moved:
+                labels[5] ^= 1 << (out.layout.total_width - 1)
+            else:
+                amps[5] *= 2
+            return qsim.SparseState.from_arrays(out.layout, labels, amps)
+
+        monkeypatch.setattr(counting, "run_oracle_u", tampered)
+        alice, bob = parties(DB16_T4, 1)
+        key = make_key("bitflip", 3, 4)
+        z = frozenset({1, 2})
+        # amplitude 1/4 at n = 4, scaled to +-1/2 at address 5
+        scaled = np.complex128(0.5 * reference_phase_oracle(DB16_T4, z, key.apply)[5])
+        message = (
+            "oracle output moved basis labels"
+            if label_moved
+            else f"oracle output is not a sign flip: {scaled!r}"
+        )
+        config = CountingConfig(p=6, s=0.25)
+        transcript = Transcript()
+        with pytest.raises(qsim.SimulationError) as err:
+            quantum_count(
+                "alice", alice, bob.with_key(key), z, config, np.random.default_rng(0), transcript
+            )
+        assert str(err.value) == message
+        assert transcript.records == []
+
+
 class TestQuantumCount:
     def test_deterministic_per_seed(self):
         alice, bob = parties(DB16_T4, 1)
@@ -296,6 +351,24 @@ class TestQuantumCount:
         assert transcript.records == [("alice", 3, config.P - 1)]
         assert transcript.oracle_calls == config.P - 1
         assert len(transcript.events) == 4 * (config.P - 1)
+
+    def test_no_real_rows_refused_before_the_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not run")
+
+        monkeypatch.setattr(counting, "run_oracle_u", refuse)
+        alice, bob = parties(pad_to_power_of_two(TransactionDatabase(2, (), 0)), 1)
+        config = CountingConfig(p=4, s=0.25)
+        z = frozenset({1, 2})
+        transcript = Transcript()
+        with pytest.raises(ValueError, match="^database has no real rows$"):
+            quantum_count(
+                "alice", alice, bob.with_key(make_key("bitflip", 1, 1)), z, config,
+                np.random.default_rng(0), transcript,
+            )
+        with pytest.raises(ValueError, match="^database has no real rows$"):
+            joint_support(alice, bob, z, config, np.random.default_rng(0), transcript)
+        assert transcript.records == []
 
     def test_transcript_full_count_total(self):
         alice, bob = parties(DB16_T4, 1)

@@ -89,6 +89,34 @@ class TestAprioriExact:
         assert all(2 not in z for z in mined)  # nothing joined through {2}
         assert frozenset({1, 3}) in mined
 
+    def test_candidates_estimated_in_order_as_frozensets(self):
+        # the join hands each level's candidates on in lexicographic order,
+        # which is the order of the levels, the undetermined list and the
+        # estimator's calls; only the estimator sees a frozenset
+        rng = np.random.default_rng(3)
+        k = 7
+        rows = tuple("".join(rng.choice(["0", "1"], p=[0.3, 0.7], size=k)) for _ in range(16))
+        db = TransactionDatabase(k, rows, 16)
+        exact = exact_estimator(db)
+        asked = []
+
+        def recording(z):
+            asked.append(z)
+            est = exact(z)
+            if len(z) == 2 and k in z:
+                return SupportEstimate(est.value, 0.0, 1, 0.0, 0.0, False)
+            return est
+
+        alice, bob = parties(db, 3)
+        result = apriori_frequent(alice, bob, config_for(0.2, band=1e-9), recording)
+        assert all(type(z) is frozenset for z in asked)
+        calls = [tuple(sorted(z)) for z in asked]
+        assert calls == sorted(calls, key=lambda z: (len(z), z))
+        assert len(result.levels) >= 3 and result.undetermined
+        assert result.undetermined == sorted(result.undetermined, key=lambda z: (len(z), z))
+        for level in result.levels:
+            assert [rec.items for rec in level] == sorted(rec.items for rec in level)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_every_subset_of_a_kept_itemset_is_kept(self, data):
@@ -158,6 +186,17 @@ class TestGenerateRules:
         rules = generate_rules([single, pair], 0.5)
         assert [(r.antecedent, r.consequent) for r in rules] == [((1,), (2,))]
         assert generate_rules([pair], 0.5) == []
+
+    def test_hand_built_items_sorted_at_entry(self):
+        # records in any order, with their items in any order, give the
+        # rules of the sorted list
+        frequent = exact_mine(FOUR_ROWS, 0.2, 0.0).frequent
+        shuffled = [
+            FrequentItemset(rec.items[::-1], rec.estimate, rec.error_bound, rec.rounds, rec.borderline)
+            for rec in reversed(frequent)
+        ]
+        assert generate_rules(shuffled, 0.3) == generate_rules(frequent, 0.3)
+        assert any(len(r.antecedent) + len(r.consequent) == 3 for r in generate_rules(shuffled, 0.3))
 
     def test_empty_frequent_gives_no_rules(self):
         assert generate_rules([], 0.5) == []
