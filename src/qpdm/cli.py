@@ -64,7 +64,6 @@ def _add_common(sub):
     sub.add_argument("--max-rounds", type=int, default=20)
     sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
     sub.add_argument("--output", default=None, help="write the report here instead of stdout")
-    sub.add_argument("--with-exact-oracle", action="store_true")
     sub.add_argument("--transcript-dump", action="store_true")
 
 
@@ -75,10 +74,12 @@ def build_parser() -> _Parser:
     est = subs.add_parser("estimate", help="two-party support estimate")
     _add_common(est)
     est.add_argument("--items", required=True, help="comma-separated item indices, e.g. 1,3")
+    est.add_argument("--with-exact-oracle", action="store_true")
 
     mine = subs.add_parser("mine", help="full two-party Apriori mining run")
     _add_common(mine)
     mine.add_argument("--c", type=float, required=True, help="confidence threshold")
+    mine.add_argument("--with-exact-oracle", action="store_true")
 
     cmp_ = subs.add_parser("compare", help="quantum qubits vs classical bits for one itemset")
     _add_common(cmp_)
@@ -429,6 +430,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "transcript_dump", False) and args.format == "csv":
+            raise ValueError("--transcript-dump has no csv rendering; use --format json or table")
         return COMMANDS[args.command](args)
     except FileError as exc:
         print(f"qpdm: error: {exc}", file=sys.stderr)

@@ -12,15 +12,13 @@ The readout distribution is computed in closed form. The Grover iteration
 G keeps the uniform address state inside span{|marked>, |unmarked>}, where
 it is a rotation with eigenvalues exp(+-2i theta), sin^2(theta) = M / 2^n,
 and the uniform state has weight 1/2 on each eigenvector (Brassard, Hoyer
-and Tapp, quant-ph/9805082). Phase estimation of an eigenphase lambda
-reads f with probability |sum_t exp(i(lambda - 2 pi f / P) t) / P|^2, the
-Fejer kernel, so the exact distribution is
-
-    Pr[f] = 1/2 sum_{lambda = +-2 theta} |fft(exp(i lambda t))[f] / P|^2,
-
-which depends on the marked count M alone. The Fourier form has no 0/0
-case at M = 0 or M = 2^n, where the uniform state is itself an eigenvector
-and both terms coincide. M is taken from one full seven-step protocol
+and Tapp, quant-ph/9805082). Phase estimation of the eigenphase 2 theta
+reads f with the probability of the Fejer kernel around r = P theta / pi,
+sin^2(pi phi) / (P sin(pi d / P))^2, where phi = r - floor(r) and d = f - r
+is reduced mod P to [-P/2, P/2); when phi = 0, as at M = 0 or M = 2^n, the
+kernel is a point mass on r. The -2 theta kernel is its mirror f -> -f mod
+P, and their mean, formed in O(P) with no transform, depends on the
+marked count M alone. M is taken from one full seven-step protocol
 execution per count on the uniform address state, built directly as
 labels j << offset with amplitude 2^(-n/2): every query, mark and erasure
 runs, and since the oracle only negates amplitudes, the output is checked
@@ -30,16 +28,16 @@ number of negated ones, read as one integer.
 The distribution is computed once per (M, n, P) and held, read-only with
 its cumulative sum, until a count needs another: all 2R counts of an
 R-round joint_support share one marked count, since u is a bijection, and
-so share one distribution. At most one is held, and it is dropped before
-the next is formed. Every count logs the transcript of the circuit it
-stands for as one record of its P-1 logical oracle calls, and consumes
-one uniform draw, compared against the held cumulative sum.
-statevector_distribution runs the circuit itself, every controlled Grover
-call over the full counting register; it is exponential in p and is the
-reference the tests pin this module to.
+so share one distribution; at most one is held. Every count logs the
+transcript of the circuit it stands for as one record of its P-1 logical
+oracle calls, and consumes one uniform draw, compared against the held
+cumulative sum. statevector_distribution runs the circuit itself, every
+controlled Grover call over the full counting register; it is exponential
+in p and is the reference the tests pin this module to.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,12 +55,10 @@ from .protocol import (
     sample_key,
 )
 
-# A count forms its readout distribution in place from one length-P complex
-# array, and pocketfft's in-place transform takes work space for two more,
-# which tracemalloc does not see. Measured as peak RSS above the
-# interpreter's own, that is about 48 B per readout value: 199 MiB at
-# p = 22, and 775 MiB at p = 24. The distribution and its cumulative sum,
-# held for the next count, take 16 B of that per value.
+# A readout distribution and its cumulative sum, held for the next count,
+# take about 16 B of peak RSS per readout value (measured above the
+# interpreter's 29 MiB: 71 MiB at p = 22, 263 MiB at p = 24), and twice
+# that while a new one is formed beside the held one.
 MAX_COUNTING_WIDTH = 24
 
 
@@ -207,18 +203,27 @@ def _statevector_prepared(
 
 def _readout_distribution(marked: int, n: int, P: int) -> np.ndarray:
     """Exact readout distribution of a count with `marked` of 2^n addresses
-    marked: the mean of the Fejer kernels around the eigenphases +-2 theta.
-    Formed in place, one length-P array at a time where it can be."""
+    marked: the mean of the Fejer kernels around the eigenphases +-2 theta,
+    formed in place in one real length-P array and mirrored into a second."""
     theta = math.asin(math.sqrt(marked / (1 << n)))
-    wave = 2j * theta * np.arange(P)
-    np.exp(wave, out=wave)
-    np.fft.fft(wave, out=wave)
-    wave /= P
-    kernel = np.abs(wave)
-    del wave  # the transform is freed before the kernel is squared and mirrored
-    kernel **= 2
+    r = P * theta / math.pi  # the +2 theta kernel peaks at readout r
+    m = math.floor(r)
+    phi = r - m
+    if phi == 0:
+        kernel = np.zeros(P)
+        kernel[m] = 1.0
+    else:
+        # d = f - r: f - m is reduced exactly mod P before phi is subtracted
+        kernel = np.arange(P // 2 - m, P + P // 2 - m, dtype=float)
+        np.mod(kernel, P, out=kernel)
+        kernel -= P // 2
+        kernel -= phi
+        kernel *= math.pi / P
+        np.sin(kernel, out=kernel)
+        np.square(kernel, out=kernel)
+        np.divide((math.sin(math.pi * phi) / P) ** 2, kernel, out=kernel)
     # the -2 theta kernel is the +2 theta kernel mirrored, f -> -f mod P
-    probs = np.roll(kernel[::-1], 1)
+    probs = np.roll(kernel[::-1], 1, axis=0)  # axis=0: no flattened copy
     probs += kernel
     del kernel
     probs *= 0.5
@@ -227,25 +232,15 @@ def _readout_distribution(marked: int, n: int, P: int) -> np.ndarray:
     return probs
 
 
-# The readout distribution depends on (M, n, P) alone, and every count of a
-# joint_support has the same marked count M, so the last one formed is held
-# with its cumulative sum for the next count. Both are read-only and a pure
-# function of the key, so every caller may share them. One entry at most:
-# it is dropped before a new one is formed, so no two are alive at once.
-_readout_memo: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+# The readout depends on (M, n, P) alone, and every count of a joint_support
+# has the same M, so the last one formed is held, read-only, for the next.
+@functools.lru_cache(maxsize=1)
 def _readout(marked: int, n: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     """(probs, cdf): the readout distribution and its cumulative sum."""
-    key = (marked, n, P)
-    held = _readout_memo.get(key)
-    if held is None:
-        _readout_memo.clear()
-        probs = _readout_distribution(marked, n, P)
-        cdf = np.cumsum(probs)
-        probs.flags.writeable = cdf.flags.writeable = False
-        held = _readout_memo[key] = probs, cdf
-    return held
+    probs = _readout_distribution(marked, n, P)
+    cdf = np.cumsum(probs)
+    probs.flags.writeable = cdf.flags.writeable = False
+    return probs, cdf
 
 
 def _count_readout(

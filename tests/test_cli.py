@@ -510,6 +510,12 @@ class TestCompare:
         argv = ["compare", "--db", db, "--items", "1,2", "--split", "1", "--seed", "1", "--prime", prime]
         assert run(capsys, argv) == (EXIT_USAGE, "", f"qpdm: error: {message}\n")
 
+    def test_exact_oracle_flag_refused(self, capsys):
+        # compare always reports exact_support, so the flag would change nothing
+        code, out, err = run(capsys, [*COMPARE, "--with-exact-oracle"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines()[-1] == "qpdm: error: unrecognized arguments: --with-exact-oracle"
+
     def test_default_prime_within_bound(self):
         assert next_prime(1 << MAX_ADDRESS_WIDTH) <= MAX_CLASSICAL_PRIME
 
@@ -651,6 +657,16 @@ class TestErrorLines:
                          id="missing-file"),
             pytest.param(estimate(db="{bad}"), None, EXIT_FILE,
                          "{bad}: line 2: non-binary cell '2'", id="malformed-file"),
+            *(
+                pytest.param([*argv, "--transcript-dump", "--format", "csv"], None, EXIT_USAGE,
+                             "--transcript-dump has no csv rendering; use --format json or table",
+                             id=f"dump-csv-{argv[0]}")
+                for argv in (
+                    estimate(db="{missing}"),
+                    ["mine", "--db", "{missing}", "--split", "2", "--c", "0.6", "--seed", "1"],
+                    ["compare", "--db", "{missing}", "--items", "1,2", "--split", "2", "--seed", "1"],
+                )
+            ),
         ],
     )
     def test_error_line(self, capsys, tmp_path, monkeypatch, argv, env_seed, code, line):

@@ -57,6 +57,27 @@ def db_with_marked(n, t, seed=0):
     return TransactionDatabase(2, tuple(rows), 1 << n)
 
 
+def fourier_readout_distribution(marked: int, n: int, P: int) -> np.ndarray:
+    """The readout distribution by the discrete Fourier transform of the
+    eigenphase waves, as it was formed before the closed form."""
+    theta = math.asin(math.sqrt(marked / (1 << n)))
+    wave = 2j * theta * np.arange(P)
+    np.exp(wave, out=wave)
+    np.fft.fft(wave, out=wave)
+    wave /= P
+    kernel = np.abs(wave)
+    del wave  # the transform is freed before the kernel is squared and mirrored
+    kernel **= 2
+    # the -2 theta kernel is the +2 theta kernel mirrored, f -> -f mod P
+    probs = np.roll(kernel[::-1], 1)
+    probs += kernel
+    del kernel
+    probs *= 0.5
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise qsim.SimulationError("counting distribution lost normalization")
+    return probs
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -196,6 +217,15 @@ class TestDistribution:
         dft = np.exp(-2j * np.pi * np.outer(np.arange(P), np.arange(P)) / P) / math.sqrt(P)
         expected = (np.abs(dft @ walk) ** 2).sum(axis=1)
         assert np.max(np.abs(got - expected)) < 1e-12
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 8, 13])
+    def test_closed_form_matches_fourier_transform(self, p):
+        for n in range(1, 13):
+            size = 1 << n
+            for marked in sorted({0, 1, 2, size // 3, size // 2, size - 1, size}):
+                got = _readout_distribution(marked, n, 1 << p)
+                expected = fourier_readout_distribution(marked, n, 1 << p)
+                assert np.max(np.abs(got - expected)) < 1e-12, (n, marked)
 
     def test_exact_phase_sharpness(self):
         # t/2^n = 1/2 has eigenphase exactly 1/4: all mass on P/4 and 3P/4
@@ -398,8 +428,8 @@ class TestReadoutMemo:
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got[0] = 1.0
-            assert list(counting._readout_memo) == [(marked, 3, config.P)]
-            probs, cdf = counting._readout_memo[(marked, 3, config.P)]
+            assert counting._readout.cache_info().currsize == 1
+            probs, cdf = counting._readout(marked, 3, config.P)
             assert probs is got and not cdf.flags.writeable
             assert cdf.tobytes() == np.cumsum(got).tobytes()
 
@@ -411,7 +441,7 @@ class TestReadoutMemo:
             return _readout_distribution(marked, n, P)
 
         monkeypatch.setattr(counting, "_readout_distribution", spy)
-        monkeypatch.setattr(counting, "_readout_memo", {})
+        counting._readout.cache_clear()
         alice, bob = parties(DB16_T4, 1)
         config = CountingConfig(p=6, s=0.25, agreement_band=1e-9, max_rounds=3)
         rng = np.random.default_rng(5)

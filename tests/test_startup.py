@@ -1,6 +1,7 @@
 """Importing qpdm loads numpy with a one-thread OpenBLAS pool and leaves the
 environment as it was; a caller's own thread setting or an earlier numpy
-import wins. Each case runs in a fresh interpreter."""
+import wins. A command leaves numpy.fft unloaded. Each case runs in a fresh
+interpreter."""
 import os
 import subprocess
 import sys
@@ -52,3 +53,20 @@ def test_callers_setting_wins(variable):
 def test_numpy_imported_first_is_left_alone():
     unchanged, openblas, *_ = probe("import numpy\nimport qpdm")
     assert (unchanged, openblas) == ("True", "None")
+
+
+def test_mine_forms_no_fourier_transform():
+    # the readout is a closed form: a command never loads numpy.fft
+    code = (
+        "import sys\n"
+        "from qpdm import cli\n"
+        "assert cli.main(['mine', '--db', 'demos/data/market.csv', '--split', '2',"
+        " '--s', '0.3', '--c', '0.6', '--seed', '11']) == 0\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=SRC.parent, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
