@@ -1,10 +1,16 @@
-"""Why the encryption permutation protects Bob, how the classical scheme
-falls to an exhaustive-key search, and what each protocol pays in
-communication.
+"""What the encryption permutation hides and what it does not, how the
+classical scheme falls to an exhaustive-key search, and what each protocol
+pays in communication.
 
 Part 1 enumerates every key of the bit-flip and modular-add families and
-shows that a measured address reveals nothing: the encrypted image of any
-fixed transaction index is exactly uniform over the whole address space.
+shows that the encrypted image of any fixed transaction index is exactly
+uniform over the whole address space. That hides which row a measured
+address is, but not the flag that travels with it: on the uniform input,
+the (address, flag) pairs the initiator receives after step 3 are
+(i, c_B(i)) for every address i, whatever the key, because
+sum_j |u(j)>|c_B(u(j))> = sum_i |i>|c_B(i)> for any bijection u. Whether
+that breaks the paper's privacy claim depends on its threat model; this
+demo does not measure it.
 
 Part 2 replays the commutative-encryption baseline and recovers Bob's
 secret exponent by brute force from one observed exchange.

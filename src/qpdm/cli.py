@@ -432,6 +432,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "transcript_dump", False) and args.format == "csv":
             raise ValueError("--transcript-dump has no csv rendering; use --format json or table")
+        # mine's csv holds only the rules, with no room for the exact diff
+        if args.command == "mine" and args.with_exact_oracle and args.format == "csv":
+            raise ValueError("mine --with-exact-oracle has no csv rendering; use --format json or table")
         return COMMANDS[args.command](args)
     except FileError as exc:
         print(f"qpdm: error: {exc}", file=sys.stderr)

@@ -305,10 +305,8 @@ def quantum_count(
     transcript: Transcript | None = None,
 ) -> float:
     """One count: run phase estimation, measure, and return the support
-    estimate rescaled from the padded space to the real row count, which is
-    checked to be positive before the oracle runs."""
-    if alice.view.original_count < 1:
-        raise ValueError("database has no real rows")
+    estimate rescaled from the padded space to the real row count (at
+    least one in every database)."""
     _, cdf = _count_readout(initiator, alice, bob, z, config, transcript)
     # the first readout whose cumulative probability exceeds one uniform
     # draw; the clamp catches a cumulative sum that rounds to just below 1

@@ -3,10 +3,13 @@ support / confidence statistics.
 
 A transaction is a row of k 0/1 cells; column i - 1 is item i. A database
 holds its rows as one read-only uint8 matrix ``bits`` (rows x k), the only
-row store. A party's view of a vertically partitioned database is a column
-slice of that matrix, a numpy view rather than a copy; padding appends
-zero rows to it; and the '0'/'1' strings of ``rows`` are derived from it on
-first access, for the string-level references and the tests.
+row store. Its facts are decided where it is made, whichever way that is:
+every cell is 0 or 1, it has at least one real row, and every row past the
+real ones is all zero. A party's view of a vertically partitioned database
+is cut only from a database, and its bits are a column slice of that
+matrix, a numpy view rather than a copy; padding appends zero rows to it;
+and the '0'/'1' strings of ``rows`` are derived from it on first access,
+for the string-level references and the tests.
 
 ``parse_database`` turns CSV or bit-string text into that matrix with
 whole-array operations. A canonical CSV line is k two-byte cells, each a
@@ -80,11 +83,12 @@ class TransactionDatabase:
     """N transactions over k items, possibly padded with all-zero rows.
 
     ``bits`` is the read-only rows x k 0/1 matrix. ``original_count`` is
-    the number of real (non-padding) rows; it is the denominator of every
-    support value. The constructor takes '0'/'1' row strings and checks
-    them; ``from_bits`` takes a matrix that is already checked. Databases
-    are equal when their matrices, original counts and item names are,
-    whichever way they were built.
+    the number of real (non-padding) rows, at least one; it is the
+    denominator of every support value. The rows past it are padding and
+    all zero. The constructor takes '0'/'1' row strings, ``from_bits`` a
+    uint8 matrix, and each checks its input. Databases are equal when
+    their matrices, original counts and item names are, whichever way they
+    were built.
     """
 
     bits: np.ndarray = field(repr=False)
@@ -108,13 +112,16 @@ class TransactionDatabase:
     ) -> TransactionDatabase:
         """A database over ``bits``, a rows x k uint8 matrix of 0s and 1s.
 
-        The values are not checked again. The database takes the matrix as
-        it is, without a copy, and makes it read-only.
+        The database takes the matrix as it is, without a copy, and makes
+        it read-only.
         """
         if bits.ndim != 2 or bits.dtype != np.uint8:
             raise ValueError(f"bits must be a 2-d uint8 matrix, got {bits.ndim}-d {bits.dtype}")
         if bits.shape[1] < 1:
             raise ValueError("need at least one item")
+        if bits.max(initial=0) > 1:
+            row = int(np.flatnonzero((bits > 1).any(axis=1))[0])
+            raise ValueError(f"bits row {row} holds a value other than 0 or 1")
         db = object.__new__(cls)
         db._set(bits, original_count, item_names)
         return db
@@ -122,6 +129,11 @@ class TransactionDatabase:
     def _set(self, bits: np.ndarray, original_count: int, item_names: tuple[str, ...]) -> None:
         if not 0 <= original_count <= len(bits):
             raise ValueError("original_count out of range")
+        if original_count < 1:
+            raise ValueError("database has no real rows")
+        if original_count < len(bits) and bits[original_count:].any():
+            row = original_count + int(np.flatnonzero(bits[original_count:].any(axis=1))[0])
+            raise ValueError(f"padding row {row} is not all zero")
         if not item_names:
             item_names = tuple(f"I{i}" for i in range(1, bits.shape[1] + 1))
         elif len(item_names) != bits.shape[1]:
@@ -163,20 +175,32 @@ class TransactionDatabase:
 class PartitionedView:
     """One party's half of a vertically partitioned database.
 
-    Alice holds columns 1..l, Bob columns l+1..k: ``bits`` is that column
-    slice of the database's read-only bit matrix, checked when the database
-    was built. ``original_count`` rides along so estimates over the padded
-    space can be rescaled back. Views compare by identity.
+    Alice holds columns 1..l, Bob columns l+1..k. A view is cut only from a
+    database and holds it: ``bits`` is the party's column slice of the
+    database's read-only matrix and ``original_count`` the database's, so a
+    view's cells are 0/1 and its padding rows zero because the database's
+    are. Views compare by identity.
     """
 
     role: str
     split_point: int
-    bits: np.ndarray = field(repr=False)
-    original_count: int
+    db: TransactionDatabase = field(repr=False)
+    bits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.role not in ("alice", "bob"):
             raise ValueError(f"unknown role {self.role!r}")
+        if not isinstance(self.db, TransactionDatabase):
+            raise TypeError(f"a view is cut from a TransactionDatabase, not {type(self.db).__name__}")
+        l = self.split_point
+        if not 1 <= l < self.db.n_items:
+            raise ValueError(f"split point {l} must satisfy 1 <= l < {self.db.n_items}")
+        bits = self.db.bits[:, :l] if self.role == "alice" else self.db.bits[:, l:]
+        object.__setattr__(self, "bits", bits)
+
+    @property
+    def original_count(self) -> int:
+        return self.db.original_count
 
     @property
     def width(self) -> int:
@@ -403,11 +427,7 @@ def pad_to_power_of_two(db: TransactionDatabase) -> TransactionDatabase:
 
 def vertical_partition(db: TransactionDatabase, l: int) -> tuple[PartitionedView, PartitionedView]:
     """Split columns 1..l to Alice and l+1..k to Bob, preserving row order."""
-    if not 1 <= l < db.n_items:
-        raise ValueError(f"split point {l} must satisfy 1 <= l < {db.n_items}")
-    alice = PartitionedView("alice", l, db.bits[:, :l], db.original_count)
-    bob = PartitionedView("bob", l, db.bits[:, l:], db.original_count)
-    return alice, bob
+    return PartitionedView("alice", l, db), PartitionedView("bob", l, db)
 
 
 def _check_items(db: TransactionDatabase, z: ItemSet, label: str = "Z") -> None:
@@ -424,8 +444,6 @@ def exact_support(db: TransactionDatabase, z: ItemSet) -> Fraction:
     over all rows is safe; the denominator is the original row count.
     """
     _check_items(db, z)
-    if db.original_count < 1:
-        raise ValueError("database has no real rows")
     hits = db.bits[:, [i - 1 for i in z]].all(axis=1)
     return Fraction(int(np.count_nonzero(hits)), db.original_count)
 

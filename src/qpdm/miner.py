@@ -213,8 +213,6 @@ def exact_mine(db: TransactionDatabase, s: float, c: float) -> MiningReport:
     then generate rules. Guarded to k <= 20 items."""
     if db.n_items > MAX_EXACT_ITEMS:
         raise ValueError(f"exact enumeration refused beyond {MAX_EXACT_ITEMS} items")
-    if db.original_count < 1:
-        raise ValueError("database has no real rows")
     frequent = []
     for size in range(1, db.n_items + 1):
         for combo in itertools.combinations(range(1, db.n_items + 1), size):

@@ -23,24 +23,26 @@ is asked for. Its inputs are checked once per call, before any label
 moves: Z, the roles, the key and the QRAM sizes, and the auxiliary
 registers at entry; then the key, whose 2^n images one scatter checks to
 fit the address register and to be a bijection on it (so it keeps
-distinct labels distinct, and its inverse table serves step 7); then that
-each party's data register is exactly as wide as its view (its cells,
-checked once when the party was built, are not passed over), its
-membership selector and flag position, and the phase qubits, each with
-the check code the qsim primitives use. The labels then go through all
-seven steps a block at a time, each block a fresh copy that every step
-changes in place while it stays in cache. The address register does not
-change between steps 1 and 7, so u(j) and each party's cells gathered at
-u(j) and shifted into its data register are computed once per block, in
-step 1 and when the party first queries. Every query, mark and unquery
-still runs as its own XOR on the labels, and every mark reads the data
-register from the labels. Step 4 negates amplitudes. The gate-level
-reference the plan is tested against, one qsim primitive per query, mark,
-phase and permutation, lives in the tests.
+distinct labels distinct, and its inverse table serves step 7); then
+that each party's data register is exactly as wide as its view (its
+cells fit that width because its database's bits are 0/1, and are not
+passed over), its membership selector and flag position, and the phase
+qubits, each with the check code the qsim primitives use. The labels
+then go through all seven steps a block at a time, each block a fresh
+copy that every step changes in place while it stays in cache. The
+address register does not change between steps 1 and 7, so u(j) and each
+party's cells gathered at u(j) and shifted into its data register are
+computed once per block, in step 1 and when the party first queries.
+Every query, mark and unquery still runs as its own XOR on the labels,
+and every mark reads the data register from the labels. Step 4 negates
+amplitudes. The gate-level reference the plan is tested against, one
+qsim primitive per query, mark, phase and permutation, lives in the
+tests.
 
 A party's QRAM holds one read-only integer cell per row of its view,
 computed once from the view's column slice of the database's bit matrix,
-leftmost column most significant, and checked then to fit the view's width.
+leftmost column most significant. The database's cells are 0/1, so every
+cell fits the view's width, and no pass checks them again.
 
 Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
 n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
@@ -159,7 +161,8 @@ class PartyState:
     # the QRAM cells as one read-only integer array, built only from the
     # view's bit matrix: the first column cast to the label dtype, then for
     # each further column a shift left by one and an OR of the column (an
-    # object array stays Python ints), checked once to fit the view's width
+    # object array stays Python ints). The view's bits are 0/1 because its
+    # database's are, so every cell fits the view's width.
     memory_ints: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -168,7 +171,6 @@ class PartyState:
         for c in range(1, self.data_width):
             cells <<= 1
             cells |= bits[:, c]
-        qsim.memory_cells(cells, len(bits), self.data_width, cells.dtype)
         cells.flags.writeable = False
         object.__setattr__(self, "memory_ints", cells)
 
@@ -305,7 +307,7 @@ class _PartyPlan(NamedTuple):
     def build(cls, party: PartyState, z: frozenset, layout):
         data, flag_register = _party_registers(party)
         width = layout.width(data)
-        if width != party.data_width:  # the width its cells were checked to fit
+        if width != party.data_width:  # the width its cells fit
             raise ValueError(f"{data} register has {width} qubits, its view {party.data_width} items")
         flag = layout.qubit(flag_register)
         items, offset = party.view.item_part(z)

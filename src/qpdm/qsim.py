@@ -8,8 +8,16 @@ more items) use object arrays of Python ints, and every primitive runs the
 same array code on both. ``SparseState.amps`` gives the same state as a
 read-only {label: amplitude} mapping, built from the arrays on first use.
 
-The engine provides exactly the primitives the protocol needs, each a
-handful of whole-array operations, and they fall in two classes:
+A command (estimate, mine, compare) uses the engine's data types and
+checks, not its gates: the register layout, SparseState built from bare
+arrays, label_dtype, and the checks the seven-step oracle call in
+``protocol`` shares with the gate primitives: inverse_permutation (the
+key's range and bijection check), membership_selector and
+check_phase_qubits. The oracle call runs its steps over bare label arrays,
+and no primitive that changes a state runs on a command path.
+
+The primitives are each a handful of whole-array operations, and they fall
+in two classes:
 
 * signed basis permutations: encryption permutations, QRAM queries (XOR
   loads of integer memory cells, hence self-inverse), membership marks, the
@@ -19,16 +27,12 @@ handful of whole-array operations, and they fall in two classes:
   Only these can enlarge the state, by at most a factor of 2^(register
   width); equal labels they produce are merged by a sort.
 
-The oracle call in ``protocol`` runs its seven steps over bare label arrays
-and calls none of the four oracle primitives (apply_permutation,
-qram_query, apply_membership_mark, apply_phase_and); they are the
-gate-level reference it is tested against. It shares their checks, which
-live in helpers both call: the range check of a register permutation
-(the oracle checks the key's 2^n images once, in inverse_permutation,
-where apply_permutation sorts the new labels), memory_cells,
-membership_selector and check_phase_qubits. The Hadamard wall, the zero
+Four of them (apply_permutation, qram_query with its cell check
+memory_cells, apply_membership_mark, apply_phase_and) are the gate-level
+reference the oracle call is tested against. The Hadamard wall, the zero
 reflection, the phase flip and the inverse QFT serve the controlled Grover
-iteration and the statevector counting path.
+iteration and the statevector counting path, the reference the readout is
+tested against.
 
 Operations are pure: each returns a fresh SparseState and leaves its input
 untouched. Amplitudes with magnitude below ``PRUNE_EPS`` are dropped after

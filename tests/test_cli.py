@@ -667,6 +667,11 @@ class TestErrorLines:
                     ["compare", "--db", "{missing}", "--items", "1,2", "--split", "2", "--seed", "1"],
                 )
             ),
+            # refused before the file is read, which would exit 66
+            pytest.param(["mine", "--db", "{missing}", "--split", "2", "--c", "0.6", "--seed", "1",
+                          "--with-exact-oracle", "--format", "csv"], None, EXIT_USAGE,
+                         "mine --with-exact-oracle has no csv rendering; use --format json or table",
+                         id="exact-csv-mine"),
         ],
     )
     def test_error_line(self, capsys, tmp_path, monkeypatch, argv, env_seed, code, line):
@@ -723,7 +728,10 @@ class TestGolden:
                 "estimate_padded_crlf_seed4.json",
             ),
             *(
-                (argv + ["--format", fmt], f"{name}.{fmt}")
+                # mine refuses --with-exact-oracle with csv, whose rendering
+                # holds only the rules: the flag never changed those bytes
+                ([arg for arg in argv if fmt != "csv" or arg != "--with-exact-oracle"] + ["--format", fmt],
+                 f"{name}.{fmt}")
                 for argv, name in [
                     (["mine", "--db", MARKET_CSV, "--split", "2", "--s", "0.3", "--c", "0.6",
                       "--seed", "11", "--with-exact-oracle"], "mine_market_seed11"),

@@ -21,7 +21,14 @@ from qpdm.counting import (
     statevector_distribution,
 )
 from qpdm.counting import _marked_count, _readout_distribution, _statevector_prepared
-from qpdm.dataset import TransactionDatabase, exact_confidence, pad_to_power_of_two, vertical_partition
+from qpdm.dataset import (
+    TransactionDatabase,
+    exact_confidence,
+    exact_support,
+    pad_to_power_of_two,
+    parse_database,
+    vertical_partition,
+)
 from qpdm.protocol import (
     KEY_FAMILIES,
     Transcript,
@@ -307,6 +314,53 @@ class TestMarkedCount:
                 assert _marked_count(alice, bob.with_key(key), z) == marked
                 assert _marked_count(bob, alice.with_key(key), z) == marked
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_exact_support_however_the_database_is_made(self, data):
+        # Built from string rows, from CSV text or from a bit matrix, then
+        # padded; the draws may put a 2 in a cell or a 1 in a padding row
+        # (only text makes every row real). Every database that is made has
+        # as many marked addresses as real rows containing z.
+        k = data.draw(st.integers(2, 5), label="k")
+        real = data.draw(st.integers(1, 6), label="real rows")
+        way = data.draw(st.sampled_from(["rows", "text", "bits"]), label="way")
+        extra = 0 if way == "text" else data.draw(st.integers(0, 3), label="padding rows")
+        cells = data.draw(
+            st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                     min_size=real + extra, max_size=real + extra),
+            label="cells",
+        )
+        bits = np.array(cells, dtype=np.uint8)
+        two = data.draw(st.booleans(), label="a 2 in a cell")
+        if two:
+            bits[data.draw(st.integers(0, real + extra - 1)), data.draw(st.integers(0, k - 1))] = 2
+        defective = two or bits[real:].any()
+        try:
+            if way == "rows":
+                rows = tuple("".join(map(str, row)) for row in bits.tolist())
+                db = TransactionDatabase(k, rows, real)
+            elif way == "text":
+                header = ",".join(f"I{i}" for i in range(1, k + 1))
+                db = parse_database("\n".join([header, *(",".join(map(str, row)) for row in bits.tolist())]))
+            else:
+                db = TransactionDatabase.from_bits(bits, real)
+        except ValueError:
+            assert defective
+            return
+        assert not defective
+        padded = pad_to_power_of_two(db)
+        split = data.draw(st.integers(1, k - 1), label="split")
+        z = frozenset(data.draw(st.sets(st.integers(1, k), min_size=1), label="z"))
+        family = data.draw(st.sampled_from(KEY_FAMILIES), label="family")
+        initiator = data.draw(st.sampled_from(["alice", "bob"]), label="initiator")
+        alice, bob = parties(padded, split)
+        key_rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="key_seed"))
+        key = sample_key(family, alice.address_width, key_rng)
+        init, resp = (alice, bob.with_key(key)) if initiator == "alice" else (bob, alice.with_key(key))
+        support = exact_support(db, z)
+        assert support == exact_support(padded, z) <= 1
+        assert _marked_count(init, resp, z) == support * db.original_count
+
     @pytest.mark.parametrize("label_moved", [True, False], ids=["moved-label", "scaled-amplitude"])
     def test_inexact_oracle_output_refused(self, monkeypatch, label_moved):
         def tampered(state, *args, **kwargs):
@@ -382,23 +436,13 @@ class TestQuantumCount:
         assert transcript.oracle_calls == config.P - 1
         assert len(transcript.events) == 4 * (config.P - 1)
 
-    def test_no_real_rows_refused_before_the_oracle(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the oracle must not run")
-
-        monkeypatch.setattr(counting, "run_oracle_u", refuse)
-        alice, bob = parties(pad_to_power_of_two(TransactionDatabase(2, (), 0)), 1)
-        config = CountingConfig(p=4, s=0.25)
-        z = frozenset({1, 2})
-        transcript = Transcript()
+    def test_no_real_rows_refused_before_the_oracle(self):
+        # the database is refused where it is made, unpadded or padded, so no
+        # count can rescale by a zero row count
         with pytest.raises(ValueError, match="^database has no real rows$"):
-            quantum_count(
-                "alice", alice, bob.with_key(make_key("bitflip", 1, 1)), z, config,
-                np.random.default_rng(0), transcript,
-            )
+            TransactionDatabase(2, (), 0)
         with pytest.raises(ValueError, match="^database has no real rows$"):
-            joint_support(alice, bob, z, config, np.random.default_rng(0), transcript)
-        assert transcript.records == []
+            TransactionDatabase.from_bits(np.zeros((2, 2), dtype=np.uint8), 0)
 
     def test_transcript_full_count_total(self):
         alice, bob = parties(DB16_T4, 1)

@@ -125,11 +125,13 @@ class TestFromBits:
             assert not db.bits.flags.writeable
         unlike = (
             TransactionDatabase(3, rows, 3),
-            TransactionDatabase(3, ("110", "011", "001"), 2),
             TransactionDatabase(3, rows[:2], 2),
             TransactionDatabase(3, rows, 2, ("a", "b", "d")),
         )
         assert all(TransactionDatabase.from_bits(bits.copy(), 2) != other for other in unlike)
+        # a database that differs only in a non-zero padding row is not made
+        with pytest.raises(ValueError, match="^padding row 2 is not all zero$"):
+            TransactionDatabase(3, ("110", "011", "001"), 2)
 
     def test_rows_round_trip(self):
         rng = np.random.default_rng(29)
@@ -141,16 +143,29 @@ class TestFromBits:
 
     def test_checks_shape_and_counts(self):
         bits = np.zeros((4, 2), dtype=np.uint8)
+        # a 2 counts as present in exact_support, but shifts into the
+        # neighbouring item in a party's QRAM cell
+        two = np.array([[1, 0, 2], [1, 1, 1]], dtype=np.uint8)
+        padded = bits.copy()
+        padded[3, 1] = 1
         for args, message in (
             ((np.zeros(4, dtype=np.uint8), 4), "2-d uint8"),
             ((bits.astype(np.int64), 4), "2-d uint8"),
             ((np.zeros((4, 0), dtype=np.uint8), 4), "at least one item"),
+            ((two, 2), "^bits row 0 holds a value other than 0 or 1$"),
             ((bits, 5), "original_count"),
             ((bits, -1), "original_count"),
+            ((bits, 0), "^database has no real rows$"),
+            ((padded, 2), "^padding row 3 is not all zero$"),
             ((bits, 4, ("a",)), "item_names"),
         ):
             with pytest.raises(ValueError, match=message):
                 TransactionDatabase.from_bits(*args)
+
+    def test_non_zero_padding_refused(self):
+        # one real row and one padding row hold {1, 2}: exact_support would read 2
+        with pytest.raises(ValueError, match="^padding row 1 is not all zero$"):
+            TransactionDatabase(2, ("11", "11"), 1)
 
     def test_padding_keeps_count_and_names(self):
         bits = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)

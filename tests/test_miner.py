@@ -233,9 +233,9 @@ class TestExactMine:
         assert report.frequent == [] and report.rules == []
 
     def test_empty_db_rejected(self):
-        db = TransactionDatabase(2, ("00",), 0)
-        with pytest.raises(ValueError):
-            exact_mine(db, 0.5, 0.5)
+        # refused where it is made, before exact_mine can divide by its row count
+        with pytest.raises(ValueError, match="^database has no real rows$"):
+            TransactionDatabase(2, ("00",), 0)
 
     def test_wide_db_refused(self):
         db = TransactionDatabase(21, ("0" * 21,), 1)

@@ -241,12 +241,13 @@ class TestBuildQram:
         # so its rows are not contiguous.
         width = data.draw(st.integers(1, 70), label="width")
         n = data.draw(st.integers(0, 4), label="n")
-        before = data.draw(st.integers(0, 3), label="columns before")
-        after = data.draw(st.integers(1, 3), label="columns after")
+        other = data.draw(st.integers(1, 3), label="the other party's columns")
+        role = data.draw(st.sampled_from(["alice", "bob"]), label="role")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        wide = rng.integers(0, 2, size=(1 << n, before + width + after), dtype=np.uint8)
-        wide.flags.writeable = False
-        view = PartitionedView("bob", before, wide[:, before : before + width], 1 << n)
+        wide = rng.integers(0, 2, size=(1 << n, other + width), dtype=np.uint8)
+        db = TransactionDatabase.from_bits(wide, 1 << n)
+        view = PartitionedView(role, width if role == "alice" else other, db)
+        assert view.width == width
         assert not view.bits.flags.c_contiguous or n == 0
         cells = build_qram(view, n).memory_ints
 
@@ -259,11 +260,26 @@ class TestBuildQram:
             assert all(type(cell) is int for cell in cells)
 
     def test_cells_that_do_not_fit_refused(self):
-        # a hand-built view whose bits are not all 0/1: the cells are checked
-        # once, when the party is built
-        view = PartitionedView("alice", 2, np.array([[2, 0]], dtype=np.int64), 1)
-        with pytest.raises(ValueError, match="memory cells do not all fit 2 bits"):
-            build_qram(view, 0)
+        # bits that are not all 0/1 are refused where the database is made,
+        # and a view is cut only from a database, never from a bare matrix
+        bits = np.array([[2, 0], [0, 1]], dtype=np.uint8)
+        with pytest.raises(ValueError, match="^bits row 0 holds a value other than 0 or 1$"):
+            TransactionDatabase.from_bits(bits, 2)
+        with pytest.raises(ValueError, match="2-d uint8"):
+            TransactionDatabase.from_bits(bits.astype(np.int64), 2)
+        with pytest.raises(TypeError, match="cut from a TransactionDatabase"):
+            PartitionedView("alice", 1, bits)
+
+    def test_cells_built_without_a_check_pass(self, monkeypatch):
+        # the database's invariants make every cell fit: no party passes
+        # over its cells again
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_qram passed over the cells")
+
+        monkeypatch.setattr(qsim, "memory_cells", refuse)
+        alice, bob = (build_qram(view, 3) for view in vertical_partition(DB8, 2))
+        assert alice.memory_ints.tolist() == [int(r[:2], 2) for r in DB8.rows]
+        assert bob.memory_ints.tolist() == [int(r[2:], 2) for r in DB8.rows]
 
     def test_cells_read_only_and_shared_by_with_key(self):
         _, bob = make_parties(DB8, 2)
