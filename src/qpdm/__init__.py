@@ -46,6 +46,7 @@ from .dataset import (
     TransactionDatabase,
     exact_confidence,
     exact_support,
+    itemset,
     pad_to_power_of_two,
     parse_database,
     vertical_partition,

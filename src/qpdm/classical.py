@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dataset import MAX_ADDRESS_WIDTH, PartitionedView
+from .dataset import MAX_ADDRESS_WIDTH, PartitionedView, itemset
 
 MAX_ATTACK_PRIME = 10**6
 # Largest prime ``compare`` accepts, checked before any trial division.
@@ -107,7 +107,7 @@ class BitLog:
 def index_set(view: PartitionedView, z: frozenset) -> set[int]:
     """1-based encryptable values of the real transactions whose view rows
     contain this party's part of z."""
-    zpart, offset = view.item_part(z)
+    zpart, offset = view.item_part(itemset(z, view.db.n_items))
     hits = view.bits[: view.original_count, [i - offset - 1 for i in zpart]].all(axis=1)
     return set((np.flatnonzero(hits) + 1).tolist())
 

@@ -32,7 +32,7 @@ from .classical import (
     valid_exponents,
 )
 from .counting import MAX_COUNTING_WIDTH, CountingConfig, default_counting_width, joint_support
-from .dataset import exact_support, pad_to_power_of_two, parse_database, vertical_partition
+from .dataset import exact_support, itemset, pad_to_power_of_two, parse_database, vertical_partition
 from .miner import quantum_estimator, run_mining
 from .protocol import KEY_FAMILIES, Transcript, build_qram, transcript_total
 
@@ -100,16 +100,11 @@ def build_parser() -> _Parser:
 
 def _parse_items(text: str) -> frozenset:
     """The itemset's syntax; its upper bound needs the database."""
-    parts = [cell.strip() for cell in text.split(",") if cell.strip()]
-    if not parts:
-        raise ValueError("empty itemset")
     try:
-        items = frozenset(int(cell) for cell in parts)
+        items = [int(cell) for cell in text.split(",") if cell.strip()]
     except ValueError:
         raise ValueError(f"itemset {text!r} is not a comma-separated list of integers")
-    if any(i < 1 for i in items):
-        raise ValueError("item indices are 1-based")
-    return items
+    return itemset(items)
 
 
 def _resolve_seed(args) -> int | None:
@@ -172,13 +167,9 @@ def _load_db(path: str):
         raise FileError(f"{path}: {exc}")
 
 
-def _build_parties(padded, split, items=frozenset()):
-    if padded.n_items == 1:
-        raise ValueError("a database of one item cannot be split between two parties")
-    if any(i > padded.n_items for i in items):
-        raise ValueError(f"item index outside 1..{padded.n_items}")
-    if not 1 <= split < padded.n_items:
-        raise ValueError(f"split must lie in 1..{padded.n_items - 1}")
+def _build_parties(padded, split, items=None):
+    if items is not None:
+        itemset(items, padded.n_items)
     n = (padded.n_transactions - 1).bit_length()
     alice_view, bob_view = vertical_partition(padded, split)
     return build_qram(alice_view, n), build_qram(bob_view, n)

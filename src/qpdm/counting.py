@@ -45,6 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import qsim
+from .dataset import itemset
 from .protocol import (
     KEY_FAMILIES,
     PartyState,
@@ -360,9 +361,8 @@ def estimate_confidence(
     propagation; the plain sum of the two support bounds is reported
     alongside as error_bound_sum.
     """
-    x, y = frozenset(x), frozenset(y)
-    if not x or not y:
-        raise ValueError("X and Y must be non-empty")
+    k = alice.data_width + bob.data_width
+    x, y = itemset(x, k), itemset(y, k)
     if x & y:
         raise ValueError("X and Y must be disjoint")
     antecedent = joint_support(alice, bob, x, config, rng, transcript)

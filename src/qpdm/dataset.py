@@ -41,6 +41,24 @@ import numpy as np
 ItemSet = frozenset
 """An itemset is a frozenset of 1-based item indices."""
 
+
+def itemset(items, n_items: int | None = None) -> ItemSet:
+    """``items`` as an itemset, refused unless it is non-empty and every
+    index is at least 1 and, when ``n_items`` is given, at most n_items.
+
+    The one check of an itemset wherever one enters, the command line's
+    ``--items`` included, so every entry point refuses in the same words.
+    """
+    z = frozenset(items)
+    if not z:
+        raise ValueError("empty itemset")
+    if min(z) < 1:
+        raise ValueError("item indices are 1-based")
+    if n_items is not None and max(z) > n_items:
+        raise ValueError(f"item index outside 1..{n_items}")
+    return z
+
+
 # Widest address register a database may pad to. One oracle extraction
 # peaks at about 64 B per address and 2 MB of per-block buffers
 # (tracemalloc, n = 16, 18 and 20): 66 MB at n = 20, and 1 GB at n = 24.
@@ -60,24 +78,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _bit_matrix(rows: tuple[str, ...], k: int) -> np.ndarray:
-    """The rows as a uint8 0/1 matrix (rows x k), checked in whole arrays:
-    every row has k characters, each "0" or "1"."""
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    bad = np.flatnonzero(lengths != k)
-    if len(bad):
-        row = rows[bad[0]]
-        raise ValueError(f"row {row!r} has {len(row)} bits, expected {k}")
-    # "replace" keeps one byte per character; in uint8, every character but
-    # "0" and "1" lands above 1
-    chars = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
-    bits = (chars - ZERO).reshape(len(rows), k)
-    bad = np.flatnonzero((bits > 1).any(axis=1))
-    if len(bad):
-        raise ValueError(f"row {rows[bad[0]]!r} contains non-binary characters")
-    return bits
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class TransactionDatabase:
     """N transactions over k items, possibly padded with all-zero rows.
@@ -85,10 +85,11 @@ class TransactionDatabase:
     ``bits`` is the read-only rows x k 0/1 matrix. ``original_count`` is
     the number of real (non-padding) rows, at least one; it is the
     denominator of every support value. The rows past it are padding and
-    all zero. The constructor takes '0'/'1' row strings, ``from_bits`` a
-    uint8 matrix, and each checks its input. Databases are equal when
-    their matrices, original counts and item names are, whichever way they
-    were built.
+    all zero. The constructor takes '0'/'1' row strings and reads them as
+    ``parse_database`` reads bit-string lines, raising its ParseError for
+    the first bad row (row i is line i); ``from_bits`` takes a uint8
+    matrix and checks it. Databases are equal when their matrices,
+    original counts and item names are, whichever way they were built.
     """
 
     bits: np.ndarray = field(repr=False)
@@ -104,7 +105,18 @@ class TransactionDatabase:
     ):
         if n_items < 1:
             raise ValueError("need at least one item")
-        self._set(_bit_matrix(tuple(rows), n_items), original_count, item_names)
+        # the rows as bit-string lines, read as parse_database reads them;
+        # a line break inside a row would change the row count
+        rows = tuple(rows)
+        text = "".join(row + "\n" for row in rows)
+        if text.count("\n") != len(rows):
+            line = next(i for i, row in enumerate(rows, 1) if "\n" in row)
+            raise ParseError(line, "row holds a line break")
+        body = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        bits = _cells(body, n_items, csv=False)
+        if bits is None:
+            raise _first_error(body, n_items, csv=False)
+        self._set(bits, original_count, item_names)
 
     @classmethod
     def from_bits(
@@ -175,7 +187,8 @@ class TransactionDatabase:
 class PartitionedView:
     """One party's half of a vertically partitioned database.
 
-    Alice holds columns 1..l, Bob columns l+1..k. A view is cut only from a
+    Alice holds columns 1..l, Bob columns l+1..k, so a split leaves each
+    party at least one column: l lies in 1..k-1. A view is cut only from a
     database and holds it: ``bits`` is the party's column slice of the
     database's read-only matrix and ``original_count`` the database's, so a
     view's cells are 0/1 and its padding rows zero because the database's
@@ -192,9 +205,11 @@ class PartitionedView:
             raise ValueError(f"unknown role {self.role!r}")
         if not isinstance(self.db, TransactionDatabase):
             raise TypeError(f"a view is cut from a TransactionDatabase, not {type(self.db).__name__}")
-        l = self.split_point
-        if not 1 <= l < self.db.n_items:
-            raise ValueError(f"split point {l} must satisfy 1 <= l < {self.db.n_items}")
+        l, k = self.split_point, self.db.n_items
+        if k == 1:
+            raise ValueError("a database of one item cannot be split between two parties")
+        if not 1 <= l < k:
+            raise ValueError(f"split must lie in 1..{k - 1}")
         bits = self.db.bits[:, :l] if self.role == "alice" else self.db.bits[:, l:]
         object.__setattr__(self, "bits", bits)
 
@@ -430,31 +445,23 @@ def vertical_partition(db: TransactionDatabase, l: int) -> tuple[PartitionedView
     return PartitionedView("alice", l, db), PartitionedView("bob", l, db)
 
 
-def _check_items(db: TransactionDatabase, z: ItemSet, label: str = "Z") -> None:
-    if not z:
-        raise ValueError(f"{label} must be non-empty")
-    if any(not 1 <= i <= db.n_items for i in z):
-        raise ValueError(f"{label} contains indices outside 1..{db.n_items}")
-
-
 def exact_support(db: TransactionDatabase, z: ItemSet) -> Fraction:
     """Exact fraction of (non-padding) transactions containing every item of z.
 
     Padding rows are all-zero and cannot contain a non-empty z, so counting
     over all rows is safe; the denominator is the original row count.
     """
-    _check_items(db, z)
+    z = itemset(z, db.n_items)
     hits = db.bits[:, [i - 1 for i in z]].all(axis=1)
     return Fraction(int(np.count_nonzero(hits)), db.original_count)
 
 
 def exact_confidence(db: TransactionDatabase, x: ItemSet, y: ItemSet) -> Fraction:
     """Exact conditional frequency of y given x: supp(x | y together) / supp(x)."""
-    _check_items(db, x, "X")
-    _check_items(db, y, "Y")
-    if frozenset(x) & frozenset(y):
+    x, y = itemset(x, db.n_items), itemset(y, db.n_items)
+    if x & y:
         raise ValueError("X and Y must be disjoint")
     supp_x = exact_support(db, x)
     if supp_x == 0:
         raise ValueError("antecedent has zero support")
-    return exact_support(db, frozenset(x) | frozenset(y)) / supp_x
+    return exact_support(db, x | y) / supp_x

@@ -68,7 +68,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import qsim
-from .dataset import PartitionedView, TransactionDatabase
+from .dataset import PartitionedView, TransactionDatabase, itemset
 
 KEY_FAMILIES = ("bitflip", "modadd", "cyclic")
 # Largest transcript that to_json expands: an event costs about 200 B of
@@ -351,14 +351,13 @@ def run_oracle_u(
     """One oracle call: |j> -> (-1)^(c(u(j))) |j> on control=1 branches.
 
     Preconditions: all auxiliary registers (data, flags, ancilla) are zero
-    on every basis label, z is non-empty, and the responder holds the key.
+    on every basis label, z is an itemset over the two views' columns
+    (``dataset.itemset``), and the responder holds the key.
     ``record``, if given, collects ("stepX", state) snapshots after each
     step for tracing. The call is logged on the transcript once its exit
     check has passed.
     """
-    z = frozenset(z)
-    if not z:
-        raise ValueError("Z must be non-empty")
+    z = itemset(z, initiator.view.width + responder.view.width)
     if initiator.role == responder.role:
         raise ValueError("initiator and responder must have distinct roles")
     key = responder.key
@@ -368,9 +367,6 @@ def run_oracle_u(
     n = layout.width("address")
     if len(responder.memory_ints) != 1 << n or len(initiator.memory_ints) != 1 << n:
         raise ValueError("party QRAM size does not match the address register")
-    k = initiator.view.width + responder.view.width
-    if any(not 1 <= i <= k for i in z):
-        raise ValueError(f"Z contains items outside 1..{k}")
     aux = 0
     for name in AUX_REGISTERS:
         aux |= layout.mask(name)
@@ -465,9 +461,7 @@ def reference_phase_oracle(
     c(i) = 1 iff transaction i contains all of z; padding rows are all-zero
     and never marked for a non-empty z. Independent of the protocol path.
     """
-    z = frozenset(z)
-    if not z:
-        raise ValueError("Z must be non-empty")
+    z = itemset(z, db.n_items)
     n_rows = db.n_transactions
     if n_rows & (n_rows - 1):
         raise ValueError("database must be padded to a power of two")

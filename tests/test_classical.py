@@ -128,6 +128,18 @@ class TestSupport:
         # empty part on this side: every real row qualifies
         assert index_set(bob, frozenset({1})) == {1, 2, 3, 4}
 
+    def test_index_set_refuses_items_outside_the_columns(self):
+        # an item 0 would read Alice's last column, an item 4 past Bob's one
+        db = TransactionDatabase(3, ("110", "100", "011", "111"), 4)
+        for view in vertical_partition(db, 2):
+            for z, message in (
+                (set(), "^empty itemset$"),
+                ({0}, "^item indices are 1-based$"),
+                ({4}, r"^item index outside 1\.\.3$"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    index_set(view, frozenset(z))
+
 
 class TestAttack:
     def test_worked_example(self):

@@ -617,6 +617,23 @@ class TestConfidence:
                 alice, bob, frozenset({1}), frozenset({1, 2}), config, np.random.default_rng(0)
             )
 
+    def test_itemsets_checked_by_the_gate(self):
+        # refused before any count runs
+        alice, bob = parties(FOUR_ROWS, 2)
+        config = CountingConfig(p=4, s=0.4)
+        for x, y, message in (
+            (set(), {2}, "^empty itemset$"),
+            ({1}, set(), "^empty itemset$"),
+            ({0}, {2}, "^item indices are 1-based$"),
+            ({1}, {4}, r"^item index outside 1\.\.3$"),
+        ):
+            transcript = Transcript()
+            with pytest.raises(ValueError, match=message):
+                estimate_confidence(
+                    alice, bob, frozenset(x), frozenset(y), config, np.random.default_rng(0), transcript
+                )
+            assert transcript.records == []
+
     def test_rare_antecedent_rejected(self):
         db = TransactionDatabase(2, ("00", "01", "01", "00"), 4)
         alice, bob = parties(db, 1)

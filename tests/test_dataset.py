@@ -17,6 +17,7 @@ from qpdm.dataset import (
     TransactionDatabase,
     exact_confidence,
     exact_support,
+    itemset,
     pad_to_power_of_two,
     parse_database,
     vertical_partition,
@@ -86,13 +87,19 @@ class TestParse:
 
     def test_constructor_checks_rows(self):
         for rows, message in (
-            (("110", "01"), "'01' has 2 bits"),
-            (("110", "1a0"), "'1a0' contains non-binary"),
-            (("1\u00e90", "110"), "contains non-binary"),
-            (("1100",), "expected 3"),
+            (("110", "01"), "^line 2: expected 3 bits, got 2$"),
+            (("110", "1a0"), "^line 2: non-binary character$"),
+            (("1\u00e90", "110"), "^line 1: non-binary character$"),
+            (("1100",), "^line 1: expected 3 bits, got 4$"),
         ):
             with pytest.raises(ValueError, match=message):
                 TransactionDatabase(3, rows, len(rows))
+
+    def test_constructor_refuses_a_line_break_in_a_row(self):
+        # read as lines, ("10\n00",) would be two rows, the second zero padding
+        for rows, count, line in ((("10\n00",), 1, 1), (("11", "1\n"), 2, 2), (("\n",), 1, 1)):
+            with pytest.raises(ParseError, match=f"^line {line}: row holds a line break$"):
+                TransactionDatabase(2, rows, count)
 
     def test_padded_cells_crlf_and_trailing_blank_lines(self):
         db = parse_database("a,b\n 1 , 0 \r\n0,1\n\n")
@@ -225,10 +232,15 @@ class TestPartition:
 
     def test_split_at_k_rejected(self):
         db = TransactionDatabase(3, ("101",), 1)
-        with pytest.raises(ValueError):
-            vertical_partition(db, 3)
-        with pytest.raises(ValueError):
-            vertical_partition(db, 0)
+        for l in (3, 0):
+            with pytest.raises(ValueError, match=r"^split must lie in 1\.\.2$"):
+                vertical_partition(db, l)
+
+    def test_one_item_database_cannot_be_split(self):
+        db = TransactionDatabase(1, ("1", "0"), 2)
+        for l in (0, 1, 2):
+            with pytest.raises(ValueError, match="^a database of one item cannot be split between two parties$"):
+                vertical_partition(db, l)
 
     def test_rejoin_is_identity(self):
         rng = np.random.default_rng(7)
@@ -263,12 +275,14 @@ class TestSupport:
         assert exact_support(db, frozenset({1, 2, 3})) == 1
 
     def test_empty_itemset_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty itemset$"):
             exact_support(FOUR_ROWS, frozenset())
 
     def test_out_of_range_item(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^item index outside 1\.\.3$"):
             exact_support(FOUR_ROWS, frozenset({4}))
+        with pytest.raises(ValueError, match="^item indices are 1-based$"):
+            exact_support(FOUR_ROWS, frozenset({0}))
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -334,6 +348,34 @@ class TestConfidence:
         db = TransactionDatabase(2, ("01", "01"), 2)
         with pytest.raises(ValueError):
             exact_confidence(db, frozenset({1}), frozenset({2}))
+
+    def test_itemsets_checked_by_the_gate(self):
+        for x, y, message in (
+            (set(), {2}, "^empty itemset$"),
+            ({1}, set(), "^empty itemset$"),
+            ({0}, {2}, "^item indices are 1-based$"),
+            ({1}, {4}, r"^item index outside 1\.\.3$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                exact_confidence(FOUR_ROWS, frozenset(x), frozenset(y))
+
+
+class TestItemset:
+    def test_refusals_in_the_command_line_words(self):
+        for items, n_items, message in (
+            ((), None, "^empty itemset$"),
+            ((), 3, "^empty itemset$"),
+            ({0, 2}, None, "^item indices are 1-based$"),
+            ({0, 4}, 3, "^item indices are 1-based$"),
+            ({1, 4}, 3, r"^item index outside 1\.\.3$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                itemset(items, n_items)
+
+    def test_returns_the_frozenset(self):
+        assert itemset([3, 1, 3]) == frozenset({1, 3})
+        assert itemset(frozenset({1, 3}), 3) == frozenset({1, 3})
+        assert itemset([9]) == frozenset({9})  # no upper bound without n_items
 
 
 class TestRowStore:

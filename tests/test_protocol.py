@@ -7,7 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from qpdm import protocol, qsim
-from qpdm.dataset import PartitionedView, TransactionDatabase, vertical_partition
+from qpdm.dataset import PartitionedView, TransactionDatabase, itemset, vertical_partition
 from qpdm.protocol import (
     AUX_REGISTERS,
     EncryptionKey,
@@ -72,9 +72,7 @@ def gate_reference_oracle_u(
     """The seven-step oracle call built gate by gate from the qsim primitives,
     each step a primitive call that builds its own state: the reference
     run_oracle_u is pinned to."""
-    z = frozenset(z)
-    if not z:
-        raise ValueError("Z must be non-empty")
+    z = itemset(z, initiator.view.width + responder.view.width)
     if initiator.role == responder.role:
         raise ValueError("initiator and responder must have distinct roles")
     key = responder.key
@@ -84,9 +82,6 @@ def gate_reference_oracle_u(
     n = layout.width("address")
     if len(responder.memory_ints) != 1 << n or len(initiator.memory_ints) != 1 << n:
         raise ValueError("party QRAM size does not match the address register")
-    k = initiator.view.width + responder.view.width
-    if any(not 1 <= i <= k for i in z):
-        raise ValueError(f"Z contains items outside 1..{k}")
 
     def aux_dirty(state):
         mask = 0
@@ -325,8 +320,14 @@ class TestReferenceOracle:
                 assert sorted(signs.tolist()) == sorted(base.tolist())
 
     def test_empty_itemset_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty itemset$"):
             reference_phase_oracle(DB8, frozenset(), lambda j: j)
+
+    def test_items_outside_the_columns_refused(self):
+        # an item 0 would read the last column, an item k + 1 past it
+        for z, message in (({0}, "^item indices are 1-based$"), ({5}, r"^item index outside 1\.\.4$")):
+            with pytest.raises(ValueError, match=message):
+                reference_phase_oracle(DB8, frozenset(z), lambda j: j)
 
 
 class TestOracle:
@@ -424,7 +425,7 @@ class TestOracle:
         alice, bob = make_parties(DB8, 2, key)
         layout = oracle_layout(3, 2, 4)
         st = qsim.prepare_basis(layout)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty itemset$"):
             run_oracle_u(st, alice, bob, frozenset(), Transcript())
 
     def test_missing_key_rejected(self):
