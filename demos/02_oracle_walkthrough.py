@@ -3,11 +3,12 @@
 Alice holds the first two item columns, Bob the rest. The address register
 starts in a skewed superposition so every move is visible: Bob encrypts the
 addresses with his secret bijection, each party loads its rows from QRAM,
-XORs its containment flag and erases the load, Alice applies the phase of
-the AND of the two flags, the erasures run backwards, and Bob undoes the
-encryption. The final state is the input with a sign flipped exactly on the
-transactions that contain the whole itemset, and the per-step dump shows
-the auxiliary registers returning to zero.
+XORs its containment flag and erases the load within its step, Alice
+applies the phase of the AND of the two flags, the flags are erased in
+reverse, and Bob undoes the encryption. A load lives only inside a step,
+so the per-step dump shows the address, the two flags and the ancilla.
+The final state is the input with a sign flipped exactly on the
+transactions that contain the whole itemset, and the flags return to zero.
 """
 import numpy as np
 
@@ -43,7 +44,7 @@ def main():
     transcript = Transcript()
     final = run_oracle_u(state, alice, bob, Z, transcript, record=record)
 
-    print("register columns: counting(absent) address bob_data alice_data b a ancilla")
+    print("register columns: counting(absent) address b a ancilla")
     print("input:")
     print(state.dump())
     for tag, snapshot in record:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dataset import MAX_ADDRESS_WIDTH, PartitionedView, itemset
+from .dataset import MAX_ADDRESS_WIDTH, PartitionedView
 
 MAX_ATTACK_PRIME = 10**6
 # Largest prime ``compare`` accepts, checked before any trial division.
@@ -42,6 +42,16 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def check_prime(p: int) -> None:
+    """Refuse p unless it is a prime with a valid exponent. The key space
+    {3, 5, ..., p-2} is empty for 2 and 3; above them p-2 is odd and
+    coprime to p-1."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p < 5:
+        raise ValueError(f"prime {p} admits no valid exponents")
 
 
 def next_prime(n: int) -> int:
@@ -76,8 +86,7 @@ class ClassicalKey:
     e: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        check_prime(self.p)
         if self.e % 2 == 0 or not 3 <= self.e <= self.p - 2:
             raise ValueError(f"exponent {self.e} outside {{3, 5, ..., {self.p - 2}}}")
         if math.gcd(self.e, self.p - 1) != 1:
@@ -107,8 +116,7 @@ class BitLog:
 def index_set(view: PartitionedView, z: frozenset) -> set[int]:
     """1-based encryptable values of the real transactions whose view rows
     contain this party's part of z."""
-    zpart, offset = view.item_part(itemset(z, view.db.n_items))
-    hits = view.bits[: view.original_count, [i - offset - 1 for i in zpart]].all(axis=1)
+    hits = view.contains(z)[: view.original_count]
     return set((np.flatnonzero(hits) + 1).tolist())
 
 
@@ -157,8 +165,7 @@ def exhaustive_key_attack(p: int, singly: set[int], doubly: set[int]) -> list[in
     """
     if p > MAX_ATTACK_PRIME:
         raise ValueError(f"attack guarded to primes <= {MAX_ATTACK_PRIME}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     for name, s in (("singly", singly), ("doubly", doubly)):
         if not s or any(not 1 <= x <= p - 1 for x in s):
             raise ValueError(f"{name} must be a non-empty subset of [1, {p - 1}]")

@@ -24,10 +24,10 @@ from .classical import (
     MAX_CLASSICAL_PRIME,
     BitLog,
     ClassicalKey,
+    check_prime,
     classical_support,
     exhaustive_key_attack,
     index_set,
-    is_prime,
     next_prime,
     valid_exponents,
 )
@@ -98,13 +98,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _integers(text: str, name: str) -> list[int]:
+    """A comma-separated list of integers; blank cells are skipped."""
+    try:
+        return [int(cell) for cell in text.split(",") if cell.strip()]
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not a comma-separated list of integers")
+
+
 def _parse_items(text: str) -> frozenset:
     """The itemset's syntax; its upper bound needs the database."""
-    try:
-        items = [int(cell) for cell in text.split(",") if cell.strip()]
-    except ValueError:
-        raise ValueError(f"itemset {text!r} is not a comma-separated list of integers")
-    return itemset(items)
+    return itemset(_integers(text, "itemset"))
+
+
+def _parse_values(text: str) -> set[int]:
+    """The attack demo's values to encrypt; their range needs the prime,
+    and ClassicalKey.encrypt checks it."""
+    values = set(_integers(text, "--S1"))
+    if not values:
+        raise ValueError("--S1 holds no value to encrypt")
+    return values
 
 
 def _resolve_seed(args) -> int | None:
@@ -258,8 +271,7 @@ def cmd_compare(args) -> int:
     if args.prime is not None:
         if args.prime > MAX_CLASSICAL_PRIME:
             raise ValueError(f"--prime must not exceed {MAX_CLASSICAL_PRIME}")
-        if not is_prime(args.prime):
-            raise ValueError(f"{args.prime} is not prime")
+        check_prime(args.prime)
         _check_exponents(args, args.prime)
     items = _parse_items(args.items)
     db, padded = _load_db(args.db)
@@ -273,8 +285,6 @@ def cmd_compare(args) -> int:
         raise ValueError("prime must exceed N")
     if args.eA is None or args.eB is None:
         exponents = valid_exponents(prime)
-        if exponents.size == 0:
-            raise ValueError(f"prime {prime} admits no valid exponents")
     rng = np.random.default_rng(seed)
     transcript = Transcript()
     est = joint_support(alice, bob, items, counting, rng, transcript)
@@ -316,7 +326,7 @@ def cmd_attack_demo(args) -> int:
     # before the keys' trial division, which takes hours near 2^61
     if args.p > MAX_ATTACK_PRIME:
         raise ValueError(f"attack guarded to primes <= {MAX_ATTACK_PRIME}")
-    s1 = _parse_items(args.S1)
+    s1 = _parse_values(args.S1)
     key_a = ClassicalKey(args.p, args.eA)
     key_b = ClassicalKey(args.p, args.eB)
     singly = {key_a.encrypt(x) for x in s1}

@@ -20,10 +20,10 @@ kernel is a point mass on r. The -2 theta kernel is its mirror f -> -f mod
 P, and their mean, formed in O(P) with no transform, depends on the
 marked count M alone. M is taken from one full seven-step protocol
 execution per count on the uniform address state, built directly as
-labels j << offset with amplitude 2^(-n/2): every query, mark and erasure
-runs, and since the oracle only negates amplitudes, the output is checked
-exactly to keep every label in place with amplitude +-2^(-n/2); M is the
-number of negated ones, read as one integer.
+labels j << offset with amplitude 2^(-n/2): every step runs, and since
+the oracle only negates amplitudes, the output is checked exactly to keep
+every label in place with amplitude +-2^(-n/2); M is the number of
+negated ones, read as one integer.
 
 The distribution is computed once per (M, n, P) and held, read-only with
 its cumulative sum, until a count needs another: all 2R counts of an
@@ -45,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import qsim
-from .dataset import itemset
+from .dataset import rule_sides
 from .protocol import (
     KEY_FAMILIES,
     PartyState,
@@ -157,18 +157,15 @@ def _resolve_parties(initiator: str, alice: PartyState, bob: PartyState):
 def _layout_for(init: PartyState, resp: PartyState, p: int):
     if init.address_width != resp.address_width:
         raise ValueError("parties are built over different address spaces")
-    alice_view = init.view if init.role == "alice" else resp.view
-    bob_view = resp.view if init.role == "alice" else init.view
     n = init.address_width
-    k = alice_view.width + bob_view.width
-    return oracle_layout(n, alice_view.split_point, k, p=p), n
+    return oracle_layout(n, init.view.split_point, init.data_width + resp.data_width, p=p), n
 
 
 def _marked_count(init: PartyState, resp: PartyState, z: frozenset) -> int:
     """The marked count M, from one full protocol execution on the uniform
-    address state (every query, mark and erasure actually runs)."""
+    address state (every step of the call actually runs)."""
     layout, n = _layout_for(init, resp, p=0)
-    labels = np.arange(1 << n, dtype=layout.label_dtype) << layout.offset("address")
+    labels = np.arange(1 << n, dtype=np.int64) << layout.offset("address")
     amp = 2.0 ** (-n / 2)
     st = qsim.SparseState.from_arrays(layout, labels, np.full(1 << n, amp, dtype=complex))
     out = run_oracle_u(st, init, resp, z, Transcript())
@@ -292,7 +289,7 @@ def statevector_distribution(
     """
     init, resp = _resolve_parties(initiator, alice, bob)
     st = _statevector_prepared(init, resp, z, config, transcript)
-    readouts = st.extract(st.labels, "counting").astype(np.int64)
+    readouts = st.extract(st.labels, "counting")
     return np.bincount(readouts, weights=np.abs(st.amplitudes) ** 2, minlength=config.P)
 
 
@@ -362,9 +359,7 @@ def estimate_confidence(
     alongside as error_bound_sum.
     """
     k = alice.data_width + bob.data_width
-    x, y = itemset(x, k), itemset(y, k)
-    if x & y:
-        raise ValueError("X and Y must be disjoint")
+    x, y = rule_sides(x, y, k)
     antecedent = joint_support(alice, bob, x, config, rng, transcript)
     if not antecedent.accepted:
         raise EstimationError("antecedent support estimate was not accepted")

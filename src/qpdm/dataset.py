@@ -59,6 +59,15 @@ def itemset(items, n_items: int | None = None) -> ItemSet:
     return z
 
 
+def rule_sides(x, y, n_items: int | None = None) -> tuple[ItemSet, ItemSet]:
+    """The two sides of a rule X => Y, each checked by ``itemset``, and
+    refused unless they are disjoint."""
+    x, y = itemset(x, n_items), itemset(y, n_items)
+    if x & y:
+        raise ValueError("X and Y must be disjoint")
+    return x, y
+
+
 # Widest address register a database may pad to. One oracle extraction
 # peaks at about 64 B per address and 2 MB of per-block buffers
 # (tracemalloc, n = 16, 18 and 20): 66 MB at n = 20, and 1 GB at n = 24.
@@ -232,6 +241,16 @@ class PartitionedView:
         if self.role == "alice":
             return frozenset(i for i in z if i <= l), 0
         return frozenset(i for i in z if i > l), l
+
+    def contains(self, z: ItemSet) -> np.ndarray:
+        """The read-only bool column, one entry per row, of the rows that
+        hold this party's part of z: the AND of the view's columns for that
+        part, True on every row for an empty part. The one containment
+        rule, which the oracle marks and the classical baseline encrypts."""
+        items, offset = self.item_part(itemset(z, self.db.n_items))
+        column = self.bits[:, [i - offset - 1 for i in items]].all(axis=1)
+        column.flags.writeable = False
+        return column
 
 
 def parse_database(text: str | bytes) -> TransactionDatabase:
@@ -458,9 +477,7 @@ def exact_support(db: TransactionDatabase, z: ItemSet) -> Fraction:
 
 def exact_confidence(db: TransactionDatabase, x: ItemSet, y: ItemSet) -> Fraction:
     """Exact conditional frequency of y given x: supp(x | y together) / supp(x)."""
-    x, y = itemset(x, db.n_items), itemset(y, db.n_items)
-    if x & y:
-        raise ValueError("X and Y must be disjoint")
+    x, y = rule_sides(x, y, db.n_items)
     supp_x = exact_support(db, x)
     if supp_x == 0:
         raise ValueError("antecedent has zero support")

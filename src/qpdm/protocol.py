@@ -1,5 +1,5 @@
-"""Two-party protocol machinery: encryption keys, QRAM-backed party state,
-the seven-step oracle construction, the controlled Grover iteration, and
+"""Two-party protocol machinery: encryption keys, party state, the
+seven-step oracle construction, the controlled Grover iteration, and
 qubit-transfer accounting.
 
 One oracle call realizes, on the address register, the diagonal map
@@ -10,39 +10,38 @@ where u is the responder's secret bijection on the address space and
 c(i) = 1 exactly when transaction i contains the whole target itemset
 (the AND of the two parties' containment flags). The call proceeds in
 seven steps: the responder encrypts the travelling address register,
-each party in turn loads its rows from QRAM, XORs its containment flag,
-and erases the load by querying again; the initiator applies the phase
-of the AND of the two flags (gated on an optional control qubit); the
-erasures run in reverse and the responder undoes the encryption. Every
-query / unquery pair is executed explicitly, and the call verifies at
-exit that all auxiliary registers disentangled back to zero.
+each party in turn marks its containment flag; the initiator applies the
+phase of the AND of the two flags (gated on an optional control qubit);
+the marks are undone in reverse and the responder undoes the encryption.
+The call verifies at exit that the flags and the ancilla disentangled
+back to zero.
+
+In the paper's construction a party marks its flag by loading its rows
+from QRAM into a data register, XORing whether they hold its part of the
+itemset, and querying again to erase the load, all within its step. So
+between steps a label holds only the address, the two flags and the
+ancilla, and each query, mark and unquery is, on the labels, one XOR of
+the flag with the party's containment column (``PartitionedView.contains``)
+at the encrypted address. The layout has no data registers, and a party's
+view's bit matrix is its only copy of its data. The gate-level reference
+the plan is tested against, which loads rows into data registers one qsim
+primitive per query, mark, phase and permutation, lives in the tests.
 
 A call runs as a plan over the state's bare label and amplitude arrays,
 and builds a SparseState only at exit, and after each step when a record
 is asked for. Its inputs are checked once per call, before any label
-moves: Z, the roles, the key and the QRAM sizes, and the auxiliary
-registers at entry; then the key, whose 2^n images one scatter checks to
+moves: Z, the roles, the key and the party sizes, and the flags and the
+ancilla at entry; then the key, whose 2^n images one scatter checks to
 fit the address register and to be a bijection on it (so it keeps
-distinct labels distinct, and its inverse table serves step 7); then
-that each party's data register is exactly as wide as its view (its
-cells fit that width because its database's bits are 0/1, and are not
-passed over), its membership selector and flag position, and the phase
-qubits, each with the check code the qsim primitives use. The labels
+distinct labels distinct, and its inverse table serves step 7); then the
+phase qubits, with the check code the qsim primitives use. The labels
 then go through all seven steps a block at a time, each block a fresh
 copy that every step changes in place while it stays in cache. The
 address register does not change between steps 1 and 7, so u(j) and each
-party's cells gathered at u(j) and shifted into its data register are
-computed once per block, in step 1 and when the party first queries.
-Every query, mark and unquery still runs as its own XOR on the labels,
-and every mark reads the data register from the labels. Step 4 negates
-amplitudes. The gate-level reference the plan is tested against, one
-qsim primitive per query, mark, phase and permutation, lives in the
-tests.
-
-A party's QRAM holds one read-only integer cell per row of its view,
-computed once from the view's column slice of the database's bit matrix,
-leftmost column most significant. The database's cells are 0/1, so every
-cell fits the view's width, and no pass checks them again.
+party's containment column gathered at u(j) and shifted onto its flag are
+computed once per block. Every mark and unmark still runs as its own XOR
+on the labels, and step 4 reads both flags from them to negate
+amplitudes.
 
 Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
 n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
@@ -54,15 +53,13 @@ when the control is zero everywhere: the physical protocol sends the
 registers regardless of the control qubit's state.
 
 The mirrored, responder-initiated protocol is the same code path with
-the party arguments swapped; the party object's role decides which data
-register and flag it drives, and the initiator's counterpart holds the
-secret key.
+the party arguments swapped; the party object's role decides which flag
+it drives, and the initiator's counterpart holds the secret key.
 """
 from __future__ import annotations
 
-import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -76,15 +73,7 @@ KEY_FAMILIES = ("bitflip", "modadd", "cyclic")
 # (tracemalloc, 262k events), so 2^21 events is about 420 MB and 155 MB.
 MAX_DUMP_EVENTS = 1 << 21
 
-REGISTER_ORDER = (
-    "counting",
-    "address",
-    "bob_data",
-    "alice_data",
-    "b_flag",
-    "a_flag",
-    "kick_ancilla",
-)
+REGISTER_ORDER = ("counting", "address", "b_flag", "a_flag", "kick_ancilla")
 # registers that must read zero on every basis label at oracle entry and exit
 AUX_REGISTERS = REGISTER_ORDER[2:]
 
@@ -148,31 +137,15 @@ def all_keys(family: str, n: int) -> list[EncryptionKey]:
 
 @dataclass(frozen=True)
 class PartyState:
-    """One party's handle: its view, its QRAM contents, optionally its key.
+    """One party's handle: its view, and optionally its key.
 
-    QRAM cell j holds row j of the view as an integer, leftmost column most
-    significant. The key is present only on the party acting as
-    responder-encryptor for a given run; modules above the protocol never
-    see key parameters.
+    The view's bit matrix is the party's QRAM: cell j is row j. The key is
+    present only on the party acting as responder-encryptor for a given
+    run; modules above the protocol never see key parameters.
     """
 
     view: PartitionedView
     key: EncryptionKey | None = None
-    # the QRAM cells as one read-only integer array, built only from the
-    # view's bit matrix: the first column cast to the label dtype, then for
-    # each further column a shift left by one and an OR of the column (an
-    # object array stays Python ints). The view's bits are 0/1 because its
-    # database's are, so every cell fits the view's width.
-    memory_ints: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bits = self.view.bits
-        cells = bits[:, 0].astype(qsim.label_dtype(self.data_width))
-        for c in range(1, self.data_width):
-            cells <<= 1
-            cells |= bits[:, c]
-        cells.flags.writeable = False
-        object.__setattr__(self, "memory_ints", cells)
 
     @property
     def role(self) -> str:
@@ -187,9 +160,7 @@ class PartyState:
         return self.view.width
 
     def with_key(self, key: EncryptionKey | None) -> "PartyState":
-        keyed = copy.copy(self)  # shares the cells, where replace() would rebuild them
-        object.__setattr__(keyed, "key", key)
-        return keyed
+        return replace(self, key=key)
 
 
 def build_qram(view: PartitionedView, n: int) -> PartyState:
@@ -259,18 +230,12 @@ def transcript_total(transcript: Transcript) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=64)
 def oracle_layout(n: int, l: int, k: int, p: int = 0) -> qsim.RegisterLayout:
-    """The canonical composite layout; zero-width counting register when p=0.
-    Layouts are immutable, so one is built per shape and shared: a count
-    asks for its layout each time."""
-    widths = {
-        "counting": p,
-        "address": n,
-        "bob_data": k - l,
-        "alice_data": l,
-        "b_flag": 1,
-        "a_flag": 1,
-        "kick_ancilla": 1,
-    }
+    """The canonical composite layout, n + p + 3 qubits; zero-width
+    counting register when p=0. A label holds no data register, so the
+    split point l and the item count k set no width. Layouts are immutable,
+    so one is built per shape and shared: a count asks for its layout each
+    time."""
+    widths = {"counting": p, "address": n, "b_flag": 1, "a_flag": 1, "kick_ancilla": 1}
     return qsim.RegisterLayout(tuple((name, widths[name]) for name in REGISTER_ORDER))
 
 
@@ -288,54 +253,28 @@ def oracle_call_events(initiator_role: str, n: int) -> tuple[TransferEvent, ...]
     )
 
 
-def _party_registers(party: PartyState) -> tuple[str, str]:
-    if party.role == "alice":
-        return "alice_data", "a_flag"
-    return "bob_data", "b_flag"
-
-
 class _PartyPlan(NamedTuple):
-    """One party's part of an oracle call: its cells, the offset of its data
-    register, its membership selector and its flag qubit."""
+    """One party's part of an oracle call: the column of the rows that hold
+    its part of Z, and its flag qubit."""
 
-    cells: np.ndarray
-    shift: int
-    sel: int  # the data-register bits containment needs, in place in the label
+    contains: np.ndarray
     flag: int
 
     @classmethod
     def build(cls, party: PartyState, z: frozenset, layout):
-        data, flag_register = _party_registers(party)
-        width = layout.width(data)
-        if width != party.data_width:  # the width its cells fit
-            raise ValueError(f"{data} register has {width} qubits, its view {party.data_width} items")
-        flag = layout.qubit(flag_register)
-        items, offset = party.view.item_part(z)
-        sel = qsim.membership_selector(layout, data, flag, items, offset)
-        shift = layout.offset(data)
-        return cls(party.memory_ints, shift, sel << shift, flag)
+        flag = layout.qubit("a_flag" if party.role == "alice" else "b_flag")
+        return cls(party.view.contains(z), flag)
 
-    def load(self, index: np.ndarray, dtype) -> np.ndarray:
-        """The cells at the encrypted addresses, shifted into the data register."""
-        load = self.cells[index].astype(dtype, copy=False)
-        load <<= self.shift
-        return load
-
-    def mark(self, labels: np.ndarray, load: np.ndarray, scratch: np.ndarray) -> None:
-        """Query, mark and unquery in place: XOR the loaded cells into the
-        data register, XOR into the flag whether it contains the part, and
-        XOR the cells out again. ``scratch`` is an array like ``labels``."""
-        labels ^= load
-        np.bitwise_and(labels, self.sel, out=scratch)
-        np.equal(scratch, self.sel, out=scratch)  # 1 where the part is contained
-        scratch <<= self.flag
-        labels ^= scratch
-        labels ^= load
+    def mark(self, index: np.ndarray) -> np.ndarray:
+        """The XOR that its query, mark and unquery make together on labels
+        whose encrypted address is ``index``: the containment bit at that
+        address on its flag, as the load and its erasure cancel."""
+        return self.contains[index].astype(np.int64) << self.flag
 
 
 # Labels an oracle call carries through all seven steps at a time: each
 # block stays in cache from step 1 to step 7, where whole-array steps would
-# stream every label through memory some thirty times.
+# stream every label through memory at least once per step.
 _LABEL_BLOCK = 1 << 15
 
 
@@ -350,8 +289,8 @@ def run_oracle_u(
 ) -> qsim.SparseState:
     """One oracle call: |j> -> (-1)^(c(u(j))) |j> on control=1 branches.
 
-    Preconditions: all auxiliary registers (data, flags, ancilla) are zero
-    on every basis label, z is an itemset over the two views' columns
+    Preconditions: the flags and the ancilla are zero on every basis
+    label, z is an itemset over the two views' columns
     (``dataset.itemset``), and the responder holds the key.
     ``record``, if given, collects ("stepX", state) snapshots after each
     step for tracing. The call is logged on the transcript once its exit
@@ -365,7 +304,7 @@ def run_oracle_u(
         raise ValueError("responder holds no encryption key")
     layout = state.layout
     n = layout.width("address")
-    if len(responder.memory_ints) != 1 << n or len(initiator.memory_ints) != 1 << n:
+    if len(responder.view.bits) != 1 << n or len(initiator.view.bits) != 1 << n:
         raise ValueError("party QRAM size does not match the address register")
     aux = 0
     for name in AUX_REGISTERS:
@@ -377,7 +316,7 @@ def run_oracle_u(
     # What each step needs is checked and set up before any label moves, in
     # step order. Step 1: the key's 2^n images are checked once to be a
     # bijection, which keeps distinct labels distinct, and inverted for
-    # step 7. Steps 2 and 3: each party's registers and selector.
+    # step 7. Steps 2 and 3: each party's containment column and flag.
     # Step 4: the phase qubits.
     images = key.apply(np.arange(1 << n))
     inverse = qsim.inverse_permutation(images, n, "address")
@@ -386,11 +325,11 @@ def run_oracle_u(
     qsim.check_phase_qubits(init.flag, resp.flag, control)
     gate = (1 << init.flag) | (1 << resp.flag) | (0 if control is None else 1 << control)
 
-    address, shift, dtype = layout.mask("address"), layout.offset("address"), labels.dtype
+    address, shift = layout.mask("address"), layout.offset("address")
     out_labels, out_amps = np.empty_like(labels), amps.copy()
     # the labels after steps 1-6 when a record is asked for; step 7's are the output
     steps = [np.empty_like(labels) for _ in range(6)] if record is not None else []
-    scratch = np.empty(min(len(labels), _LABEL_BLOCK), dtype=dtype)
+    scratch = np.empty(min(len(labels), _LABEL_BLOCK), dtype=labels.dtype)
     dirty = False
     for start in range(0, len(labels), _LABEL_BLOCK):
         part = slice(start, start + _LABEL_BLOCK)
@@ -399,23 +338,21 @@ def run_oracle_u(
 
         # Step 1: the address register travels to the responder, who
         # encrypts it. No later step touches the address register, so u(j)
-        # is computed here once, and each party's cells are gathered at u(j)
-        # once, at its first query.
-        index = images[layout.extract(block, "address").astype(np.int64, copy=False)]
+        # and each party's mark at u(j) are computed here once.
+        index = images[layout.extract(block, "address")]
         block = block & ~address
-        block |= index.astype(dtype, copy=False) << shift
+        block |= index << shift
+        resp_mark, init_mark = resp.mark(index), init.mark(index)
         if steps:
             steps[0][part] = block
 
-        # Step 2: responder loads its rows, marks containment of its part, erases.
-        resp_load = resp.load(index, dtype)
-        resp.mark(block, resp_load, spare)
+        # Step 2: responder queries its rows, marks containment of its part, unqueries.
+        block ^= resp_mark
         if steps:
             steps[1][part] = block
 
         # Step 3: address + flag travel back; initiator does the same for its part.
-        init_load = init.load(index, dtype)
-        init.mark(block, init_load, spare)
+        block ^= init_mark
         if steps:
             steps[2][part] = block
 
@@ -425,21 +362,21 @@ def run_oracle_u(
         if steps:
             steps[3][part] = block
 
-        # Step 5: initiator loads its rows again, erases its flag, erases the load.
-        init.mark(block, init_load, spare)
+        # Step 5: initiator queries its rows again and erases its flag.
+        block ^= init_mark
         if steps:
             steps[4][part] = block
 
         # Step 6: back to the responder, who erases its flag the same way.
-        resp.mark(block, resp_load, spare)
+        block ^= resp_mark
         if steps:
             steps[5][part] = block
 
         # Step 7: responder undoes the encryption of the register it holds
         # and returns it.
-        back = inverse[layout.extract(block, "address").astype(np.int64, copy=False)]
+        back = inverse[layout.extract(block, "address")]
         block &= ~address
-        block |= back.astype(dtype, copy=False) << shift
+        block |= back << shift
         out_labels[part] = block
         dirty = dirty or bool(np.bitwise_and(block, aux, out=spare).any())
 

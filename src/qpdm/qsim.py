@@ -2,19 +2,18 @@
 
 A state lives over a fixed composite register layout and is stored as two
 parallel read-only numpy arrays: the distinct composite basis labels that
-carry amplitude, and their complex amplitudes. Labels are int64 while the
-layout is at most 62 bits wide; wider layouts (a database of about 60 or
-more items) use object arrays of Python ints, and every primitive runs the
-same array code on both. ``SparseState.amps`` gives the same state as a
-read-only {label: amplitude} mapping, built from the arrays on first use.
+carry amplitude, and their complex amplitudes. Labels are int64, and a
+layout wider than INT_LABEL_BITS is refused where it is made, so no label
+can overflow. ``SparseState.amps`` gives the same state as a read-only
+{label: amplitude} mapping, built from the arrays on first use.
 
 A command (estimate, mine, compare) uses the engine's data types and
 checks, not its gates: the register layout, SparseState built from bare
-arrays, label_dtype, and the checks the seven-step oracle call in
-``protocol`` shares with the gate primitives: inverse_permutation (the
-key's range and bijection check), membership_selector and
-check_phase_qubits. The oracle call runs its steps over bare label arrays,
-and no primitive that changes a state runs on a command path.
+arrays, and the checks the seven-step oracle call in ``protocol`` shares
+with the gate primitives: inverse_permutation (the key's range and
+bijection check) and check_phase_qubits. The oracle call runs its steps
+over bare label arrays, and no primitive that changes a state runs on a
+command path.
 
 The primitives are each a handful of whole-array operations, and they fall
 in two classes:
@@ -29,7 +28,8 @@ in two classes:
 
 Four of them (apply_permutation, qram_query with its cell check
 memory_cells, apply_membership_mark, apply_phase_and) are the gate-level
-reference the oracle call is tested against. The Hadamard wall, the zero
+reference the oracle call is tested against, on a layout the tests give
+data registers for the loaded rows. The Hadamard wall, the zero
 reflection, the phase flip and the inverse QFT serve the controlled Grover
 iteration and the statevector counting path, the reference the readout is
 tested against.
@@ -55,13 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 PRUNE_EPS = 1e-14
-INT_LABEL_BITS = 62  # widest layout whose labels are held as int64
-
-
-def label_dtype(width: int) -> np.dtype:
-    """Array dtype of values `width` bits wide: int64 up to INT_LABEL_BITS,
-    Python ints (object) beyond, where int64 would overflow."""
-    return np.dtype(np.int64) if width <= INT_LABEL_BITS else np.dtype(object)
+INT_LABEL_BITS = 62  # widest layout a RegisterLayout admits: its labels are int64
 
 
 class SimulationError(RuntimeError):
@@ -75,12 +69,13 @@ class RegisterLayout:
     ``registers`` lists (name, width) pairs, first entry occupying the most
     significant bits. Zero-width registers are allowed and act as inert
     placeholders so a single canonical ordering can serve every run. The
-    width, offset and mask of every register are tabulated at construction.
+    width, offset and mask of every register are tabulated at construction,
+    and a layout wider than INT_LABEL_BITS is refused, so that every label
+    fits an int64.
     """
 
     registers: tuple[tuple[str, int], ...]
     total_width: int = field(init=False, repr=False, compare=False)
-    label_dtype: np.dtype = field(init=False, repr=False, compare=False)
     _widths: dict = field(init=False, repr=False, compare=False)
     _offsets: dict = field(init=False, repr=False, compare=False)
     _masks: dict = field(init=False, repr=False, compare=False)
@@ -88,6 +83,8 @@ class RegisterLayout:
     def __post_init__(self):
         widths, offsets, masks = {}, {}, {}
         total = sum(w for _, w in self.registers)
+        if total > INT_LABEL_BITS:
+            raise ValueError(f"layout of {total} qubits is wider than INT_LABEL_BITS = {INT_LABEL_BITS}")
         pos = total
         for name, width in self.registers:
             if width < 0:
@@ -98,7 +95,6 @@ class RegisterLayout:
             widths[name], offsets[name] = width, pos
             masks[name] = ((1 << width) - 1) << pos
         object.__setattr__(self, "total_width", total)
-        object.__setattr__(self, "label_dtype", label_dtype(total))
         object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_masks", masks)
@@ -148,7 +144,7 @@ class SparseState:
     def __init__(self, layout: RegisterLayout, amps: Mapping[int, complex]):
         self._set(
             layout,
-            np.array(list(amps), dtype=layout.label_dtype),
+            np.array(list(amps), dtype=np.int64),
             np.array(list(amps.values()), dtype=complex),
         )
 
@@ -156,8 +152,8 @@ class SparseState:
     def from_arrays(
         cls, layout: RegisterLayout, labels: np.ndarray, amplitudes: np.ndarray
     ) -> "SparseState":
-        """A state over given arrays; labels must be distinct and of the
-        layout's label dtype. The arrays are frozen, not copied."""
+        """A state over given arrays; labels must be distinct and int64.
+        The arrays are frozen, not copied."""
         state = cls.__new__(cls)
         state._set(layout, labels, amplitudes)
         return state
@@ -248,7 +244,7 @@ def prepare_basis(layout: RegisterLayout, label: int = 0) -> SparseState:
     if not 0 <= label < 1 << layout.total_width:
         raise ValueError(f"label {label} outside {layout.total_width}-bit space")
     return SparseState.from_arrays(
-        layout, np.array([label], dtype=layout.label_dtype), np.array([1.0 + 0j])
+        layout, np.array([label], dtype=np.int64), np.array([1.0 + 0j])
     )
 
 
@@ -306,39 +302,20 @@ def inverse_permutation(images: np.ndarray, width: int, register: str) -> np.nda
     return inverse
 
 
-def memory_cells(memory: Sequence[int], count: int, width: int, dtype: np.dtype) -> np.ndarray:
-    """QRAM memory as an array of ``dtype`` (uncopied when it already is one),
+def memory_cells(memory: Sequence[int], count: int, width: int) -> np.ndarray:
+    """QRAM memory as an int64 array (uncopied when it already is one),
     checked to hold ``count`` integer cells that each fit ``width`` bits."""
     if len(memory) != count:
         raise ValueError(f"memory must have {count} cells, got {len(memory)}")
     cells = np.asarray(memory)
-    if cells.dtype.kind not in "iuO":
+    if cells.dtype.kind not in "iu":
         raise ValueError(f"memory cells must be integers, got dtype {cells.dtype}")
-    cells = cells.astype(dtype, copy=False)
+    cells = cells.astype(np.int64, copy=False)
     # the OR of all cells has a bit at or above `width` exactly when some cell
     # is negative or wider than the register; one reduction, no temporary
     if np.bitwise_or.reduce(cells) >> width:
         raise ValueError(f"memory cells do not all fit {width} bits")
     return cells
-
-
-def membership_selector(
-    layout: RegisterLayout, data: str, flag: int, zpart: frozenset, offset: int = 0
-) -> int:
-    """The data-register bits that must all be 1 for the content to contain
-    zpart, checked: the flag qubit lies outside the register and every
-    position, shifted down by ``offset``, inside it."""
-    d_off = layout.offset(data)
-    width = layout.width(data)
-    if d_off <= flag < d_off + width:
-        raise ValueError("flag qubit must lie outside the data register")
-    sel = 0
-    for pos in zpart:
-        q = pos - offset
-        if not 1 <= q <= width:
-            raise ValueError(f"position {pos} (offset {offset}) outside data register of width {width}")
-        sel |= 1 << (width - q)
-    return sel
 
 
 def check_phase_qubits(a: int, b: int, control: int | None = None) -> None:
@@ -350,9 +327,8 @@ def check_phase_qubits(a: int, b: int, control: int | None = None) -> None:
 def apply_permutation(state: SparseState, register: str, u: Callable) -> SparseState:
     """Replace register content j by u(j) on every basis label.
 
-    u is applied elementwise to an integer array of register contents (of
-    the state's label dtype) and must return an array of the same shape
-    (or a scalar). u must be a bijection on the register's value range; the
+    u is applied elementwise to an int64 array of register contents and
+    must return an array of the same shape (or a scalar). u must be a bijection on the register's value range; the
     caller (key constructor) guarantees that, but out-of-range outputs and
     collisions are still trapped.
     """
@@ -374,12 +350,12 @@ def qram_query(state: SparseState, address: str, data: str, memory: Sequence[int
     On every basis label with address content j, the data register content
     is XORed with memory[j]; querying twice therefore erases the load.
     ``memory`` holds one integer cell per address, each in [0, 2^width) of
-    the data register; an array of the label dtype is used uncopied.
+    the data register; an int64 array is used uncopied.
     """
     layout = state.layout
     labels = state.labels
-    cells = memory_cells(memory, 1 << layout.width(address), layout.width(data), labels.dtype)
-    index = layout.extract(labels, address).astype(np.int64, copy=False)
+    cells = memory_cells(memory, 1 << layout.width(address), layout.width(data))
+    index = layout.extract(labels, address)
     return state._with(labels ^ (cells[index] << layout.offset(data)), state.amplitudes)
 
 
@@ -395,11 +371,21 @@ def apply_membership_mark(
     Containment means a 1 bit at every position of zpart (positions are
     1-based item indices, shifted down by ``offset`` into the register's
     bitstring). An empty zpart is vacuously contained, so the flag toggles
-    on every label. Self-inverse.
+    on every label. Self-inverse. The flag qubit must lie outside the data
+    register, and every position, shifted down by ``offset``, inside it.
     """
-    sel = membership_selector(state.layout, data, flag, zpart, offset)
+    layout = state.layout
+    d_off, width = layout.offset(data), layout.width(data)
+    if d_off <= flag < d_off + width:
+        raise ValueError("flag qubit must lie outside the data register")
+    sel = 0
+    for pos in zpart:
+        q = pos - offset
+        if not 1 <= q <= width:
+            raise ValueError(f"position {pos} (offset {offset}) outside data register of width {width}")
+        sel |= 1 << (width - q)
     labels = state.labels
-    hit = ((labels >> state.layout.offset(data)) & sel) == sel
+    hit = ((labels >> d_off) & sel) == sel
     return state._with(np.where(hit, labels ^ (1 << flag), labels), state.amplitudes)
 
 
@@ -437,7 +423,7 @@ def inverse_qft(state: SparseState, register: str) -> SparseState:
     rests = ordered[first]
     row = np.cumsum(first) - 1
     grid = np.zeros((len(rests), size), dtype=complex)
-    grid[row, layout.extract(labels[order], register).astype(np.int64)] = state.amplitudes[order]
+    grid[row, layout.extract(labels[order], register)] = state.amplitudes[order]
     out = np.fft.fft(grid, axis=1) * (1.0 / math.sqrt(size))
     keep = np.abs(out) >= PRUNE_EPS
     rows, fs = np.nonzero(keep)

@@ -18,6 +18,8 @@ MARKET_CSV = str(Path(__file__).resolve().parent.parent / "demos" / "data" / "ma
 BASKETS_CSV = str(GOLDEN / "baskets_256x8.csv")
 # padded cells (spaces, tabs, NBSP), CRLF line ends, trailing blank lines
 PADDED_CSV = str(GOLDEN / "padded_crlf.csv")
+# 70 items, so n + k + 3 > 62: the width of a label with data registers
+WIDE_CSV = str(GOLDEN / "wide_24x70.csv")
 
 
 def refuse(*_args):
@@ -652,6 +654,21 @@ class TestErrorLines:
                          "split must lie in 1..4", id="split"),
             pytest.param(["attack-demo", "--p", "1000003", "--eA", "5", "--eB", "7", "--S1", "2"],
                          None, EXIT_USAGE, "attack guarded to primes <= 1000000", id="attack-prime"),
+            *(
+                pytest.param(["attack-demo", "--p", p, "--eA", "3", "--eB", "5", "--S1", "1"], None,
+                             EXIT_USAGE, f"prime {p} admits no valid exponents", id=f"attack-p{p}")
+                for p in ("2", "3")
+            ),
+            pytest.param([*COMPARE, "--prime", "3", "--eA", "3"], None, EXIT_USAGE,
+                         "prime 3 admits no valid exponents", id="compare-p3-eA"),
+            # S1 holds values to encrypt, not item indices: the range is the key's to check
+            pytest.param(["attack-demo", "--p", "11", "--eA", "9", "--eB", "3", "--S1", ""], None,
+                         EXIT_USAGE, "--S1 holds no value to encrypt", id="attack-S1-empty"),
+            pytest.param(["attack-demo", "--p", "11", "--eA", "9", "--eB", "3", "--S1", "0,2"], None,
+                         EXIT_USAGE, "value 0 outside [1, 10]", id="attack-S1-zero"),
+            pytest.param(["attack-demo", "--p", "11", "--eA", "9", "--eB", "3", "--S1", "2;8"], None,
+                         EXIT_USAGE, "--S1 '2;8' is not a comma-separated list of integers",
+                         id="attack-S1-syntax"),
             pytest.param(estimate(db="{missing}"), None, EXIT_FILE,
                          "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'",
                          id="missing-file"),
@@ -739,6 +756,11 @@ class TestGolden:
                      "compare_market_seed3"),
                 ]
                 for fmt in ("csv", "table")
+            ),
+            (
+                ["estimate", "--db", WIDE_CSV, "--items", "5,52", "--split", "35", "--p", "7",
+                 "--seed", "6", "--with-exact-oracle"],
+                "estimate_wide70_seed6.json",
             ),
         ],
     )

@@ -165,12 +165,12 @@ class TestDistribution:
 
     @pytest.mark.parametrize("split", [3, 35, 67])
     def test_wide_labels_match_references(self, split):
-        # 70 items make the composite label wider than int64, so the engine
-        # runs on Python-int labels
+        # 70 items, where n + k + 3 > 62: the layout holds no data
+        # register, so its labels are n + 3 bits whatever k is
         rng = np.random.default_rng(70)
         bits = rng.random((64, 70)) < 0.7
         db = TransactionDatabase(70, tuple("".join("01"[int(b)] for b in row) for row in bits), 64)
-        assert oracle_layout(6, split, 70).total_width > 64
+        assert oracle_layout(6, split, 70).total_width == 6 + 3
         z = frozenset({1, split, split + 1, 70})
         key = make_key("modadd", int(rng.integers(64)), 6)
         alice, bob = parties(db, split)
@@ -180,7 +180,7 @@ class TestDistribution:
         # position by position: the oracle run on the uniform state keeps
         # every label and negates exactly the reference's marked addresses
         layout = oracle_layout(6, split, 70)
-        labels = np.arange(64, dtype=layout.label_dtype) << layout.offset("address")
+        labels = np.arange(64, dtype=np.int64) << layout.offset("address")
         uniform = qsim.SparseState.from_arrays(layout, labels, np.full(64, 1 / 8, dtype=complex))
         out = run_oracle_u(uniform, alice, bob, z, Transcript())
         assert np.array_equal(out.labels, labels)
@@ -612,7 +612,7 @@ class TestConfidence:
     def test_overlap_rejected(self):
         alice, bob = parties(FOUR_ROWS, 2)
         config = CountingConfig(p=4, s=0.4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^X and Y must be disjoint$"):
             estimate_confidence(
                 alice, bob, frozenset({1}), frozenset({1, 2}), config, np.random.default_rng(0)
             )

@@ -20,10 +20,10 @@ from qpdm.dataset import (
     itemset,
     pad_to_power_of_two,
     parse_database,
+    rule_sides,
     vertical_partition,
 )
 from qpdm.protocol import build_qram
-from qpdm.qsim import label_dtype
 
 FOUR_ROWS = TransactionDatabase(3, ("110", "100", "011", "111"), 4)
 
@@ -341,7 +341,7 @@ class TestConfidence:
         assert exact_confidence(db, frozenset({1}), frozenset({2})) == 1
 
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^X and Y must be disjoint$"):
             exact_confidence(FOUR_ROWS, frozenset({1}), frozenset({1, 2}))
 
     def test_zero_antecedent_rejected(self):
@@ -378,14 +378,27 @@ class TestItemset:
         assert itemset([9]) == frozenset({9})  # no upper bound without n_items
 
 
+class TestRuleSides:
+    def test_each_side_an_itemset_and_the_two_disjoint(self):
+        assert rule_sides([2, 1], {3}, 3) == (frozenset({1, 2}), frozenset({3}))
+        for x, y, message in (
+            (set(), {2}, "^empty itemset$"),
+            ({1}, {0}, "^item indices are 1-based$"),
+            ({1}, {4}, r"^item index outside 1\.\.3$"),
+            ({1}, {1, 2}, "^X and Y must be disjoint$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                rule_sides(x, y, 3)
+
+
 class TestRowStore:
-    """The bit matrix, the views, the QRAM cells, index_set and
+    """The bit matrix, the views, their containment columns, index_set and
     exact_support, each against the string rows the database was built from."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_derived_data_match_string_rows(self, data):
-        # k up to 70, so QRAM cells wider than 62 bits (object arrays) are drawn
+        # k up to 70: a party's data is its view's column slice, however wide
         k = data.draw(st.integers(2, 70), label="k")
         n_rows = data.draw(st.integers(1, 20), label="rows")
         values = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n_rows, max_size=n_rows))
@@ -399,14 +412,11 @@ class TestRowStore:
         assert np.array_equal(np.hstack([alice.view.bits, bob.view.bits]), db.bits)
         for party, part in ((alice, slice(None, l)), (bob, slice(l, None))):
             view_rows = [row[part] for row in db.rows]
-            assert party.memory_ints.dtype == label_dtype(party.data_width)
-            assert party.memory_ints.tolist() == [int(row, 2) for row in view_rows]
+            assert ["".join(map(str, row)) for row in party.view.bits.tolist()] == view_rows
             zpart, offset = party.view.item_part(z)
-            expected = set()
-            for j, row in enumerate(view_rows[:n_rows]):
-                if all(row[i - offset - 1] == "1" for i in zpart):
-                    expected.add(j + 1)
-            assert index_set(party.view, z) == expected
+            column = [all(row[i - offset - 1] == "1" for i in zpart) for row in view_rows]
+            assert party.view.contains(z).tolist() == column
+            assert index_set(party.view, z) == {j + 1 for j in range(n_rows) if column[j]}
         assert exact_support(db, z) == brute_support(db.rows, z, n_rows)
 
 

@@ -66,22 +66,66 @@ def address_vector(state):
     return vec
 
 
+# The registers a gate-level oracle call loads rows into, which the plan's
+# layout does not hold: a label carries them only within a step.
+DATA_REGISTERS = ("bob_data", "alice_data")
+
+
+def gate_layout(layout, l, k):
+    """``layout`` (an oracle_layout) with Bob's and Alice's data registers,
+    k - l and l qubits, between the address and the flags."""
+    registers = list(layout.registers)
+    at = registers.index(("address", layout.width("address"))) + 1
+    registers[at:at] = [("bob_data", k - l), ("alice_data", l)]
+    return qsim.RegisterLayout(tuple(registers))
+
+
+def relabel(state, layout):
+    """``state`` over ``layout``: every register of the target that the
+    source has is copied, the others read zero; the source's data
+    registers must be zero on every label."""
+    source = state.layout
+    for name in DATA_REGISTERS:
+        if name in dict(source.registers):
+            assert not (state.labels & source.mask(name)).any(), f"{name} holds a load between steps"
+    labels = np.zeros_like(state.labels)
+    for name, _ in layout.registers:
+        if name in dict(source.registers):
+            labels |= source.extract(state.labels, name) << layout.offset(name)
+    return qsim.SparseState.from_arrays(layout, labels, state.amplitudes)
+
+
+def party_cells(party):
+    """A party's QRAM cells: row j of its view as an integer, leftmost
+    column most significant."""
+    return [int("".join(map(str, row)), 2) for row in party.view.bits.tolist()]
+
+
 def gate_reference_oracle_u(
     state, initiator, responder, z, transcript, control=None, record=None
 ):
     """The seven-step oracle call built gate by gate from the qsim primitives,
     each step a primitive call that builds its own state: the reference
-    run_oracle_u is pinned to."""
+    run_oracle_u is pinned to. It runs on ``state``'s layout widened by the
+    two data registers, loads each party's rows from cells built from its
+    view's bits, and maps every step's state back to ``state``'s layout,
+    checking first that the data registers are zero."""
     z = itemset(z, initiator.view.width + responder.view.width)
     if initiator.role == responder.role:
         raise ValueError("initiator and responder must have distinct roles")
     key = responder.key
     if key is None:
         raise ValueError("responder holds no encryption key")
-    layout = state.layout
-    n = layout.width("address")
-    if len(responder.memory_ints) != 1 << n or len(initiator.memory_ints) != 1 << n:
+    plan_layout = state.layout
+    n = plan_layout.width("address")
+    if len(responder.view.bits) != 1 << n or len(initiator.view.bits) != 1 << n:
         raise ValueError("party QRAM size does not match the address register")
+    alice = initiator if initiator.role == "alice" else responder
+    layout = gate_layout(plan_layout, alice.view.split_point, initiator.data_width + responder.data_width)
+    if control is not None:  # the same qubit of the same register in the wider layout
+        name = next(name for name, _ in plan_layout.registers if plan_layout.mask(name) >> control & 1)
+        control += layout.offset(name) - plan_layout.offset(name)
+    state = relabel(state, layout)
 
     def aux_dirty(state):
         mask = 0
@@ -101,38 +145,39 @@ def gate_reference_oracle_u(
     resp_data, resp_flag = registers(responder)
     init_fq = layout.qubit(init_flag)
     resp_fq = layout.qubit(resp_flag)
+    init_cells, resp_cells = party_cells(initiator), party_cells(responder)
 
     def snap(tag):
         if record is not None:
-            record.append((tag, state))
+            record.append((tag, relabel(state, plan_layout)))
 
-    def query(state, party, data):
-        return qsim.qram_query(state, "address", data, party.memory_ints)
+    def query(state, cells, data):
+        return qsim.qram_query(state, "address", data, cells)
 
     state = qsim.apply_permutation(state, "address", key.apply)
     snap("step1")
 
-    state = query(state, responder, resp_data)
+    state = query(state, resp_cells, resp_data)
     state = qsim.apply_membership_mark(state, resp_data, resp_fq, resp_items, resp_off)
-    state = query(state, responder, resp_data)
+    state = query(state, resp_cells, resp_data)
     snap("step2")
 
-    state = query(state, initiator, init_data)
+    state = query(state, init_cells, init_data)
     state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
-    state = query(state, initiator, init_data)
+    state = query(state, init_cells, init_data)
     snap("step3")
 
     state = qsim.apply_phase_and(state, init_fq, resp_fq, control=control)
     snap("step4")
 
-    state = query(state, initiator, init_data)
+    state = query(state, init_cells, init_data)
     state = qsim.apply_membership_mark(state, init_data, init_fq, init_items, init_off)
-    state = query(state, initiator, init_data)
+    state = query(state, init_cells, init_data)
     snap("step5")
 
-    state = query(state, responder, resp_data)
+    state = query(state, resp_cells, resp_data)
     state = qsim.apply_membership_mark(state, resp_data, resp_fq, resp_items, resp_off)
-    state = query(state, responder, resp_data)
+    state = query(state, resp_cells, resp_data)
     snap("step6")
 
     state = qsim.apply_permutation(state, "address", key.invert)
@@ -141,7 +186,7 @@ def gate_reference_oracle_u(
     if aux_dirty(state):
         raise qsim.SimulationError("auxiliary registers failed to disentangle")
     transcript.log_calls(initiator.role, n)
-    return state
+    return relabel(state, plan_layout)
 
 
 class TestKeys:
@@ -169,15 +214,15 @@ class TestKeys:
                     assert key.apply(key.invert(int(j))) == int(j)
 
     def test_inverse_on_label_arrays(self):
-        # run_oracle_u inverts whole arrays of the label dtype: int64 or object
+        # run_oracle_u applies keys to whole int64 arrays, and the gate
+        # reference inverts them on int64 register contents
         for n in range(1, 6):
-            for dtype in (np.int64, object):
-                a = np.arange(1 << n).astype(dtype)
-                for family in KEY_FAMILIES:
-                    for key in all_keys(family, n):
-                        back = key.invert(key.apply(a))
-                        assert back.dtype == a.dtype
-                        assert np.array_equal(back, a), key
+            a = np.arange(1 << n, dtype=np.int64)
+            for family in KEY_FAMILIES:
+                for key in all_keys(family, n):
+                    back = key.invert(key.apply(a))
+                    assert back.dtype == a.dtype
+                    assert np.array_equal(back, a), key
 
     def test_out_of_range_parameter(self):
         with pytest.raises(ValueError):
@@ -223,17 +268,16 @@ class TestBuildQram:
     def test_copies_rows(self):
         alice, bob = make_parties(DB8, 2)
         assert np.array_equal(bob.view.bits, DB8.bits[:, 2:])
-        assert bob.memory_ints.tolist() == [int(r[2:], 2) for r in DB8.rows]
-        assert alice.memory_ints.tolist() == [int(r[:2], 2) for r in DB8.rows]
+        assert party_cells(bob) == [int(r[2:], 2) for r in DB8.rows]
+        assert party_cells(alice) == [int(r[:2], 2) for r in DB8.rows]
         assert bob.data_width == 2
         assert bob.address_width == 3
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_cells_match_weighted_sum(self, data):
-        # widths up to 70 draw both label tiers: int64 up to INT_LABEL_BITS,
-        # Python ints beyond. The view is a column slice of a wider matrix,
-        # so its rows are not contiguous.
+    def test_contains_is_the_and_of_the_part_columns(self, data):
+        # widths up to 70 and views cut from a wider matrix, so the view's
+        # rows are not contiguous
         width = data.draw(st.integers(1, 70), label="width")
         n = data.draw(st.integers(0, 4), label="n")
         other = data.draw(st.integers(1, 3), label="the other party's columns")
@@ -241,18 +285,16 @@ class TestBuildQram:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         wide = rng.integers(0, 2, size=(1 << n, other + width), dtype=np.uint8)
         db = TransactionDatabase.from_bits(wide, 1 << n)
-        view = PartitionedView(role, width if role == "alice" else other, db)
+        split = width if role == "alice" else other
+        view = PartitionedView(role, split, db)
         assert view.width == width
         assert not view.bits.flags.c_contiguous or n == 0
-        cells = build_qram(view, n).memory_ints
+        z = frozenset(data.draw(st.sets(st.integers(1, other + width), min_size=1, max_size=4), label="z"))
 
-        dtype = qsim.label_dtype(width)
-        weights = np.array([1 << i for i in reversed(range(width))], dtype=dtype)
-        assert cells.dtype == dtype
-        assert cells.tolist() == (view.bits.astype(dtype) @ weights).tolist()
-        assert cells.tolist() == [int("".join(map(str, row)), 2) for row in view.bits.tolist()]
-        if dtype == object:
-            assert all(type(cell) is int for cell in cells)
+        column = view.contains(z)
+        assert column.dtype == bool and not column.flags.writeable
+        part = {i for i in z if (i <= split) == (role == "alice")}
+        assert column.tolist() == [all(row[i - 1] == "1" for i in part) for row in db.rows]
 
     def test_cells_that_do_not_fit_refused(self):
         # bits that are not all 0/1 are refused where the database is made,
@@ -266,25 +308,27 @@ class TestBuildQram:
             PartitionedView("alice", 1, bits)
 
     def test_cells_built_without_a_check_pass(self, monkeypatch):
-        # the database's invariants make every cell fit: no party passes
-        # over its cells again
+        # the database's invariants make every cell fit: a party keeps its
+        # view's column slice of the database's matrix, uncopied, and no
+        # party passes over its cells
         def refuse(*args, **kwargs):
             raise AssertionError("build_qram passed over the cells")
 
         monkeypatch.setattr(qsim, "memory_cells", refuse)
         alice, bob = (build_qram(view, 3) for view in vertical_partition(DB8, 2))
-        assert alice.memory_ints.tolist() == [int(r[:2], 2) for r in DB8.rows]
-        assert bob.memory_ints.tolist() == [int(r[2:], 2) for r in DB8.rows]
+        assert np.shares_memory(alice.view.bits, DB8.bits) and np.shares_memory(bob.view.bits, DB8.bits)
+        assert party_cells(alice) == [int(r[:2], 2) for r in DB8.rows]
+        assert party_cells(bob) == [int(r[2:], 2) for r in DB8.rows]
 
     def test_cells_read_only_and_shared_by_with_key(self):
         _, bob = make_parties(DB8, 2)
         with pytest.raises(ValueError):
-            bob.memory_ints[0] = 3
+            bob.view.bits[0, 0] = 1
         keyed = bob.with_key(make_key("bitflip", 5, 3))
         assert keyed.key == make_key("bitflip", 5, 3) and bob.key is None
-        assert keyed.memory_ints is bob.memory_ints
         assert keyed.view is bob.view
-        assert keyed.with_key(None).memory_ints is bob.memory_ints
+        assert keyed.with_key(None).view is bob.view
+        assert keyed.with_key(None) == bob
 
     def test_unpadded_rejected(self):
         db = TransactionDatabase(3, ("101",) * 3, 3)
@@ -293,11 +337,12 @@ class TestBuildQram:
             build_qram(view, 2)
 
     def test_roundtrip_through_qram_query(self):
+        # the gate reference's query loads row j of the view into the data register
         alice, bob = make_parties(DB8, 2)
-        layout = oracle_layout(3, 2, 4)
+        layout = gate_layout(oracle_layout(3, 2, 4), 2, 4)
         for j in range(8):
             st = qsim.prepare_basis(layout, layout.replace(0, "address", j))
-            out = qsim.qram_query(st, "address", "bob_data", bob.memory_ints)
+            out = qsim.qram_query(st, "address", "bob_data", party_cells(bob))
             label = next(iter(out.amps))
             assert layout.extract(label, "bob_data") == int(DB8.rows[j][2:], 2)
 
@@ -435,24 +480,24 @@ class TestOracle:
         with pytest.raises(ValueError):
             run_oracle_u(st, alice, bob, frozenset({1}), Transcript())
 
-    def test_data_register_wider_than_view_refused(self):
-        # Bob's view is 2 items wide; on a layout built for 5 items his data
-        # register has 3 qubits. His cells fit it, but reading z = {3} at
-        # the wrong offset would leave all eight signs +1 where the
-        # reference marks five rows
+    def test_layout_does_not_depend_on_the_views(self):
+        # a label holds no data register, so a layout asked for with another
+        # split or item count is the same layout, and a call on it reads z
+        # = {3} from Bob's view and marks the reference's five rows
         alice, bob = make_parties(DB8, 2, make_key("bitflip", 0, 3))
         z = frozenset({3})
-        assert (reference_phase_oracle(DB8, z, lambda j: j) == -1).sum() == 5
+        signs = reference_phase_oracle(DB8, z, lambda j: j)
+        assert (signs == -1).sum() == 5
         layout = oracle_layout(3, 2, 5)
-        st = qsim.apply_w(qsim.prepare_basis(layout), "address")
-        transcript = Transcript()
-        with pytest.raises(ValueError, match="bob_data register has 3 qubits"):
-            run_oracle_u(st, alice, bob, z, transcript)
-        assert transcript.records == []
+        assert layout == oracle_layout(3, 1, 70) == oracle_layout(3, 2, 4)
+        assert layout.total_width == 3 + 3
+        st = address_state(layout, {j: 0.5 for j in range(8)})
+        out = run_oracle_u(st, alice, bob, z, Transcript())
+        assert np.array_equal(out.amplitudes * 2, signs)
 
     def test_no_pass_over_the_cells(self, monkeypatch):
-        # the cells were checked when each party was built; a call gathers
-        # them at u(j) and checks nothing else about them
+        # the views' cells are 0/1 where the database is made; a call
+        # gathers its containment columns at u(j) and checks nothing else
         key = make_key("modadd", 3, 3)
         z = frozenset({2, 3})
         alice, bob = make_parties(DB8, 2, key)
@@ -495,9 +540,10 @@ class TestOracle:
     def test_blocks_change_no_step(self, data):
         # labels go through the seven steps a block at a time; blocks of a
         # few labels must give the gate-level reference's arrays after every
-        # step, on int64 and Python-int labels, in any label order
+        # step, in any label order. k is as wide as the reference's layout,
+        # with its data registers, can hold: n + k + 4 <= 62
         n = data.draw(st.integers(1, 5), label="n")
-        k = data.draw(st.integers(2, 70), label="k")
+        k = data.draw(st.integers(2, 58 - n), label="k")
         split = data.draw(st.integers(1, k - 1), label="split")
         z = frozenset(data.draw(st.sets(st.integers(1, k), min_size=1, max_size=3), label="z"))
         family = data.draw(st.sampled_from(KEY_FAMILIES), label="family")
@@ -565,8 +611,8 @@ class TestOracle:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_matches_reference_property(self, data):
-        # k up to 70 items draws both int64 labels and, past 62 bits,
-        # Python-int labels
+        # k up to 70 items: the layout holds no data register, so its
+        # width, n + 3 or n + 4, does not grow with k
         n = data.draw(st.integers(1, 6), label="n")
         k = data.draw(st.integers(2, 70), label="k")
         split = data.draw(st.integers(1, k - 1), label="split")
@@ -583,7 +629,7 @@ class TestOracle:
         alice, bob = make_parties(db, split, key, key_holder="bob" if initiator == "alice" else "alice")
         init, resp = (alice, bob) if initiator == "alice" else (bob, alice)
         layout = oracle_layout(n, split, k, p=1 if controlled else 0)
-        event(f"label dtype {layout.label_dtype}")
+        assert layout.total_width == n + 3 + controlled
         control = layout.qubit("counting", 0) if controlled else None
         off = layout.offset("address")
         labels = [j << off for j in range(1 << n)]
@@ -604,7 +650,7 @@ class TestOracle:
             on = control is None or layout.extract(label, "counting") == 1
             expected[label] = a * signs[layout.extract(label, "address")] if on else a
         assert qsim.max_deviation(out, qsim.SparseState(layout, expected)) == 0.0
-        for name in ("bob_data", "alice_data", "b_flag", "a_flag", "kick_ancilla"):
+        for name in AUX_REGISTERS:
             assert all(layout.extract(label, name) == 0 for label in out.amps), name
         assert len(transcript.events) == 4
 
@@ -624,10 +670,10 @@ class TestOraclePlanAgainstGates:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_arrays_equal_after_every_step(self, data):
-        # k up to 70 items draws both int64 labels and, past 62 bits,
-        # Python-int labels
+        # k is as wide as the reference's layout, with its data registers,
+        # can hold: n + k + 4 <= 62
         n = data.draw(st.integers(1, 6), label="n")
-        k = data.draw(st.integers(2, 70), label="k")
+        k = data.draw(st.integers(2, 58 - n), label="k")
         split = data.draw(st.integers(1, k - 1), label="split")
         z = frozenset(data.draw(st.sets(st.integers(1, k), min_size=1, max_size=4), label="z"))
         family = data.draw(st.sampled_from(KEY_FAMILIES), label="family")
@@ -642,7 +688,6 @@ class TestOraclePlanAgainstGates:
         alice, bob = make_parties(db, split, key, key_holder="bob" if initiator == "alice" else "alice")
         init, resp = (alice, bob) if initiator == "alice" else (bob, alice)
         layout = oracle_layout(n, split, k, p=1 if controlled else 0)
-        event(f"label dtype {layout.label_dtype}")
         event(f"fault {fault}")
         control = layout.qubit("counting", 0) if controlled else None
         # a random subset of the addresses, in random order, on both control

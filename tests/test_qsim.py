@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpdm.qsim import (
+    INT_LABEL_BITS,
     RegisterLayout,
     SimulationError,
     SparseState,
@@ -17,7 +18,6 @@ from qpdm.qsim import (
     apply_w,
     inverse_permutation,
     inverse_qft,
-    label_dtype,
     max_deviation,
     measure_register,
     memory_cells,
@@ -232,20 +232,20 @@ class TestQramQuery:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_cells_refused_exactly_when_one_does_not_fit(self, data):
-        # widths up to 70 draw both label tiers; a cell fits when c >> width
-        # is 0, so negative cells never fit
-        width = data.draw(st.integers(1, 70), label="width")
-        top = 1 << min(width + 2, 62 if label_dtype(width) != object else 72)
+        # a cell fits when c >> width is 0, so negative cells never fit;
+        # widths up to 60 leave a data register room in a 62-bit layout
+        width = data.draw(st.integers(1, 60), label="width")
+        top = 1 << (width + 2)
         cells = data.draw(st.lists(st.integers(-3, top), min_size=1, max_size=6), label="cells")
-        memory = np.array(cells, dtype=label_dtype(width))
+        memory = np.array(cells, dtype=np.int64)
         fits = all(c >> width == 0 for c in cells)
         if fits:
-            assert memory_cells(memory, len(cells), width, memory.dtype) is memory
+            assert memory_cells(memory, len(cells), width) is memory
         else:
             with pytest.raises(ValueError, match=f"memory cells do not all fit {width} bits"):
-                memory_cells(memory, len(cells), width, memory.dtype)
+                memory_cells(memory, len(cells), width)
         with pytest.raises(ValueError, match="memory cells must be integers"):
-            memory_cells(memory.astype(float), len(cells), width, memory.dtype)
+            memory_cells(memory.astype(float), len(cells), width)
 
     def test_all_zero_memory_is_identity(self):
         rng = np.random.default_rng(3)
@@ -484,11 +484,12 @@ class TestProperties:
 
 
 class TestWideLabels:
-    """Layouts wider than int64 run the same array code on Python-int labels."""
+    """Labels of the widest layout admitted, with their top bits set, run
+    the same int64 array code as narrow ones."""
 
     narrow = single(3)
-    wide = RegisterLayout((("hi", 70), ("r", 3)))
-    high = ((1 << 69) | 5) << 3
+    wide = RegisterLayout((("hi", INT_LABEL_BITS - 3), ("r", 3)))
+    high = ((1 << (INT_LABEL_BITS - 4)) | 5) << 3
 
     def lift(self, state):
         return SparseState(self.wide, {self.high | l: a for l, a in state.amps.items()})
@@ -497,7 +498,7 @@ class TestWideLabels:
         rng = np.random.default_rng(15)
         st = random_state(self.narrow, rng, terms=5)
         wide = self.lift(st)
-        assert st.labels.dtype == np.int64 and wide.labels.dtype == object
+        assert st.labels.dtype == wide.labels.dtype == np.int64
         ops = [
             lambda s: apply_w(s, "r"),
             lambda s: inverse_qft(s, "r"),
@@ -512,14 +513,19 @@ class TestWideLabels:
         assert (a.value, a.probability) == (b.value, b.probability)
         assert max_deviation(self.lift(a.post_state), b.post_state) == 0.0
 
-    def test_qram_cells_wider_than_int64(self):
-        layout = RegisterLayout((("addr", 1), ("data", 66)))
-        memory = [(1 << 65) | 3, 7]
-        st = apply_w(prepare_basis(layout), "addr")
-        out = qram_query(st, "addr", "data", memory)
+    def test_layout_wider_than_int64_labels_refused(self):
+        # 62 bits is the widest layout; one qubit more is refused where the
+        # layout is made, so no label can overflow an int64
+        layout = RegisterLayout((("addr", 1), ("data", INT_LABEL_BITS - 1)))
+        memory = [(1 << 60) | 3, 7]
+        out = qram_query(apply_w(prepare_basis(layout), "addr"), "addr", "data", memory)
         assert sorted(layout.extract(l, "data") for l in out.amps) == sorted(memory)
-        with pytest.raises(ValueError):
-            qram_query(st, "addr", "data", [1 << 66, 0])
+        with pytest.raises(ValueError, match="memory cells do not all fit 61 bits"):
+            qram_query(out, "addr", "data", [1 << 61, 0])
+        with pytest.raises(ValueError, match="^layout of 63 qubits is wider than INT_LABEL_BITS = 62$"):
+            RegisterLayout((("addr", 1), ("data", INT_LABEL_BITS)))
+        with pytest.raises(ValueError, match="^layout of 73 qubits"):
+            RegisterLayout((("hi", 70), ("r", 3)))
 
 
 def test_dump_format():
