@@ -11,18 +11,18 @@ matrix, a numpy view rather than a copy; padding appends zero rows to it;
 and the '0'/'1' strings of ``rows`` are derived from it on first access,
 for the string-level references and the tests.
 
-``parse_database`` turns CSV or bit-string text into that matrix with
-whole-array operations. A canonical CSV line is k two-byte cells, each a
-digit and a comma, the last a digit and the newline. The UTF-8 bytes are
-read as little-endian uint16 cells with the digit's low bit masked off;
-every k-th cell must then be "0" and the newline, every other one "0" and
-the comma, and the digits are the even bytes. A bit-string line is cut
-into one row of k + 1 bytes and compared against "0", "1" and the
-newline. If that check fails, the text is normalised in whole arrays
-too: every line boundary ``str.splitlines`` knows becomes a newline, the
-whitespace ``str.strip`` would take off a cell (or a bit-string line) is
-removed, and trailing blank lines are dropped. Then the check runs again,
-and the first malformed line is looked for only if it fails again.
+``parse_database`` turns CSV or bit-string text into that matrix. A
+canonical CSV line is k two-byte cells, each a digit and a comma, the last a
+digit and the newline. The UTF-8 bytes are read as little-endian uint16
+cells with the digit's low bit masked off; every k-th cell must then be "0"
+and the newline, every other one "0" and the comma, and the digits are the
+even bytes. A bit-string line is cut into one row of k + 1 bytes and
+compared against "0", "1" and the newline. A file that fails this check is
+read as the definitions say: decoded, cut by ``str.splitlines``, its
+trailing blank lines dropped and each CSV cell (each bit-string line)
+stripped by ``str.strip``, and joined back into canonical lines. Then the
+check runs again, and the first malformed line is looked for only if it
+fails again.
 
 All statistics in this module are exact rationals counted over the
 unpadded rows; they are the ground truth every estimated quantity is judged
@@ -75,8 +75,6 @@ def rule_sides(x, y, n_items: int | None = None) -> tuple[ItemSet, ItemSet]:
 MAX_ADDRESS_WIDTH = 20
 
 NEWLINE, COMMA, ZERO = ord("\n"), ord(","), ord("0")
-# the ASCII characters str.isspace holds to be whitespace
-_ASCII_ISSPACE = bytes(c for c in range(0x80) if chr(c).isspace())
 
 
 class ParseError(ValueError):
@@ -256,43 +254,64 @@ class PartitionedView:
 def parse_database(text: str | bytes) -> TransactionDatabase:
     """Parse CSV (header of item names, then 0/1 cells) or one bit string per line.
 
-    ``text`` is a str or its UTF-8 bytes. Lines are split as
-    ``str.splitlines`` splits them, CSV cells and bit-string lines are
-    stripped of whitespace as ``str.strip`` strips, and trailing blank
-    lines are ignored. Raises ParseError naming the first offending line for
-    malformed rows, non-binary cells, or empty input.
+    ``text`` is a str or its UTF-8 bytes. Its lines are those of
+    ``str.splitlines``, trailing blank lines are ignored, and each CSV cell
+    (each bit-string line) is stripped by ``str.strip``. A file whose first
+    line ``splitlines`` leaves whole and whose rows are bare cells, each
+    line ending in "\\n" or "\\r\\n", is read from its bytes as they are;
+    any other is first rewritten into that form by ``_canonical``. Raises
+    ParseError naming the first offending line for malformed rows,
+    non-binary cells, or empty input.
     """
     data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
-    rest = data.lstrip(_ASCII_ISSPACE)
-    if not rest or (rest[0] >= 0x80 and rest.decode("utf-8", "surrogatepass").isspace()):
-        raise ParseError(1, "empty input")
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    head = data.find(b"\n")
-    # the closing "\v" keeps a trailing lone "\r" a line boundary of its own
-    first, *more = (data[:head].decode("utf-8", "surrogatepass") + "\v").splitlines()
-    csv = "," in first
-    if csv:
-        names = tuple(cell.strip() for cell in first.split(","))
-        if any(not name for name in names):
-            raise ParseError(1, "empty item name in header")
-        k = len(names)
-    else:
-        names, k = (), len(first.strip())
-
-    start = head + 1 if csv else 0
-    bits = None if more else _cells(np.frombuffer(data, dtype=np.uint8, offset=start), k, csv)
+    lines = data.replace(b"\r\n", b"\n") if b"\r" in data else data
+    if not lines.endswith(b"\n"):
+        lines += b"\n"
+    # a blank first line (no items) does not pass, nor one that ends in a
+    # lone "\r" or holds another line boundary
+    first = lines[: lines.find(b"\n")].decode("utf-8", "surrogatepass")
+    bits = None
+    if first.splitlines() == [first]:
+        names, k, csv, body = _layout(lines)
+        bits = _cells(body, k, csv)
     if bits is None:
-        data = _one_line_end(data)
-        body = _stripped(data[data.find(b"\n") + 1 if csv else 0 :], csv)
+        names, k, csv, body = _layout(_canonical(data))
         bits = _cells(body, k, csv)
         if bits is None:
             raise _first_error(body, k, csv)
     if not len(bits):
         raise ParseError(2, "no data rows")
     return TransactionDatabase.from_bits(bits, len(bits), names)
+
+
+def _canonical(data: bytes) -> bytes:
+    """The lines of ``data`` as ``str.splitlines`` cuts them, the trailing
+    blank ones dropped and each CSV cell (each bit-string line) stripped by
+    ``str.strip``, each ending in a newline."""
+    lines = data.decode("utf-8", "surrogatepass").splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ParseError(1, "empty input")
+    if "," in lines[0]:
+        lines = [",".join(map(str.strip, line.split(","))) for line in lines]
+    else:
+        lines = list(map(str.strip, lines))
+    lines.append("")
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+def _layout(data: bytes) -> tuple[tuple[str, ...], int, bool, np.ndarray]:
+    """The item names, the item count k, whether the text is CSV, and the
+    lines the cells are read from, of ``data``, whose lines end in newlines."""
+    head = data.find(b"\n")
+    first = data[:head].decode("utf-8", "surrogatepass")
+    if "," not in first:
+        return (), len(first.strip()), False, np.frombuffer(data, dtype=np.uint8)
+    names = tuple(name.strip() for name in first.split(","))
+    if not all(names):
+        raise ParseError(1, "empty item name in header")
+    return names, len(names), True, np.frombuffer(data, dtype=np.uint8, offset=head + 1)
 
 
 # "0," or "1,", and "0\n" or "1\n", as little-endian uint16 with the digit's
@@ -330,89 +349,6 @@ def _cells(body: np.ndarray, k: int, csv: bool) -> np.ndarray | None:
     if bits.max(initial=0) > 1 or (grid[:, -1] != NEWLINE).any():
         return None
     return bits
-
-
-# every line boundary of str.splitlines but the newline and "\r\n"
-_LINE_ENDS = bytes.maketrans(b"\v\f\r\x1c\x1d\x1e", b"\n" * 6)
-
-
-def _one_line_end(data: bytes) -> bytes:
-    """``data`` (with "\\r\\n" already made "\\n") with every line boundary
-    of ``str.splitlines`` made a newline, so that its lines are those of
-    ``splitlines``."""
-    data = data.translate(_LINE_ENDS)
-    if data.isascii():
-        return data
-    text = data.decode("utf-8", "surrogatepass")
-    for boundary in "\x85\u2028\u2029":
-        text = text.replace(boundary, "\n")
-    return text.encode("utf-8", "surrogatepass")
-
-
-# Bytes of text stripped at a time, cut at a newline: this bounds the masks
-# of _strip_runs, about 11 B per byte of ASCII text and 15 B otherwise.
-_BLOCK = 1 << 20
-# Whitespace that str.strip removes but str.splitlines does not cut at, up
-# to U+3000, the last whitespace character (the tests check this against
-# str.isspace), as a lookup table indexed by code point.
-_SPACES = [9, 31, 32, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000]
-_IS_SPACE = np.zeros(_SPACES[-1] + 2, dtype=bool)
-_IS_SPACE[_SPACES] = True
-_ASCII_SPACES = [c for c in _SPACES if c < 0x80]
-
-
-def _stripped(data: bytes, csv: bool) -> np.ndarray:
-    """The lines of ``data`` (each ending in a newline) with the whitespace
-    ``str.strip`` takes off each cell (each line of bit strings) removed,
-    and the trailing blank lines dropped, as UTF-8 bytes."""
-    blocks, start = [], 0
-    while start < len(data):
-        stop = data.find(b"\n", start + _BLOCK) + 1 or len(data)
-        blocks.append(_strip_runs(data[start:stop], csv))
-        start = stop
-    body = b"".join(blocks).rstrip(b"\n")
-    return np.frombuffer(body + b"\n" if body else body, dtype=np.uint8)
-
-
-def _strip_runs(block: bytes, csv: bool) -> bytes:
-    """``block`` (whole lines) without the runs of whitespace that touch its
-    start, a newline, or a comma in CSV. Non-ASCII text is handled as an
-    array of code points."""
-    if block.isascii():
-        chars = np.frombuffer(block, dtype=np.uint8)
-        space = chars == _ASCII_SPACES[0]
-        for c in _ASCII_SPACES[1:]:
-            space |= chars == c
-    else:
-        text = block.decode("utf-8", "surrogatepass").encode("utf-32-le", "surrogatepass")
-        chars = np.frombuffer(text, dtype=np.uint32)
-        space = np.take(_IS_SPACE, chars, mode="clip")
-    if not space.any():
-        return block
-    edge = chars == NEWLINE
-    if csv:
-        edge |= chars == COMMA
-    # A run of spaces goes when the character before it (or the block's
-    # start) or the one after it is an edge. Each test marks the run's first
-    # or last position, and the marks are spread along the runs by doubling:
-    # the pass that spreads by d reaches d positions further, and the passes
-    # stop once no run is as long as the next d.
-    after_edge = space.copy()
-    after_edge[1:] &= edge[:-1]
-    before_edge = space.copy()  # the block ends in a newline, not a space
-    before_edge[:-1] &= edge[1:]
-    run, d = space, 1  # run[i]: the d positions up to i are all spaces
-    while run.any():
-        after_edge[d:] |= run[d:] & after_edge[:-d]
-        before_edge[:-d] |= run[d - 1 : -1] & before_edge[d:]
-        longer = np.zeros_like(run)
-        np.logical_and(run[d:], run[:-d], out=longer[d:])
-        run, d = longer, 2 * d
-    after_edge |= before_edge
-    chars = np.compress(~after_edge, chars)
-    if chars.dtype == np.uint8:
-        return chars.tobytes()
-    return chars.tobytes().decode("utf-32-le", "surrogatepass").encode("utf-8", "surrogatepass")
 
 
 def _first_error(body: np.ndarray, k: int, csv: bool) -> ParseError:

@@ -309,6 +309,10 @@ def memory_cells(memory: Sequence[int], count: int, width: int) -> np.ndarray:
         raise ValueError(f"memory must have {count} cells, got {len(memory)}")
     cells = np.asarray(memory)
     if cells.dtype.kind not in "iu":
+        # Python ints take dtype object or float64 when one is past int64,
+        # and so past every register
+        if not isinstance(memory, np.ndarray) and all(type(c) is int for c in memory):
+            raise ValueError(f"memory cells do not all fit {width} bits")
         raise ValueError(f"memory cells must be integers, got dtype {cells.dtype}")
     cells = cells.astype(np.int64, copy=False)
     # the OR of all cells has a bit at or above `width` exactly when some cell

@@ -246,6 +246,10 @@ class TestQramQuery:
                 memory_cells(memory, len(cells), width)
         with pytest.raises(ValueError, match="memory cells must be integers"):
             memory_cells(memory.astype(float), len(cells), width)
+        # Python ints past int64, which numpy holds as object or float64
+        for wide in ([1 << 70, 0], [1 << 63, 0]):
+            with pytest.raises(ValueError, match=f"memory cells do not all fit {width} bits"):
+                memory_cells(wide, 2, width)
 
     def test_all_zero_memory_is_identity(self):
         rng = np.random.default_rng(3)
