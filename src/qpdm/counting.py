@@ -18,10 +18,10 @@ sin^2(pi phi) / (P sin(pi d / P))^2, where phi = r - floor(r) and d = f - r
 is reduced mod P to [-P/2, P/2); when phi = 0, as at M = 0 or M = 2^n, the
 kernel is a point mass on r. The -2 theta kernel is its mirror f -> -f mod
 P, and their mean, formed in O(P) with no transform, depends on the
-marked count M alone. M is taken from one full seven-step protocol
-execution per count on the uniform address state, built directly as
-labels j << offset with amplitude 2^(-n/2): every step runs, and since
-the oracle only negates amplitudes, the output is checked exactly to keep
+marked count M alone. M is taken from one oracle call per count on the
+uniform address state, built directly as labels j << offset with
+amplitude 2^(-n/2): the call forms the phase per address, and since the
+oracle only negates amplitudes, the output is checked exactly to keep
 every label in place with amplitude +-2^(-n/2); M is the number of
 negated ones, read as one integer.
 
@@ -162,8 +162,8 @@ def _layout_for(init: PartyState, resp: PartyState, p: int):
 
 
 def _marked_count(init: PartyState, resp: PartyState, z: frozenset) -> int:
-    """The marked count M, from one full protocol execution on the uniform
-    address state (every step of the call actually runs)."""
+    """The marked count M, from one oracle call on the uniform address
+    state, which forms the phase once per address."""
     layout, n = _layout_for(init, resp, p=0)
     labels = np.arange(1 << n, dtype=np.int64) << layout.offset("address")
     amp = 2.0 ** (-n / 2)

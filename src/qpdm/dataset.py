@@ -68,10 +68,9 @@ def rule_sides(x, y, n_items: int | None = None) -> tuple[ItemSet, ItemSet]:
     return x, y
 
 
-# Widest address register a database may pad to. One oracle extraction
-# peaks at about 64 B per address and 2 MB of per-block buffers
-# (tracemalloc, n = 16, 18 and 20): 66 MB at n = 20, and 1 GB at n = 24.
-# Checked before padding allocates.
+# Widest address register a database may pad to. One count's oracle call
+# peaks at 59 B per address (tracemalloc, n = 16, 18 and 20): 62 MB at
+# n = 20, and 1 GB at n = 24. Checked before padding allocates.
 MAX_ADDRESS_WIDTH = 20
 
 NEWLINE, COMMA, ZERO = ord("\n"), ord(","), ord("0")

@@ -13,8 +13,9 @@ seven steps: the responder encrypts the travelling address register,
 each party in turn marks its containment flag; the initiator applies the
 phase of the AND of the two flags (gated on an optional control qubit);
 the marks are undone in reverse and the responder undoes the encryption.
-The call verifies at exit that the flags and the ancilla disentangled
-back to zero.
+The flags and the ancilla are zero at entry and, as each mark is undone
+by the same containment bit that set it and the key is a bijection,
+every label leaves the call where it entered.
 
 In the paper's construction a party marks its flag by loading its rows
 from QRAM into a data register, XORing whether they hold its part of the
@@ -29,19 +30,18 @@ primitive per query, mark, phase and permutation, lives in the tests.
 
 A call runs as a plan over the state's bare label and amplitude arrays,
 and builds a SparseState only at exit, and after each step when a record
-is asked for. Its inputs are checked once per call, before any label
-moves: Z, the roles, the key and the party sizes, and the flags and the
+is asked for. Its inputs are checked once per call, before anything is
+formed: Z, the roles, the key and the party sizes, and the flags and the
 ancilla at entry; then the key, whose 2^n images one scatter checks to
 fit the address register and to be a bijection on it (so it keeps
-distinct labels distinct, and its inverse table serves step 7); then the
-phase qubits, with the check code the qsim primitives use. The labels
-then go through all seven steps a block at a time, each block a fresh
-copy that every step changes in place while it stays in cache. The
-address register does not change between steps 1 and 7, so u(j) and each
-party's containment column gathered at u(j) and shifted onto its flag are
-computed once per block. Every mark and unmark still runs as its own XOR
-on the labels, and step 4 reads both flags from them to negate
-amplitudes.
+distinct labels distinct); then the phase qubits, with the check code the
+qsim primitives use, and a control outside the address register. The
+plan then works per address: the phase of address j is the AND of the
+two containment columns at u(j), formed once over the 2^n addresses and
+gathered onto the labels' address field (ANDed with the control bit),
+and those amplitudes are negated. No label moves, so the output reuses
+the entry label array. A record builds the labels of steps 1 to 3 from
+the same gathers, and steps 4 to 7 reuse them and the entry labels.
 
 Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
 n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
@@ -265,18 +265,6 @@ class _PartyPlan(NamedTuple):
         flag = layout.qubit("a_flag" if party.role == "alice" else "b_flag")
         return cls(party.view.contains(z), flag)
 
-    def mark(self, index: np.ndarray) -> np.ndarray:
-        """The XOR that its query, mark and unquery make together on labels
-        whose encrypted address is ``index``: the containment bit at that
-        address on its flag, as the load and its erasure cancel."""
-        return self.contains[index].astype(np.int64) << self.flag
-
-
-# Labels an oracle call carries through all seven steps at a time: each
-# block stays in cache from step 1 to step 7, where whole-array steps would
-# stream every label through memory at least once per step.
-_LABEL_BLOCK = 1 << 15
-
 
 def run_oracle_u(
     state: qsim.SparseState,
@@ -291,10 +279,11 @@ def run_oracle_u(
 
     Preconditions: the flags and the ancilla are zero on every basis
     label, z is an itemset over the two views' columns
-    (``dataset.itemset``), and the responder holds the key.
+    (``dataset.itemset``), the responder holds the key, and the control,
+    if any, lies outside the address register. The phase is formed once
+    per address and gathered onto the labels, which keep their places.
     ``record``, if given, collects ("stepX", state) snapshots after each
-    step for tracing. The call is logged on the transcript once its exit
-    check has passed.
+    step for tracing. The call is logged on the transcript once it has run.
     """
     z = itemset(z, initiator.view.width + responder.view.width)
     if initiator.role == responder.role:
@@ -313,81 +302,43 @@ def run_oracle_u(
     if (labels & aux).any():
         raise ValueError("auxiliary registers must be zero at oracle entry")
 
-    # What each step needs is checked and set up before any label moves, in
-    # step order. Step 1: the key's 2^n images are checked once to be a
-    # bijection, which keeps distinct labels distinct, and inverted for
-    # step 7. Steps 2 and 3: each party's containment column and flag.
-    # Step 4: the phase qubits.
+    # What each step needs is checked and set up before anything is formed,
+    # in step order. Step 1: the key's 2^n images are checked once to be a
+    # bijection, which keeps distinct labels distinct and lets step 7 return
+    # every label to its place. Steps 2 and 3: each party's containment
+    # column and flag. Step 4: the phase qubits, and a control outside the
+    # address register, which the phase would otherwise read before u.
     images = key.apply(np.arange(1 << n))
-    inverse = qsim.inverse_permutation(images, n, "address")
+    qsim.inverse_permutation(images, n, "address")
     resp = _PartyPlan.build(responder, z, layout)
     init = _PartyPlan.build(initiator, z, layout)
     qsim.check_phase_qubits(init.flag, resp.flag, control)
-    gate = (1 << init.flag) | (1 << resp.flag) | (0 if control is None else 1 << control)
+    address = layout.mask("address")
+    if control is not None and address >> control & 1:
+        raise ValueError("control qubit must lie outside the address register")
 
-    address, shift = layout.mask("address"), layout.offset("address")
-    out_labels, out_amps = np.empty_like(labels), amps.copy()
-    # the labels after steps 1-6 when a record is asked for; step 7's are the output
-    steps = [np.empty_like(labels) for _ in range(6)] if record is not None else []
-    scratch = np.empty(min(len(labels), _LABEL_BLOCK), dtype=labels.dtype)
-    dirty = False
-    for start in range(0, len(labels), _LABEL_BLOCK):
-        part = slice(start, start + _LABEL_BLOCK)
-        block = labels[part]
-        spare = scratch[: len(block)]
-
-        # Step 1: the address register travels to the responder, who
-        # encrypts it. No later step touches the address register, so u(j)
-        # and each party's mark at u(j) are computed here once.
-        index = images[layout.extract(block, "address")]
-        block = block & ~address
-        block |= index << shift
-        resp_mark, init_mark = resp.mark(index), init.mark(index)
-        if steps:
-            steps[0][part] = block
-
-        # Step 2: responder queries its rows, marks containment of its part, unqueries.
-        block ^= resp_mark
-        if steps:
-            steps[1][part] = block
-
-        # Step 3: address + flag travel back; initiator does the same for its part.
-        block ^= init_mark
-        if steps:
-            steps[2][part] = block
-
-        # Step 4: phase kickback of the AND of the two flags, gated on the control.
-        np.bitwise_and(block, gate, out=spare)
-        np.negative(amps[part], out=out_amps[part], where=spare == gate)
-        if steps:
-            steps[3][part] = block
-
-        # Step 5: initiator queries its rows again and erases its flag.
-        block ^= init_mark
-        if steps:
-            steps[4][part] = block
-
-        # Step 6: back to the responder, who erases its flag the same way.
-        block ^= resp_mark
-        if steps:
-            steps[5][part] = block
-
-        # Step 7: responder undoes the encryption of the register it holds
-        # and returns it.
-        back = inverse[layout.extract(block, "address")]
-        block &= ~address
-        block |= back << shift
-        out_labels[part] = block
-        dirty = dirty or bool(np.bitwise_and(block, aux, out=spare).any())
+    # Steps 2-6 leave the address u(j) and the flags only, and step 4 negates
+    # where both flags are set: so the phase of address j is the AND of the
+    # two containment columns at u(j), gathered onto the labels.
+    addr = layout.extract(labels, "address")
+    negate = (resp.contains & init.contains)[images][addr]
+    if control is not None:
+        negate &= (labels & (1 << control)) != 0
+    out_amps = amps.copy()
+    np.negative(amps, out=out_amps, where=negate)
 
     if record is not None:
-        for step, step_labels in enumerate(steps + [out_labels], start=1):
+        # Step 1 encrypts the address; steps 2 and 3 mark the responder's,
+        # then the initiator's flag; steps 5 to 7 undo them in reverse.
+        encrypted = images[addr]
+        step1 = (labels & ~address) | encrypted << layout.offset("address")
+        step2 = step1 | resp.contains[encrypted].astype(np.int64) << resp.flag
+        step3 = step2 | init.contains[encrypted].astype(np.int64) << init.flag
+        for step, step_labels in enumerate((step1, step2, step3, step3, step2, step1, labels), start=1):
             step_amps = amps if step < 4 else out_amps
             record.append((f"step{step}", qsim.SparseState.from_arrays(layout, step_labels, step_amps)))
-    if dirty:
-        raise qsim.SimulationError("auxiliary registers failed to disentangle")
     transcript.log_calls(initiator.role, n)
-    return qsim.SparseState.from_arrays(layout, out_labels, out_amps)
+    return qsim.SparseState.from_arrays(layout, labels, out_amps)
 
 
 def reference_phase_oracle(

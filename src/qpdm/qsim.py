@@ -11,9 +11,9 @@ A command (estimate, mine, compare) uses the engine's data types and
 checks, not its gates: the register layout, SparseState built from bare
 arrays, and the checks the seven-step oracle call in ``protocol`` shares
 with the gate primitives: inverse_permutation (the key's range and
-bijection check) and check_phase_qubits. The oracle call runs its steps
-over bare label arrays, and no primitive that changes a state runs on a
-command path.
+bijection check) and check_phase_qubits. The oracle call forms its phase
+once per address and gathers it onto bare label arrays, and no primitive
+that changes a state runs on a command path.
 
 The primitives are each a handful of whole-array operations, and they fall
 in two classes:

@@ -1,12 +1,11 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qpdm import protocol, qsim
+from qpdm import qsim
 from qpdm.dataset import PartitionedView, TransactionDatabase, itemset, vertical_partition
 from qpdm.protocol import (
     AUX_REGISTERS,
@@ -537,18 +536,18 @@ class TestOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_blocks_change_no_step(self, data):
-        # labels go through the seven steps a block at a time; blocks of a
-        # few labels must give the gate-level reference's arrays after every
-        # step, in any label order. k is as wide as the reference's layout,
-        # with its data registers, can hold: n + k + 4 <= 62
+    def test_any_label_order_matches_gates(self, data):
+        # the phase is formed per address and gathered onto the labels: every
+        # address in any label order, with the control set on every other
+        # label, must give the gate-level reference's arrays after every
+        # step. k is as wide as the reference's layout, with its data
+        # registers, can hold: n + k + 4 <= 62
         n = data.draw(st.integers(1, 5), label="n")
         k = data.draw(st.integers(2, 58 - n), label="k")
         split = data.draw(st.integers(1, k - 1), label="split")
         z = frozenset(data.draw(st.sets(st.integers(1, k), min_size=1, max_size=3), label="z"))
         family = data.draw(st.sampled_from(KEY_FAMILIES), label="family")
         controlled = data.draw(st.booleans(), label="controlled")
-        block = data.draw(st.integers(1, 9), label="block")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         bits = rng.random((1 << n, k)) < 0.8
         db = TransactionDatabase(k, tuple("".join("01"[int(b)] for b in row) for row in bits), 1 << n)
@@ -565,12 +564,24 @@ class TestOracle:
 
         want_record, got_record = [], []
         want = gate_reference_oracle_u(state, alice, bob, z, Transcript(), control, want_record)
-        with mock.patch.object(protocol, "_LABEL_BLOCK", block):
-            got = run_oracle_u(state, alice, bob, z, Transcript(), control, got_record)
+        got = run_oracle_u(state, alice, bob, z, Transcript(), control, got_record)
         for (tag, a), (_, b) in zip(got_record + [("exit", got)], want_record + [("exit", want)]):
             assert np.array_equal(a.labels, b.labels), tag
             assert a.amplitudes.tobytes() == b.amplitudes.tobytes(), tag
         assert [tag for tag, _ in got_record] == [tag for tag, _ in want_record]
+
+    def test_control_inside_the_address_register_refused(self):
+        # the phase of address j is read at u(j): a control on an address
+        # qubit would be read before the key, so it is refused as apply_u0
+        # refuses one inside the register it reflects
+        alice, bob = make_parties(DB8, 2, make_key("modadd", 1, 3))
+        layout = oracle_layout(3, 2, 4, p=1)
+        state = random_address_state(layout, np.random.default_rng(11))
+        transcript, record = Transcript(), []
+        for i in range(3):
+            with pytest.raises(ValueError, match="^control qubit must lie outside the address register$"):
+                run_oracle_u(state, alice, bob, frozenset({1, 3}), transcript, layout.qubit("address", i), record)
+        assert transcript.records == [] and record == []
 
     def test_transcript_shape(self):
         key = make_key("bitflip", 6, 3)
