@@ -4,7 +4,10 @@ pays in communication.
 
 Part 1 enumerates every key of the bit-flip and modular-add families and
 shows that the encrypted image of any fixed transaction index is exactly
-uniform over the whole address space. That hides which row a measured
+uniform over the whole address space. That holds for a key of the
+register's width, which the oracle call enforces: a 2-bit bit-flip key
+on 3 qubits would send index 5 only to {4, 5, 6, 7}, half the space, and
+the call refuses it. That hides which row a measured
 address is, but not the flag that travels with it: on the uniform input,
 the (address, flag) pairs the initiator receives after step 3 are
 (i, c_B(i)) for every address i, whatever the key, because

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,6 +68,15 @@ class EstimationError(RuntimeError):
     """An estimate is unusable (too rare an antecedent, no agreement)."""
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer, a numpy one included (operator.index)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class CountingConfig:
     """Counting width, preset support threshold, and the agreement rule.
@@ -82,12 +92,16 @@ class CountingConfig:
     key_family: str = "bitflip"
 
     def __post_init__(self):
+        if not _is_integer(self.p):
+            raise ValueError(f"counting width p must be an integer, got {self.p!r}")
         if not 1 <= self.p <= MAX_COUNTING_WIDTH:
             raise ValueError(f"counting width p must lie in 1..{MAX_COUNTING_WIDTH}, got {self.p}")
         if not 0 < self.s < 1:
             raise ValueError("support threshold s must lie in (0, 1)")
         if not (math.isfinite(self.agreement_band) and self.agreement_band > 0):
             raise ValueError("agreement band must be positive and finite")
+        if not _is_integer(self.max_rounds):
+            raise ValueError(f"max_rounds must be an integer, got {self.max_rounds!r}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.key_family not in KEY_FAMILIES:

@@ -30,14 +30,16 @@ primitive per query, mark, phase and permutation, lives in the tests.
 
 A call runs as a plan over the state's bare label and amplitude arrays,
 and builds a SparseState only at exit, and after each step when a record
-is asked for. Its inputs are checked once per call, before anything is
-formed: Z, the roles, the key and the party sizes, and the flags and the
-ancilla at entry; then the key, whose 2^n images one scatter checks to
-fit the address register and to be a bijection on it (so it keeps
-distinct labels distinct); then the phase qubits, with the check code the
-qsim primitives use, and a control outside the address register. The
-plan then works per address: the phase of address j is the AND of the
-two containment columns at u(j), formed once over the 2^n addresses and
+is asked for. A key checks its family, width and parameter where it is
+made (``EncryptionKey``). A call checks its inputs once, before anything
+is formed: Z, the roles, the key and the party sizes, the key's width
+against the address register's, and the flags and the ancilla at entry;
+then the key's 2^n images, which one scatter checks to fit the address
+register and to be a bijection on it (so it keeps distinct labels
+distinct); then the phase qubits, with the check code the qsim
+primitives use, and a control outside the address register. The plan
+then works per address: the phase of address j is the AND of the two
+containment columns at u(j), formed once over the 2^n addresses and
 gathered onto the labels' address field (ANDed with the control bit),
 and those amplitudes are negated. No label moves, so the output reuses
 the entry label array. A record builds the labels of steps 1 to 3 from
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -89,50 +91,54 @@ class EncryptionKey:
 
     Families: bitflip u(j) = j XOR lam; modadd u(j) = j + lam mod 2^n;
     cyclic u(j1..jn) = j2..jn j1 iterated ``parameter`` times.
-    All three are bijections by construction.
+    A key is checked where it is made: a known family, n >= 1, and a
+    parameter in [0, key space). Each such key is a bijection.
     """
 
     family: str
     parameter: int
     n: int
 
-    def apply(self, j: int) -> int:
+    def __post_init__(self):
+        if self.family not in KEY_FAMILIES:
+            raise ValueError(f"unknown key family {self.family!r}")
+        if self.n < 1:
+            raise ValueError("address width must be at least 1")
+        bound = _key_space(self.family, self.n)
+        if not 0 <= self.parameter < bound:
+            raise ValueError(f"{self.family} parameter {self.parameter} outside [0, {bound})")
+
+    def apply(self, j: int | np.ndarray) -> int | np.ndarray:
+        """u(j), for an address or an int64 array of addresses."""
         if self.family == "bitflip":
             return j ^ self.parameter
-        if self.family == "modadd":
-            return (j + self.parameter) & ((1 << self.n) - 1)
-        r = self.parameter % self.n
         mask = (1 << self.n) - 1
-        return ((j << r) | (j >> (self.n - r))) & mask if r else j
+        if self.family == "modadd":
+            return (j + self.parameter) & mask
+        r = self.parameter
+        return ((j << r) | (j >> (self.n - r))) & mask
 
-    def invert(self, j: int) -> int:
-        """u^-1(j): the same family applied under the inverse parameter, lam
-        for bitflip (its own inverse) and -parameter modulo the key space
-        for modadd and cyclic."""
+    def invert(self, j: int | np.ndarray) -> int | np.ndarray:
+        """u^-1(j), for an address or an int64 array: the same family under
+        the inverse parameter, lam for bitflip (its own inverse) and
+        -parameter modulo the key space for modadd and cyclic."""
         size = _key_space(self.family, self.n)
         inverse = self.parameter if self.family == "bitflip" else -self.parameter % size
         return EncryptionKey(self.family, inverse, self.n).apply(j)
 
 
-def make_key(family: str, parameter: int, n: int) -> EncryptionKey:
-    if family not in KEY_FAMILIES:
-        raise ValueError(f"unknown key family {family!r}")
-    if n < 1:
-        raise ValueError("address width must be at least 1")
-    bound = _key_space(family, n)
-    if not 0 <= parameter < bound:
-        raise ValueError(f"{family} parameter {parameter} outside [0, {bound})")
-    return EncryptionKey(family, parameter, n)
+# The constructor holds a key's rules; make_key is its name in the API.
+make_key = EncryptionKey
 
 
 def sample_key(family: str, n: int, rng: np.random.Generator) -> EncryptionKey:
     """Draw a key parameter uniformly from its family's range."""
-    return make_key(family, int(rng.integers(0, _key_space(family, n))), n)
+    return EncryptionKey(family, int(rng.integers(0, _key_space(family, n))), n)
 
 
 def all_keys(family: str, n: int) -> list[EncryptionKey]:
     """Every key of one family at width n (enumerable at desk scale)."""
-    return [make_key(family, par, n) for par in range(_key_space(family, n))]
+    return [EncryptionKey(family, par, n) for par in range(_key_space(family, n))]
 
 
 @dataclass(frozen=True)
@@ -253,19 +259,6 @@ def oracle_call_events(initiator_role: str, n: int) -> tuple[TransferEvent, ...]
     )
 
 
-class _PartyPlan(NamedTuple):
-    """One party's part of an oracle call: the column of the rows that hold
-    its part of Z, and its flag qubit."""
-
-    contains: np.ndarray
-    flag: int
-
-    @classmethod
-    def build(cls, party: PartyState, z: frozenset, layout):
-        flag = layout.qubit("a_flag" if party.role == "alice" else "b_flag")
-        return cls(party.view.contains(z), flag)
-
-
 def run_oracle_u(
     state: qsim.SparseState,
     initiator: PartyState,
@@ -279,9 +272,10 @@ def run_oracle_u(
 
     Preconditions: the flags and the ancilla are zero on every basis
     label, z is an itemset over the two views' columns
-    (``dataset.itemset``), the responder holds the key, and the control,
-    if any, lies outside the address register. The phase is formed once
-    per address and gathered onto the labels, which keep their places.
+    (``dataset.itemset``), the responder holds a key as wide as the
+    address register, and the control, if any, lies outside that
+    register. The phase is formed once per address and gathered onto the
+    labels, which keep their places.
     ``record``, if given, collects ("stepX", state) snapshots after each
     step for tracing. The call is logged on the transcript once it has run.
     """
@@ -295,6 +289,8 @@ def run_oracle_u(
     n = layout.width("address")
     if len(responder.view.bits) != 1 << n or len(initiator.view.bits) != 1 << n:
         raise ValueError("party QRAM size does not match the address register")
+    if key.n != n:
+        raise ValueError(f"key of width {key.n} does not fit the {n}-qubit address register")
     aux = 0
     for name in AUX_REGISTERS:
         aux |= layout.mask(name)
@@ -310,9 +306,11 @@ def run_oracle_u(
     # address register, which the phase would otherwise read before u.
     images = key.apply(np.arange(1 << n))
     qsim.inverse_permutation(images, n, "address")
-    resp = _PartyPlan.build(responder, z, layout)
-    init = _PartyPlan.build(initiator, z, layout)
-    qsim.check_phase_qubits(init.flag, resp.flag, control)
+    resp_contains = responder.view.contains(z)
+    init_contains = initiator.view.contains(z)
+    flags = {"alice": layout.qubit("a_flag"), "bob": layout.qubit("b_flag")}
+    resp_flag, init_flag = flags[responder.role], flags[initiator.role]
+    qsim.check_phase_qubits(init_flag, resp_flag, control)
     address = layout.mask("address")
     if control is not None and address >> control & 1:
         raise ValueError("control qubit must lie outside the address register")
@@ -321,7 +319,7 @@ def run_oracle_u(
     # where both flags are set: so the phase of address j is the AND of the
     # two containment columns at u(j), gathered onto the labels.
     addr = layout.extract(labels, "address")
-    negate = (resp.contains & init.contains)[images][addr]
+    negate = (resp_contains & init_contains)[images][addr]
     if control is not None:
         negate &= (labels & (1 << control)) != 0
     out_amps = amps.copy()
@@ -332,8 +330,8 @@ def run_oracle_u(
         # then the initiator's flag; steps 5 to 7 undo them in reverse.
         encrypted = images[addr]
         step1 = (labels & ~address) | encrypted << layout.offset("address")
-        step2 = step1 | resp.contains[encrypted].astype(np.int64) << resp.flag
-        step3 = step2 | init.contains[encrypted].astype(np.int64) << init.flag
+        step2 = step1 | resp_contains[encrypted].astype(np.int64) << resp_flag
+        step3 = step2 | init_contains[encrypted].astype(np.int64) << init_flag
         for step, step_labels in enumerate((step1, step2, step3, step3, step2, step1, labels), start=1):
             step_amps = amps if step < 4 else out_amps
             record.append((f"step{step}", qsim.SparseState.from_arrays(layout, step_labels, step_amps)))

@@ -99,6 +99,17 @@ class TestConfig:
                 CountingConfig(p=3, s=0.5, agreement_band=band)
         with pytest.raises(ValueError):
             CountingConfig(p=3, s=0.5, key_family="rot13")
+        # a fractional p or max_rounds is refused where the config is made,
+        # not by 1 << p or range() at the first count; numpy integers pass
+        for kwargs, message in (
+            ({"p": 8.5}, "counting width p must be an integer, got 8.5"),
+            ({"p": "8"}, "counting width p must be an integer, got '8'"),
+            ({"p": 3, "max_rounds": 2.5}, "max_rounds must be an integer, got 2.5"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                CountingConfig(s=0.3, **kwargs)
+        config = CountingConfig(p=np.int64(8), s=0.3, max_rounds=np.int32(3))
+        assert config.P == 256
 
     def test_default_width_matches_recommended_scaling(self):
         # P ~ 2000 / s rounded up to a power of two

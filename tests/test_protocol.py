@@ -230,6 +230,21 @@ class TestKeys:
             make_key("cyclic", 4, 4)
         with pytest.raises(ValueError):
             make_key("unknown", 0, 3)
+        # the rules are the constructor's, so a key built directly obeys them
+        for args, message in (
+            (("foo", 1, 3), "unknown key family 'foo'"),
+            (("cyclic", 0, 0), "address width must be at least 1"),
+            (("bitflip", 0, 0), "address width must be at least 1"),
+            (("bitflip", 8, 3), r"bitflip parameter 8 outside \[0, 8\)"),
+            (("bitflip", -1, 3), r"bitflip parameter -1 outside \[0, 8\)"),
+            (("modadd", 8, 3), r"modadd parameter 8 outside \[0, 8\)"),
+            (("modadd", -1, 3), r"modadd parameter -1 outside \[0, 8\)"),
+            (("cyclic", 3, 3), r"cyclic parameter 3 outside \[0, 3\)"),
+            (("cyclic", -1, 3), r"cyclic parameter -1 outside \[0, 3\)"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                EncryptionKey(*args)
+        assert make_key is EncryptionKey
 
     def test_sample_uniformity_bitflip(self):
         rng = np.random.default_rng(1)
@@ -581,6 +596,21 @@ class TestOracle:
         for i in range(3):
             with pytest.raises(ValueError, match="^control qubit must lie outside the address register$"):
                 run_oracle_u(state, alice, bob, frozenset({1, 3}), transcript, layout.qubit("address", i), record)
+        assert transcript.records == [] and record == []
+
+    @pytest.mark.parametrize("family", KEY_FAMILIES)
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_key_of_another_width_refused(self, family, width):
+        # a 2-bit bit-flip key would run on 3 qubits with address 5's four
+        # images {4, 5, 6, 7}, half the space: every family is refused at
+        # entry, before a label is formed or the call is logged
+        alice, bob = make_parties(DB8, 2, make_key(family, 1, width))
+        layout = oracle_layout(3, 2, 4)
+        state = random_address_state(layout, np.random.default_rng(12))
+        transcript, record = Transcript(), []
+        message = f"^key of width {width} does not fit the 3-qubit address register$"
+        with pytest.raises(ValueError, match=message):
+            run_oracle_u(state, alice, bob, frozenset({1, 3}), transcript, record=record)
         assert transcript.records == [] and record == []
 
     def test_transcript_shape(self):
