@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import qsim
-from .dataset import rule_sides
+from .dataset import _is_integer, rule_sides
 from .protocol import (
     KEY_FAMILIES,
     PartyState,
@@ -66,15 +65,6 @@ MAX_COUNTING_WIDTH = 24
 
 class EstimationError(RuntimeError):
     """An estimate is unusable (too rare an antecedent, no agreement)."""
-
-
-def _is_integer(value) -> bool:
-    """Whether value is an integer, a numpy one included (operator.index)."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -169,8 +159,7 @@ def _resolve_parties(initiator: str, alice: PartyState, bob: PartyState):
 
 
 def _layout_for(init: PartyState, resp: PartyState, p: int):
-    if init.address_width != resp.address_width:
-        raise ValueError("parties are built over different address spaces")
+    # run_oracle_u refuses a pair not cut from one database: one width fits both
     n = init.address_width
     return oracle_layout(n, init.view.split_point, init.data_width + resp.data_width, p=p), n
 

@@ -32,6 +32,7 @@ numerator; the denominator is always the original row count.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -42,9 +43,19 @@ ItemSet = frozenset
 """An itemset is a frozenset of 1-based item indices."""
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer, a numpy one included (operator.index)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 def itemset(items, n_items: int | None = None) -> ItemSet:
     """``items`` as an itemset, refused unless it is non-empty and every
-    index is at least 1 and, when ``n_items`` is given, at most n_items.
+    index is an integer, at least 1 and, when ``n_items`` is given, at most
+    n_items.
 
     The one check of an itemset wherever one enters, the command line's
     ``--items`` included, so every entry point refuses in the same words.
@@ -52,6 +63,8 @@ def itemset(items, n_items: int | None = None) -> ItemSet:
     z = frozenset(items)
     if not z:
         raise ValueError("empty itemset")
+    if not all(map(_is_integer, z)):
+        raise ValueError("item indices must be integers")
     if min(z) < 1:
         raise ValueError("item indices are 1-based")
     if n_items is not None and max(z) > n_items:
@@ -194,11 +207,14 @@ class PartitionedView:
     """One party's half of a vertically partitioned database.
 
     Alice holds columns 1..l, Bob columns l+1..k, so a split leaves each
-    party at least one column: l lies in 1..k-1. A view is cut only from a
-    database and holds it: ``bits`` is the party's column slice of the
-    database's read-only matrix and ``original_count`` the database's, so a
-    view's cells are 0/1 and its padding rows zero because the database's
-    are. Views compare by identity.
+    party at least one column: l is an integer in 1..k-1. A view is cut
+    only from a database and holds it: ``bits`` is the party's column slice
+    of the database's read-only matrix and ``original_count`` the
+    database's, so a view's cells are 0/1 and its padding rows zero because
+    the database's are. Views compare by identity. Two parties form one
+    partitioned database only when their views are cut from the same
+    database object at the same split point; the oracle call
+    (``protocol.run_oracle_u``) refuses any other pair.
     """
 
     role: str
@@ -212,6 +228,8 @@ class PartitionedView:
         if not isinstance(self.db, TransactionDatabase):
             raise TypeError(f"a view is cut from a TransactionDatabase, not {type(self.db).__name__}")
         l, k = self.split_point, self.db.n_items
+        if not _is_integer(l):
+            raise ValueError(f"split must be an integer, got {l!r}")
         if k == 1:
             raise ValueError("a database of one item cannot be split between two parties")
         if not 1 <= l < k:
@@ -395,7 +413,10 @@ def pad_to_power_of_two(db: TransactionDatabase) -> TransactionDatabase:
 
 
 def vertical_partition(db: TransactionDatabase, l: int) -> tuple[PartitionedView, PartitionedView]:
-    """Split columns 1..l to Alice and l+1..k to Bob, preserving row order."""
+    """Split columns 1..l to Alice and l+1..k to Bob, preserving row order.
+
+    The two views are cut from ``db`` itself at the one split l, the pair
+    the oracle call accepts as one partitioned database."""
     return PartitionedView("alice", l, db), PartitionedView("bob", l, db)
 
 

@@ -32,18 +32,20 @@ A call runs as a plan over the state's bare label and amplitude arrays,
 and builds a SparseState only at exit, and after each step when a record
 is asked for. A key checks its family, width and parameter where it is
 made (``EncryptionKey``). A call checks its inputs once, before anything
-is formed: Z, the roles, the key and the party sizes, the key's width
-against the address register's, and the flags and the ancilla at entry;
-then the key's 2^n images, which one scatter checks to fit the address
-register and to be a bijection on it (so it keeps distinct labels
-distinct); then the phase qubits, with the check code the qsim
-primitives use, and a control outside the address register. The plan
-then works per address: the phase of address j is the AND of the two
-containment columns at u(j), formed once over the 2^n addresses and
-gathered onto the labels' address field (ANDed with the control bit),
-and those amplitudes are negated. No label moves, so the output reuses
-the entry label array. A record builds the labels of steps 1 to 3 from
-the same gathers, and steps 4 to 7 reuse them and the entry labels.
+is formed or logged: Z, the roles, the pair (two views of one row count
+cut from one database object at one split point), the key, the party
+size and the key's width against the address register's, and the flags
+and the ancilla at entry; then the key's 2^n images, which one scatter
+checks to fit the address register and to be a bijection on it (so it
+keeps distinct labels distinct); then the phase qubits, with the check
+code the qsim primitives use, and a control outside the address
+register. The plan then works per address: the phase of address j is
+the AND of the two containment columns at u(j), formed once over the
+2^n addresses and gathered onto the labels' address field (ANDed with
+the control bit), and those amplitudes are negated. No label moves, so
+the output reuses the entry label array. A record builds the labels of
+steps 1 to 3 from the same gathers, and steps 4 to 7 reuse them and the
+entry labels.
 
 Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
 n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
@@ -67,7 +69,7 @@ from typing import Callable
 import numpy as np
 
 from . import qsim
-from .dataset import PartitionedView, TransactionDatabase, itemset
+from .dataset import PartitionedView, TransactionDatabase, _is_integer, itemset
 
 KEY_FAMILIES = ("bitflip", "modadd", "cyclic")
 # Largest transcript that to_json expands: an event costs about 200 B of
@@ -91,8 +93,9 @@ class EncryptionKey:
 
     Families: bitflip u(j) = j XOR lam; modadd u(j) = j + lam mod 2^n;
     cyclic u(j1..jn) = j2..jn j1 iterated ``parameter`` times.
-    A key is checked where it is made: a known family, n >= 1, and a
-    parameter in [0, key space). Each such key is a bijection.
+    A key is checked where it is made: a known family, an integer n >= 1,
+    and an integer parameter in [0, key space). Each such key is a
+    bijection.
     """
 
     family: str
@@ -102,8 +105,12 @@ class EncryptionKey:
     def __post_init__(self):
         if self.family not in KEY_FAMILIES:
             raise ValueError(f"unknown key family {self.family!r}")
+        if not _is_integer(self.n):
+            raise ValueError(f"address width must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("address width must be at least 1")
+        if not _is_integer(self.parameter):
+            raise ValueError(f"{self.family} parameter must be an integer, got {self.parameter!r}")
         bound = _key_space(self.family, self.n)
         if not 0 <= self.parameter < bound:
             raise ValueError(f"{self.family} parameter {self.parameter} outside [0, {bound})")
@@ -272,22 +279,28 @@ def run_oracle_u(
 
     Preconditions: the flags and the ancilla are zero on every basis
     label, z is an itemset over the two views' columns
-    (``dataset.itemset``), the responder holds a key as wide as the
-    address register, and the control, if any, lies outside that
-    register. The phase is formed once per address and gathered onto the
-    labels, which keep their places.
+    (``dataset.itemset``), the two views are cut from one database at one
+    split point, the responder holds a key as wide as the address
+    register, and the control, if any, lies outside that register. The
+    phase is formed once per address and gathered onto the labels, which
+    keep their places.
     ``record``, if given, collects ("stepX", state) snapshots after each
     step for tracing. The call is logged on the transcript once it has run.
     """
-    z = itemset(z, initiator.view.width + responder.view.width)
+    init_view, resp_view = initiator.view, responder.view
+    z = itemset(z, init_view.width + resp_view.width)
     if initiator.role == responder.role:
         raise ValueError("initiator and responder must have distinct roles")
+    if len(init_view.bits) != len(resp_view.bits):
+        raise ValueError("parties are built over different address spaces")
+    if init_view.db is not resp_view.db or init_view.split_point != resp_view.split_point:
+        raise ValueError("parties are not cut from one database at one split")
     key = responder.key
     if key is None:
         raise ValueError("responder holds no encryption key")
     layout = state.layout
     n = layout.width("address")
-    if len(responder.view.bits) != 1 << n or len(initiator.view.bits) != 1 << n:
+    if len(init_view.bits) != 1 << n:
         raise ValueError("party QRAM size does not match the address register")
     if key.n != n:
         raise ValueError(f"key of width {key.n} does not fit the {n}-qubit address register")
@@ -306,8 +319,8 @@ def run_oracle_u(
     # address register, which the phase would otherwise read before u.
     images = key.apply(np.arange(1 << n))
     qsim.inverse_permutation(images, n, "address")
-    resp_contains = responder.view.contains(z)
-    init_contains = initiator.view.contains(z)
+    resp_contains = resp_view.contains(z)
+    init_contains = init_view.contains(z)
     flags = {"alice": layout.qubit("a_flag"), "bob": layout.qubit("b_flag")}
     resp_flag, init_flag = flags[responder.role], flags[initiator.role]
     qsim.check_phase_qubits(init_flag, resp_flag, control)

@@ -526,6 +526,51 @@ class TestJointSupport:
                 quantum_count(initiator, a, b, z, config, np.random.default_rng(0), transcript)
         assert transcript.records == []
 
+    def test_views_cut_at_two_splits_refused(self):
+        # Alice's view split at 1 and Bob's at 3 leave item 2, of exact
+        # support 1/4, to neither party: the count would read 1.0
+        db = TransactionDatabase(4, ("1000", "0100", "0010", "0001"), 4)
+        alice, _ = parties(db, 1)
+        _, bob = parties(db, 3)
+        config = CountingConfig(p=4, s=0.2)
+        z = frozenset({2})
+        refusal = "^parties are not cut from one database at one split$"
+        transcript = Transcript()
+        with pytest.raises(ValueError, match=refusal):
+            joint_support(alice, bob, z, config, np.random.default_rng(0), transcript)
+        for initiator, a, b in (
+            ("alice", alice, bob.with_key(make_key("bitflip", 1, 2))),
+            ("bob", alice.with_key(make_key("bitflip", 1, 2)), bob),
+        ):
+            with pytest.raises(ValueError, match=refusal):
+                quantum_count(initiator, a, b, z, config, np.random.default_rng(0), transcript)
+            with pytest.raises(ValueError, match=refusal):
+                counting_distribution(initiator, a, b, z, config, transcript)
+            with pytest.raises(ValueError, match=refusal):
+                statevector_distribution(initiator, a, b, z, CountingConfig(p=2, s=0.2), transcript)
+        assert transcript.records == []
+
+    def test_views_of_two_databases_refused(self):
+        # an equal-valued copy is another database; and a count over views
+        # of 3 and of 4 real rows would divide by Alice's 3
+        db = FOUR_ROWS
+        twin = TransactionDatabase.from_bits(db.bits.copy(), db.original_count)
+        assert twin == db
+        three_real = TransactionDatabase(2, ("11", "10", "01", "00"), 3)
+        four_real = TransactionDatabase(2, ("11", "10", "01", "11"), 4)
+        config = CountingConfig(p=4, s=0.3)
+        refusal = "^parties are not cut from one database at one split$"
+        transcript = Transcript()
+        for (alice, _), (_, bob), z in (
+            (parties(db, 2), parties(twin, 2), frozenset({1, 3})),
+            (parties(three_real, 1), parties(four_real, 1), frozenset({1, 2})),
+        ):
+            with pytest.raises(ValueError, match=refusal):
+                joint_support(alice, bob, z, config, np.random.default_rng(0), transcript)
+            with pytest.raises(ValueError, match=refusal):
+                estimate_confidence(alice, bob, {1}, {2}, config, np.random.default_rng(0), transcript)
+        assert transcript.records == []
+
     def test_agreement_rule_accepts(self, monkeypatch):
         values = iter([0.250, 0.252])
         monkeypatch.setattr(

@@ -235,6 +235,14 @@ class TestPartition:
             with pytest.raises(ValueError, match=r"^split must lie in 1\.\.2$"):
                 vertical_partition(db, l)
 
+    def test_non_integer_split_rejected(self):
+        db = TransactionDatabase(3, ("101",), 1)
+        for l, shown in ((1.5, "1.5"), (1.0, "1.0"), ("1", "'1'")):
+            with pytest.raises(ValueError, match=f"^split must be an integer, got {shown}$"):
+                vertical_partition(db, l)
+        alice, bob = vertical_partition(db, np.int64(1))
+        assert (alice.width, bob.width) == (1, 2)
+
     def test_one_item_database_cannot_be_split(self):
         db = TransactionDatabase(1, ("1", "0"), 2)
         for l in (0, 1, 2):
@@ -282,6 +290,11 @@ class TestSupport:
             exact_support(FOUR_ROWS, frozenset({4}))
         with pytest.raises(ValueError, match="^item indices are 1-based$"):
             exact_support(FOUR_ROWS, frozenset({0}))
+        # refused by the itemset rule, not by numpy's indexing
+        for z in ({1.5}, {2.0}):
+            with pytest.raises(ValueError, match="^item indices must be integers$"):
+                exact_support(FOUR_ROWS, z)
+        assert exact_support(FOUR_ROWS, {np.int64(2)}) == Fraction(3, 4)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -367,6 +380,9 @@ class TestItemset:
             ({0, 2}, None, "^item indices are 1-based$"),
             ({0, 4}, 3, "^item indices are 1-based$"),
             ({1, 4}, 3, r"^item index outside 1\.\.3$"),
+            ({1.5}, None, "^item indices must be integers$"),
+            ({1, 2.0}, 3, "^item indices must be integers$"),
+            (["1"], 3, "^item indices must be integers$"),
         ):
             with pytest.raises(ValueError, match=message):
                 itemset(items, n_items)

@@ -246,6 +246,21 @@ class TestKeys:
                 EncryptionKey(*args)
         assert make_key is EncryptionKey
 
+    def test_non_integer_parameter_or_width_refused(self):
+        # refused where the key is made, not by apply's numpy ufunc or by
+        # 1 << n; numpy integers pass, and so does bool, as a Python int
+        for args, message in (
+            (("modadd", 1.5, 3), "modadd parameter must be an integer, got 1.5"),
+            (("bitflip", "1", 3), "bitflip parameter must be an integer, got '1'"),
+            (("bitflip", 1, 2.0), "address width must be an integer, got 2.0"),
+            (("cyclic", 1, 3.5), "address width must be an integer, got 3.5"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make_key(*args)
+        key = make_key("modadd", np.int64(5), np.int32(3))
+        assert key.apply(np.arange(8)).tolist() == [5, 6, 7, 0, 1, 2, 3, 4]
+        assert make_key("bitflip", True, 3).apply(0) == 1
+
     def test_sample_uniformity_bitflip(self):
         rng = np.random.default_rng(1)
         counts = np.zeros(8)
@@ -612,6 +627,31 @@ class TestOracle:
         with pytest.raises(ValueError, match=message):
             run_oracle_u(state, alice, bob, frozenset({1, 3}), transcript, record=record)
         assert transcript.records == [] and record == []
+
+    def test_views_not_cut_from_one_database_at_one_split_refused(self):
+        # Alice's view split at 1 and Bob's at 3 leave item 2 to neither
+        # party, so every address would be negated though one row holds it
+        db = TransactionDatabase(4, ("1000", "0100", "0010", "0001"), 4)
+        twin = TransactionDatabase.from_bits(db.bits.copy(), db.original_count)
+        assert twin == db and twin is not db
+        three_real = TransactionDatabase(2, ("11", "10", "01", "00"), 3)
+        four_real = TransactionDatabase(2, ("11", "10", "01", "11"), 4)
+        key = make_key("bitflip", 1, 2)
+        pairs = (
+            (vertical_partition(db, 1)[0], vertical_partition(db, 3)[1], frozenset({2})),
+            (vertical_partition(db, 2)[0], vertical_partition(twin, 2)[1], frozenset({1, 3})),
+            (vertical_partition(three_real, 1)[0], vertical_partition(four_real, 1)[1], frozenset({1, 2})),
+        )
+        layout = oracle_layout(2, 1, 2)
+        state = address_state(layout, {j: 0.5 for j in range(4)})
+        message = "^parties are not cut from one database at one split$"
+        for alice_view, bob_view, z in pairs:
+            alice, bob = build_qram(alice_view, 2), build_qram(bob_view, 2)
+            for init, resp in ((alice, bob.with_key(key)), (bob, alice.with_key(key))):
+                transcript, record = Transcript(), []
+                with pytest.raises(ValueError, match=message):
+                    run_oracle_u(state, init, resp, z, transcript, record=record)
+                assert transcript.records == [] and record == []
 
     def test_transcript_shape(self):
         key = make_key("bitflip", 6, 3)
