@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dataset import MAX_ADDRESS_WIDTH, PartitionedView
+from .dataset import MAX_ADDRESS_WIDTH, PartitionedView, _is_integer
 
 MAX_ATTACK_PRIME = 10**6
 # Largest prime ``compare`` accepts, checked before any trial division.
@@ -45,9 +45,11 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> None:
-    """Refuse p unless it is a prime with a valid exponent. The key space
-    {3, 5, ..., p-2} is empty for 2 and 3; above them p-2 is odd and
+    """Refuse p unless it is an integer prime with a valid exponent. The key
+    space {3, 5, ..., p-2} is empty for 2 and 3; above them p-2 is odd and
     coprime to p-1."""
+    if not _is_integer(p):
+        raise ValueError(f"prime must be an integer, got {p!r}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p < 5:
@@ -87,6 +89,8 @@ class ClassicalKey:
 
     def __post_init__(self):
         check_prime(self.p)
+        if not _is_integer(self.e):
+            raise ValueError(f"exponent must be an integer, got {self.e!r}")
         if self.e % 2 == 0 or not 3 <= self.e <= self.p - 2:
             raise ValueError(f"exponent {self.e} outside {{3, 5, ..., {self.p - 2}}}")
         if math.gcd(self.e, self.p - 1) != 1:

@@ -18,12 +18,10 @@ sin^2(pi phi) / (P sin(pi d / P))^2, where phi = r - floor(r) and d = f - r
 is reduced mod P to [-P/2, P/2); when phi = 0, as at M = 0 or M = 2^n, the
 kernel is a point mass on r. The -2 theta kernel is its mirror f -> -f mod
 P, and their mean, formed in O(P) with no transform, depends on the
-marked count M alone. M is taken from one oracle call per count on the
-uniform address state, built directly as labels j << offset with
-amplitude 2^(-n/2): the call forms the phase per address, and since the
-oracle only negates amplitudes, the output is checked exactly to keep
-every label in place with amplitude +-2^(-n/2); M is the number of
-negated ones, read as one integer.
+marked count M alone. M is read from the oracle's diagonal: the number of
+addresses ``protocol.oracle_phase`` negates under the count's own key, so
+a count builds no state and makes every check an oracle call makes of
+its parties, key and itemset.
 
 The distribution is computed once per (M, n, P) and held, read-only with
 its cumulative sum, until a count needs another: all 2R counts of an
@@ -52,7 +50,8 @@ from .protocol import (
     Transcript,
     controlled_grover,
     oracle_layout,
-    run_oracle_u,
+    oracle_phase,
+    run_oracle_u,  # noqa: F401 -- unused; perfbench/tracing.py wraps counting.run_oracle_u
     sample_key,
 )
 
@@ -158,29 +157,9 @@ def _resolve_parties(initiator: str, alice: PartyState, bob: PartyState):
     raise ValueError(f"initiator must be 'alice' or 'bob', got {initiator!r}")
 
 
-def _layout_for(init: PartyState, resp: PartyState, p: int):
-    # run_oracle_u refuses a pair not cut from one database: one width fits both
-    n = init.address_width
-    return oracle_layout(n, init.view.split_point, init.data_width + resp.data_width, p=p), n
-
-
 def _marked_count(init: PartyState, resp: PartyState, z: frozenset) -> int:
-    """The marked count M, from one oracle call on the uniform address
-    state, which forms the phase once per address."""
-    layout, n = _layout_for(init, resp, p=0)
-    labels = np.arange(1 << n, dtype=np.int64) << layout.offset("address")
-    amp = 2.0 ** (-n / 2)
-    st = qsim.SparseState.from_arrays(layout, labels, np.full(1 << n, amp, dtype=complex))
-    out = run_oracle_u(st, init, resp, z, Transcript())
-    # the oracle only ever negates amplitudes, so it must leave every label
-    # where it was and every amplitude exactly +-amp
-    if not np.array_equal(out.labels, labels):
-        raise qsim.SimulationError("oracle output moved basis labels")
-    marked = int(np.count_nonzero(out.amplitudes == -amp))
-    if marked + int(np.count_nonzero(out.amplitudes == amp)) != 1 << n:
-        bad = out.amplitudes[(out.amplitudes != amp) & (out.amplitudes != -amp)]
-        raise qsim.SimulationError(f"oracle output is not a sign flip: {bad[0]!r}")
-    return marked
+    """The marked count M: the addresses the oracle's diagonal negates."""
+    return int(np.count_nonzero(oracle_phase(init, resp, z, init.address_width)))
 
 
 def _statevector_prepared(
@@ -190,7 +169,9 @@ def _statevector_prepared(
     config: CountingConfig,
     transcript: Transcript | None,
 ) -> qsim.SparseState:
-    layout, _ = _layout_for(init, resp, p=config.p)
+    # oracle_phase refuses a pair not cut from one database: one width fits both
+    k = init.data_width + resp.data_width
+    layout = oracle_layout(init.address_width, init.view.split_point, k, p=config.p)
     transcript = transcript if transcript is not None else Transcript()
     st = qsim.prepare_basis(layout)
     st = qsim.apply_w(st, "counting")
@@ -252,9 +233,9 @@ def _count_readout(
     config: CountingConfig,
     transcript: Transcript | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, cdf) of one count: runs the protocol once to find the marked
-    count and logs the transcript of all P-1 oracle calls of the counting
-    circuit."""
+    """(probs, cdf) of one count: reads the marked count from the oracle's
+    diagonal and logs the transcript of all P-1 oracle calls of the
+    counting circuit."""
     init, resp = _resolve_parties(initiator, alice, bob)
     marked = _marked_count(init, resp, z)
     if transcript is not None:
@@ -271,8 +252,9 @@ def counting_distribution(
     transcript: Transcript | None = None,
 ) -> np.ndarray:
     """Exact probability vector over the counting readout f = 0 .. P-1, as a
-    read-only array that later counts with the same (M, n, P) share. Runs
-    the protocol once and logs all P-1 oracle calls, as a count does."""
+    read-only array that later counts with the same (M, n, P) share. Reads
+    M from the oracle's diagonal and logs all P-1 oracle calls, as a count
+    does."""
     return _count_readout(initiator, alice, bob, z, config, transcript)[0]
 
 

@@ -81,9 +81,10 @@ def rule_sides(x, y, n_items: int | None = None) -> tuple[ItemSet, ItemSet]:
     return x, y
 
 
-# Widest address register a database may pad to. One count's oracle call
-# peaks at 59 B per address (tracemalloc, n = 16, 18 and 20): 62 MB at
-# n = 20, and 1 GB at n = 24. Checked before padding allocates.
+# Widest address register a database may pad to. One count's marked count
+# (the oracle's diagonal) peaks at 24 B per address (tracemalloc, n = 16,
+# 18 and 20): 25 MB at n = 20, and 400 MB at n = 24. Checked before
+# padding allocates.
 MAX_ADDRESS_WIDTH = 20
 
 NEWLINE, COMMA, ZERO = ord("\n"), ord(","), ord("0")

@@ -28,24 +28,17 @@ view's bit matrix is its only copy of its data. The gate-level reference
 the plan is tested against, which loads rows into data registers one qsim
 primitive per query, mark, phase and permutation, lives in the tests.
 
-A call runs as a plan over the state's bare label and amplitude arrays,
-and builds a SparseState only at exit, and after each step when a record
-is asked for. A key checks its family, width and parameter where it is
-made (``EncryptionKey``). A call checks its inputs once, before anything
-is formed or logged: Z, the roles, the pair (two views of one row count
-cut from one database object at one split point), the key, the party
-size and the key's width against the address register's, and the flags
-and the ancilla at entry; then the key's 2^n images, which one scatter
-checks to fit the address register and to be a bijection on it (so it
-keeps distinct labels distinct); then the phase qubits, with the check
-code the qsim primitives use, and a control outside the address
-register. The plan then works per address: the phase of address j is
-the AND of the two containment columns at u(j), formed once over the
-2^n addresses and gathered onto the labels' address field (ANDed with
-the control bit), and those amplitudes are negated. No label moves, so
-the output reuses the entry label array. A record builds the labels of
-steps 1 to 3 from the same gathers, and steps 4 to 7 reuse them and the
-entry labels.
+The oracle's diagonal is ``oracle_phase``: the phase of address j is the
+AND of the two containment columns at u(j), formed once over the 2^n
+addresses after every check of a call that is not about a state (a key
+checks its own family, width and parameter where it is made). A count
+reads its marked count from this diagonal, so no command path builds a
+state. ``run_oracle_u`` is the call on a state, which the statevector
+reference, the tests and the demos run: it checks the state, gathers
+``oracle_phase`` onto the labels' address field (ANDed with the control
+bit) and negates those amplitudes. No label moves, so the output reuses
+the entry label array; a SparseState is built at exit, and after each
+step when a record is asked for.
 
 Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
 n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
@@ -266,26 +259,18 @@ def oracle_call_events(initiator_role: str, n: int) -> tuple[TransferEvent, ...]
     )
 
 
-def run_oracle_u(
-    state: qsim.SparseState,
-    initiator: PartyState,
-    responder: PartyState,
-    z: frozenset,
-    transcript: Transcript,
-    control: int | None = None,
-    record: list | None = None,
-) -> qsim.SparseState:
-    """One oracle call: |j> -> (-1)^(c(u(j))) |j> on control=1 branches.
+def oracle_phase(initiator: PartyState, responder: PartyState, z: frozenset, n: int) -> np.ndarray:
+    """The oracle's diagonal over the 2^n addresses: entry j is True where
+    the call negates |j>, the AND of the two containment columns at u(j).
 
-    Preconditions: the flags and the ancilla are zero on every basis
-    label, z is an itemset over the two views' columns
-    (``dataset.itemset``), the two views are cut from one database at one
-    split point, the responder holds a key as wide as the address
-    register, and the control, if any, lies outside that register. The
-    phase is formed once per address and gathered onto the labels, which
-    keep their places.
-    ``record``, if given, collects ("stepX", state) snapshots after each
-    step for tracing. The call is logged on the transcript once it has run.
+    Every check of a call that is not about a state is made here, before
+    anything is formed: z is an itemset over the two views' columns
+    (``dataset.itemset``), the roles are distinct, the pair is two views of
+    one row count cut from one database object at one split point, the
+    responder holds a key, the views hold 2^n rows and the key is n bits
+    wide. Then the key's 2^n images are checked, in one scatter, to fit the
+    address register and to be a bijection on it, so that distinct labels
+    stay distinct and each mark is undone where it was made.
     """
     init_view, resp_view = initiator.view, responder.view
     z = itemset(z, init_view.width + resp_view.width)
@@ -298,41 +283,55 @@ def run_oracle_u(
     key = responder.key
     if key is None:
         raise ValueError("responder holds no encryption key")
-    layout = state.layout
-    n = layout.width("address")
     if len(init_view.bits) != 1 << n:
         raise ValueError("party QRAM size does not match the address register")
     if key.n != n:
         raise ValueError(f"key of width {key.n} does not fit the {n}-qubit address register")
+    images = key.apply(np.arange(1 << n))
+    qsim.inverse_permutation(images, n, "address")
+    return (resp_view.contains(z) & init_view.contains(z))[images]
+
+
+def run_oracle_u(
+    state: qsim.SparseState,
+    initiator: PartyState,
+    responder: PartyState,
+    z: frozenset,
+    transcript: Transcript,
+    control: int | None = None,
+    record: list | None = None,
+) -> qsim.SparseState:
+    """One oracle call: |j> -> (-1)^(c(u(j))) |j> on control=1 branches.
+
+    The state's preconditions are checked first: the flags and the ancilla
+    are zero on every basis label, and the control, if any, is neither
+    phase qubit and lies outside the address register. Every other check,
+    and the phase of each address, is ``oracle_phase``'s; the phase is
+    gathered onto the labels, which keep their places. A count reads its
+    marked count from ``oracle_phase`` alone and never calls this.
+    ``record``, if given, collects ("stepX", state) snapshots after each
+    step for tracing. The call is logged on the transcript once it has run.
+    """
+    layout = state.layout
+    n = layout.width("address")
     aux = 0
     for name in AUX_REGISTERS:
         aux |= layout.mask(name)
     labels, amps = state.labels, state.amplitudes
     if (labels & aux).any():
         raise ValueError("auxiliary registers must be zero at oracle entry")
-
-    # What each step needs is checked and set up before anything is formed,
-    # in step order. Step 1: the key's 2^n images are checked once to be a
-    # bijection, which keeps distinct labels distinct and lets step 7 return
-    # every label to its place. Steps 2 and 3: each party's containment
-    # column and flag. Step 4: the phase qubits, and a control outside the
-    # address register, which the phase would otherwise read before u.
-    images = key.apply(np.arange(1 << n))
-    qsim.inverse_permutation(images, n, "address")
-    resp_contains = resp_view.contains(z)
-    init_contains = init_view.contains(z)
-    flags = {"alice": layout.qubit("a_flag"), "bob": layout.qubit("b_flag")}
-    resp_flag, init_flag = flags[responder.role], flags[initiator.role]
-    qsim.check_phase_qubits(init_flag, resp_flag, control)
+    # step 4's phase qubits are the two flags, whichever party drives which,
+    # and a control inside the address register would be read before u
+    qsim.check_phase_qubits(layout.qubit("a_flag"), layout.qubit("b_flag"), control)
     address = layout.mask("address")
     if control is not None and address >> control & 1:
         raise ValueError("control qubit must lie outside the address register")
 
     # Steps 2-6 leave the address u(j) and the flags only, and step 4 negates
-    # where both flags are set: so the phase of address j is the AND of the
-    # two containment columns at u(j), gathered onto the labels.
+    # where both flags are set: so the phase of address j is oracle_phase's
+    # entry j, gathered onto the labels.
     addr = layout.extract(labels, "address")
-    negate = (resp_contains & init_contains)[images][addr]
+    negate = oracle_phase(initiator, responder, z, n)[addr]
     if control is not None:
         negate &= (labels & (1 << control)) != 0
     out_amps = amps.copy()
@@ -341,10 +340,11 @@ def run_oracle_u(
     if record is not None:
         # Step 1 encrypts the address; steps 2 and 3 mark the responder's,
         # then the initiator's flag; steps 5 to 7 undo them in reverse.
-        encrypted = images[addr]
+        encrypted = responder.key.apply(addr)
+        flags = {"alice": layout.qubit("a_flag"), "bob": layout.qubit("b_flag")}
         step1 = (labels & ~address) | encrypted << layout.offset("address")
-        step2 = step1 | resp_contains[encrypted].astype(np.int64) << resp_flag
-        step3 = step2 | init_contains[encrypted].astype(np.int64) << init_flag
+        step2 = step1 | responder.view.contains(z)[encrypted].astype(np.int64) << flags[responder.role]
+        step3 = step2 | initiator.view.contains(z)[encrypted].astype(np.int64) << flags[initiator.role]
         for step, step_labels in enumerate((step1, step2, step3, step3, step2, step1, labels), start=1):
             step_amps = amps if step < 4 else out_amps
             record.append((f"step{step}", qsim.SparseState.from_arrays(layout, step_labels, step_amps)))

@@ -7,12 +7,13 @@ layout wider than INT_LABEL_BITS is refused where it is made, so no label
 can overflow. ``SparseState.amps`` gives the same state as a read-only
 {label: amplitude} mapping, built from the arrays on first use.
 
-A command (estimate, mine, compare) uses the engine's data types and
-checks, not its gates: the register layout, SparseState built from bare
-arrays, and the checks the seven-step oracle call in ``protocol`` shares
-with the gate primitives: inverse_permutation (the key's range and
-bijection check) and check_phase_qubits. The oracle call forms its phase
-once per address and gathers it onto bare label arrays, and no primitive
+A command (estimate, mine, compare) builds no SparseState: a count reads
+its marked count from the oracle's diagonal (``protocol.oracle_phase``),
+which uses only inverse_permutation, the key's range and bijection check
+that it shares with the gate primitives. The seven-step oracle call on a
+state (``protocol.run_oracle_u``) gathers that diagonal onto bare label
+arrays and checks its phase qubits with check_phase_qubits; it runs in
+the statevector reference, the demos and the tests, and no primitive
 that changes a state runs on a command path.
 
 The primitives are each a handful of whole-array operations, and they fall

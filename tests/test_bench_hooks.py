@@ -28,7 +28,9 @@ def test_traced_estimate_spans(tmp_path):
     assert result.returncode == 0, result.stderr
     spans = json.loads(stats.read_text())["spans"]
     names = {span[0] for span in spans}
-    assert {"protocol.run_oracle_u", "counting.quantum_count", "protocol.transcript_total"} <= names
+    assert {"counting.quantum_count", "protocol.transcript_total"} <= names
+    # a count reads M from the oracle's diagonal and builds no state
+    assert "protocol.run_oracle_u" not in names
     report = json.loads(result.stdout)
     # market.csv has 16 rows: n = 4, 4n + 2 = 18 qubits per oracle call
     calls = report["qubits_sent"] // 18

@@ -37,6 +37,11 @@ class TestKey:
             ClassicalKey(11, 4)  # even
         with pytest.raises(ValueError):
             ClassicalKey(11, 11)  # out of range
+        # a float p or e is refused before math.gcd or pow can see it
+        for p, e, message in ((7, 3.0, "exponent must be an integer, got 3.0"),
+                              (7.0, 5, "prime must be an integer, got 7.0")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ClassicalKey(p, e)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -164,6 +169,8 @@ class TestAttack:
         # no admissible exponent maps {6, 7} onto {1, 2} mod 11
         with pytest.raises(ValueError):
             exhaustive_key_attack(11, {6, 7}, {1, 2})
+        with pytest.raises(ValueError, match="^prime must be an integer, got 11.0$"):
+            exhaustive_key_attack(11.0, {2}, {8})
 
     def test_large_prime_guard(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,7 @@ from qpdm.protocol import (
     build_qram,
     make_key,
     oracle_layout,
+    oracle_phase,
     reference_phase_oracle,
     run_oracle_u,
     sample_key,
@@ -321,9 +322,10 @@ class TestMarkedCount:
             alice, bob = parties(db, 1)
             for z in (frozenset({1}), frozenset({2, k}), frozenset(range(1, k + 1))):
                 key = sample_key(family, n, rng)
-                marked = np.count_nonzero(reference_phase_oracle(db, z, key.apply) < 0)
-                assert _marked_count(alice, bob.with_key(key), z) == marked
-                assert _marked_count(bob, alice.with_key(key), z) == marked
+                negated = reference_phase_oracle(db, z, key.apply) < 0
+                for init, resp in ((alice, bob.with_key(key)), (bob, alice.with_key(key))):
+                    assert np.array_equal(oracle_phase(init, resp, z, n), negated)
+                    assert _marked_count(init, resp, z) == np.count_nonzero(negated)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -371,37 +373,6 @@ class TestMarkedCount:
         support = exact_support(db, z)
         assert support == exact_support(padded, z) <= 1
         assert _marked_count(init, resp, z) == support * db.original_count
-
-    @pytest.mark.parametrize("label_moved", [True, False], ids=["moved-label", "scaled-amplitude"])
-    def test_inexact_oracle_output_refused(self, monkeypatch, label_moved):
-        def tampered(state, *args, **kwargs):
-            out = run_oracle_u(state, *args, **kwargs)
-            labels, amps = out.labels.copy(), out.amplitudes.copy()
-            if label_moved:
-                labels[5] ^= 1 << (out.layout.total_width - 1)
-            else:
-                amps[5] *= 2
-            return qsim.SparseState.from_arrays(out.layout, labels, amps)
-
-        monkeypatch.setattr(counting, "run_oracle_u", tampered)
-        alice, bob = parties(DB16_T4, 1)
-        key = make_key("bitflip", 3, 4)
-        z = frozenset({1, 2})
-        # amplitude 1/4 at n = 4, scaled to +-1/2 at address 5
-        scaled = np.complex128(0.5 * reference_phase_oracle(DB16_T4, z, key.apply)[5])
-        message = (
-            "oracle output moved basis labels"
-            if label_moved
-            else f"oracle output is not a sign flip: {scaled!r}"
-        )
-        config = CountingConfig(p=6, s=0.25)
-        transcript = Transcript()
-        with pytest.raises(qsim.SimulationError) as err:
-            quantum_count(
-                "alice", alice, bob.with_key(key), z, config, np.random.default_rng(0), transcript
-            )
-        assert str(err.value) == message
-        assert transcript.records == []
 
 
 class TestQuantumCount:
