@@ -15,8 +15,9 @@ for the string-level references and the tests.
 canonical CSV line is k two-byte cells, each a digit and a comma, the last a
 digit and the newline. The UTF-8 bytes are read as little-endian uint16
 cells with the digit's low bit masked off; every k-th cell must then be "0"
-and the newline, every other one "0" and the comma, and the digits are the
-even bytes. A bit-string line is cut into one row of k + 1 bytes and
+and the newline, every other one "0" and the comma. Once they are, each
+digit is the low bit of its cell's low byte, read from the cells in one
+contiguous pass. A bit-string line is cut into one row of k + 1 bytes and
 compared against "0", "1" and the newline. A file that fails this check is
 read as the definitions say: decoded, cut by ``str.splitlines``, its
 trailing blank lines dropped and each CSV cell (each bit-string line)
@@ -108,8 +109,11 @@ class TransactionDatabase:
     all zero. The constructor takes '0'/'1' row strings and reads them as
     ``parse_database`` reads bit-string lines, raising its ParseError for
     the first bad row (row i is line i); ``from_bits`` takes a uint8
-    matrix and checks it. Databases are equal when their matrices,
-    original counts and item names are, whichever way they were built.
+    matrix and checks it. ``parse_database`` and ``pad_to_power_of_two``
+    hand the matrix they built, whose cells they have proved 0/1, to
+    ``_of_cells``, which skips only that check. Databases are equal when
+    their matrices, original counts and item names are, whichever way they
+    were built.
     """
 
     bits: np.ndarray = field(repr=False)
@@ -123,6 +127,8 @@ class TransactionDatabase:
         original_count: int,
         item_names: tuple[str, ...] = (),
     ):
+        if not _is_integer(n_items):
+            raise ValueError(f"n_items must be an integer, got {n_items!r}")
         if n_items < 1:
             raise ValueError("need at least one item")
         # the rows as bit-string lines, read as parse_database reads them;
@@ -154,11 +160,21 @@ class TransactionDatabase:
         if bits.max(initial=0) > 1:
             row = int(np.flatnonzero((bits > 1).any(axis=1))[0])
             raise ValueError(f"bits row {row} holds a value other than 0 or 1")
+        return cls._of_cells(bits, original_count, item_names)
+
+    @classmethod
+    def _of_cells(
+        cls, bits: np.ndarray, original_count: int, item_names: tuple[str, ...]
+    ) -> TransactionDatabase:
+        """A database over ``bits``, a rows x k uint8 matrix whose cells
+        the caller has proved 0/1; the other facts are checked here."""
         db = object.__new__(cls)
         db._set(bits, original_count, item_names)
         return db
 
     def _set(self, bits: np.ndarray, original_count: int, item_names: tuple[str, ...]) -> None:
+        if not _is_integer(original_count):
+            raise ValueError(f"original_count must be an integer, got {original_count!r}")
         if not 0 <= original_count <= len(bits):
             raise ValueError("original_count out of range")
         if original_count < 1:
@@ -299,7 +315,7 @@ def parse_database(text: str | bytes) -> TransactionDatabase:
             raise _first_error(body, k, csv)
     if not len(bits):
         raise ParseError(2, "no data rows")
-    return TransactionDatabase.from_bits(bits, len(bits), names)
+    return TransactionDatabase._of_cells(bits, len(bits), names)
 
 
 def _canonical(data: bytes) -> bytes:
@@ -360,7 +376,11 @@ def _cells(body: np.ndarray, k: int, csv: bool) -> np.ndarray | None:
             # leaves room for no other cell
             if np.count_nonzero(block == _COMMA_CELL) != len(block) - len(block) // k:
                 return None
-        return (body[0::2] - ZERO).reshape(-1, k)
+        # every cell is now a digit and a separator: the digit is the low
+        # bit of the cell's low byte, read in one contiguous pass
+        bits = cells.astype(np.uint8)
+        bits &= 1
+        return bits.reshape(-1, k)
     grid = body.reshape(-1, width)
     # in uint8, any byte but "0" and "1" lands above 1
     bits = grid[:, :k] - ZERO
@@ -410,7 +430,7 @@ def pad_to_power_of_two(db: TransactionDatabase) -> TransactionDatabase:
         return db
     bits = np.zeros((1 << width, db.n_items), dtype=np.uint8)
     bits[:n] = db.bits
-    return TransactionDatabase.from_bits(bits, db.original_count, db.item_names)
+    return TransactionDatabase._of_cells(bits, db.original_count, db.item_names)
 
 
 def vertical_partition(db: TransactionDatabase, l: int) -> tuple[PartitionedView, PartitionedView]:

@@ -20,6 +20,8 @@ BASKETS_CSV = str(GOLDEN / "baskets_256x8.csv")
 PADDED_CSV = str(GOLDEN / "padded_crlf.csv")
 # 70 items, so n + k + 3 > 62: the width of a label with data registers
 WIDE_CSV = str(GOLDEN / "wide_24x70.csv")
+# one bit string per line, no header
+BITSTRING_DB = str(GOLDEN / "bitstrings_13x6.txt")
 
 
 def refuse(*_args):
@@ -761,6 +763,11 @@ class TestGolden:
                 ["estimate", "--db", WIDE_CSV, "--items", "5,52", "--split", "35", "--p", "7",
                  "--seed", "6", "--with-exact-oracle"],
                 "estimate_wide70_seed6.json",
+            ),
+            (
+                ["estimate", "--db", BITSTRING_DB, "--items", "2,5", "--split", "3", "--p", "7",
+                 "--seed", "9", "--with-exact-oracle"],
+                "estimate_bitstrings_seed9.json",
             ),
         ],
     )

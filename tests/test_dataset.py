@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -85,14 +86,16 @@ class TestParse:
             parse_database("I1,I2\n")
 
     def test_constructor_checks_rows(self):
-        for rows, message in (
-            (("110", "01"), "^line 2: expected 3 bits, got 2$"),
-            (("110", "1a0"), "^line 2: non-binary character$"),
-            (("1\u00e90", "110"), "^line 1: non-binary character$"),
-            (("1100",), "^line 1: expected 3 bits, got 4$"),
+        for args, message in (
+            ((3, ("110", "01"), 2), "^line 2: expected 3 bits, got 2$"),
+            ((3, ("110", "1a0"), 2), "^line 2: non-binary character$"),
+            ((3, ("1\u00e90", "110"), 2), "^line 1: non-binary character$"),
+            ((3, ("1100",), 1), "^line 1: expected 3 bits, got 4$"),
+            ((2.5, ("01",), 1), r"^n_items must be an integer, got 2\.5$"),
+            ((2, ("01", "00"), 1.5), r"^original_count must be an integer, got 1\.5$"),
         ):
             with pytest.raises(ValueError, match=message):
-                TransactionDatabase(3, rows, len(rows))
+                TransactionDatabase(*args)
 
     def test_constructor_refuses_a_line_break_in_a_row(self):
         # read as lines, ("10\n00",) would be two rows, the second zero padding
@@ -162,6 +165,7 @@ class TestFromBits:
             ((bits, 5), "original_count"),
             ((bits, -1), "original_count"),
             ((bits, 0), "^database has no real rows$"),
+            ((bits, 1.0), r"^original_count must be an integer, got 1\.0$"),
             ((padded, 2), "^padding row 3 is not all zero$"),
             ((bits, 4, ("a",)), "item_names"),
         ):
@@ -418,6 +422,7 @@ class TestRowStore:
         n_rows = data.draw(st.integers(1, 20), label="rows")
         values = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n_rows, max_size=n_rows))
         db = pad_to_power_of_two(TransactionDatabase(k, tuple(format(v, f"0{k}b") for v in values), n_rows))
+        assert_built_as_from_bits(db)
         l = data.draw(st.integers(1, k - 1), label="split")
         z = frozenset(data.draw(st.sets(st.integers(1, k), min_size=1, max_size=4), label="z"))
         n = (db.n_transactions - 1).bit_length()
@@ -492,6 +497,14 @@ def parse_outcome(parse, text):
     except ParseError as exc:
         return ("error", exc.line, str(exc))
     return ("ok", db.bits.tolist(), db.item_names, db.original_count)
+
+
+def assert_built_as_from_bits(db):
+    """db equals (matrix, row count and names) from_bits on a copy of its
+    matrix, which checks every cell again, and its bits are read-only."""
+    twin = TransactionDatabase.from_bits(db.bits.copy(), db.original_count, db.item_names)
+    assert db == twin
+    assert db.bits.dtype == np.uint8 and not db.bits.flags.writeable
 
 
 PAD = st.text(alphabet=" \t\u00a0\u3000\x1f", max_size=2)
@@ -633,6 +646,34 @@ class TestParserMatchesReference:
         with mock.patch.object(dataset, "_CELL_BLOCK", block):
             assert parse_outcome(parse_database, text) == parse_outcome(reference_parse_database, text)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_parsed_and_padded_as_from_bits(self, data):
+        # parse_database and pad_to_power_of_two skip from_bits' cell check:
+        # canonical CSV read in one cell block or in several, canonical bit
+        # strings, CRLF lines, and padded cells through the fallback
+        form = data.draw(st.sampled_from(["csv", "csv blocks", "bit strings", "crlf", "padded"]), label="form")
+        if form == "padded":
+            lines, _ = data.draw(database_lines())
+            lines[-1] = "\t" + lines[-1]
+            text = render(data.draw, lines)
+        else:
+            csv = form != "bit strings"
+            k = data.draw(st.integers(2 if csv else 1, 6), label="k")
+            rows = data.draw(st.lists(st.lists(st.sampled_from("01"), min_size=k, max_size=k), min_size=1, max_size=12))
+            lines = [",".join(f"I{i}" for i in range(1, k + 1))] if csv else []
+            lines += [("," if csv else "").join(row) for row in rows]
+            text = "".join(line + ("\r\n" if form == "crlf" else "\n") for line in lines)
+        block = data.draw(st.integers(1, 20), label="block") if form == "csv blocks" else dataset._CELL_BLOCK
+        with mock.patch.object(dataset, "_CELL_BLOCK", block):
+            db = parse_database(text)
+        reference = reference_parse_database(text)
+        assert db == reference
+        assert_built_as_from_bits(db)
+        padded = pad_to_power_of_two(db)
+        assert padded == pad_to_power_of_two(reference)
+        assert_built_as_from_bits(padded)
+
     @settings(max_examples=300, deadline=None)
     @given(text=st.text(alphabet="0011,,, \t\r\n\n\v\f\x1c\x1f\x85\u00a0\u2028\u3000a2\u00e9", max_size=40))
     def test_any_text(self, text):
@@ -682,3 +723,31 @@ class TestParserAtSize:
         got = parse_outcome(parse_database, text)
         assert got == parse_outcome(reference_parse_database, text)
         assert got[:2] == ("error", row + 1)
+
+
+class TestParserMemory:
+    # tracemalloc peak of parse_database on the file below with the stride-2
+    # digit read that the contiguous one replaced (Python 3.11, numpy 2.4):
+    # the last block's masked cells and the output matrix, 512 KiB each
+    STRIDED_PEAK = 1_049_850
+    # room for the interpreter's own objects, which differ between Python
+    # and numpy versions; a new temporary of one byte per row is 64 KiB
+    SLACK = 8 << 10
+
+    def test_canonical_parse_adds_no_temporary(self):
+        rows = np.random.default_rng(16).integers(0, 2, size=(1 << 16, 8), dtype=np.uint8)
+        assert rows.size == 2 * dataset._CELL_BLOCK  # two cell blocks
+        cells = np.full((len(rows), 16), ord(","), dtype=np.uint8)
+        cells[:, 0::2] = rows + ord("0")
+        cells[:, 15] = ord("\n")
+        text = b"I1,I2,I3,I4,I5,I6,I7,I8\n" + cells.tobytes()
+        del cells
+        parse_database(text)  # warm-up: first-call allocations are not the parser's
+        tracemalloc.start()
+        try:
+            db = parse_database(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(db.bits, rows)
+        assert peak <= self.STRIDED_PEAK + self.SLACK, f"peak {peak} B"
