@@ -164,7 +164,9 @@ def _counting_config(args) -> CountingConfig:
 
 
 def _load_db(path: str):
-    """The database in the file and its padded copy."""
+    """The database in the file, padded to a power of two. Padding rows are
+    all zero and the original row count is kept, so exact supports read
+    from it are those of the file."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -173,9 +175,8 @@ def _load_db(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise FileError(f"cannot read {path}: {exc}")
     try:
-        db = parse_database(data)
-        # refuses more rows than MAX_ADDRESS_WIDTH admits, before allocating
-        return db, pad_to_power_of_two(db)
+        # padding refuses more rows than MAX_ADDRESS_WIDTH admits, before allocating
+        return pad_to_power_of_two(parse_database(data))
     except ValueError as exc:
         raise FileError(f"{path}: {exc}")
 
@@ -192,7 +193,7 @@ def cmd_estimate(args) -> int:
     counting = _counting_config(args)
     seed = _resolve_seed(args)
     items = _parse_items(args.items)
-    db, padded = _load_db(args.db)
+    padded = _load_db(args.db)
     alice, bob = _build_parties(padded, args.split, items)
     transcript = Transcript()
     rng = np.random.default_rng(seed)
@@ -209,11 +210,11 @@ def cmd_estimate(args) -> int:
         "qubits_sent": transcript_total(transcript)[0],
     }
     if args.with_exact_oracle:
-        exact = exact_support(db, items)
+        exact = exact_support(padded, items)
         report["exact"] = float(exact)
         report["abs_error"] = abs(float(est.value) - float(exact))
         padded_fraction = Fraction(
-            int(exact * db.original_count), padded.n_transactions
+            int(exact * padded.original_count), padded.n_transactions
         )
         if padded_fraction >= Fraction(1, 2):
             report["warning"] = (
@@ -229,7 +230,7 @@ def cmd_estimate(args) -> int:
 def cmd_mine(args) -> int:
     counting = _counting_config(args)
     seed = _resolve_seed(args)
-    db, padded = _load_db(args.db)
+    padded = _load_db(args.db)
     alice, bob = _build_parties(padded, args.split)
     transcript = Transcript()
     started = time.perf_counter()
@@ -241,7 +242,7 @@ def cmd_mine(args) -> int:
         args.c,
         estimator,
         transcript,
-        exact_db=db if args.with_exact_oracle else None,
+        exact_db=padded if args.with_exact_oracle else None,
     )
     elapsed = time.perf_counter() - started
     report = {
@@ -274,14 +275,14 @@ def cmd_compare(args) -> int:
         check_prime(args.prime)
         _check_exponents(args, args.prime)
     items = _parse_items(args.items)
-    db, padded = _load_db(args.db)
+    padded = _load_db(args.db)
     alice, bob = _build_parties(padded, args.split, items)
     # the prime and any explicit exponents are checked as soon as the prime
     # is known, before the quantum run; the other keys are drawn after it
-    prime = args.prime if args.prime is not None else next_prime(max(db.original_count, 4))
+    prime = args.prime if args.prime is not None else next_prime(max(padded.original_count, 4))
     if args.prime is None:
         _check_exponents(args, prime)
-    if db.original_count >= prime:
+    if padded.original_count >= prime:
         raise ValueError("prime must exceed N")
     if args.eA is None or args.eB is None:
         exponents = valid_exponents(prime)
@@ -295,12 +296,12 @@ def cmd_compare(args) -> int:
     bits = BitLog()
     s1 = index_set(alice.view, items)
     s2 = index_set(bob.view, items)
-    classical_value = classical_support(s1, s2, key_a, key_b, db.original_count, bits)
+    classical_value = classical_support(s1, s2, key_a, key_b, padded.original_count, bits)
 
     report = {
         "command": "compare",
         "itemset": sorted(items),
-        "exact_support": float(exact_support(db, items)),
+        "exact_support": float(exact_support(padded, items)),
         "quantum": {
             "estimate": float(est.value),
             "accepted": est.accepted,

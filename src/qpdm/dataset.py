@@ -83,9 +83,10 @@ def rule_sides(x, y, n_items: int | None = None) -> tuple[ItemSet, ItemSet]:
 
 
 # Widest address register a database may pad to. One count's marked count
-# (the oracle's diagonal) peaks at 24 B per address (tracemalloc, n = 16,
-# 18 and 20): 25 MB at n = 20, and 400 MB at n = 24. Checked before
-# padding allocates.
+# (the oracle's diagonal) peaks at 16 B per address under bitflip and
+# modadd keys and 24 B under cyclic ones (tracemalloc, n = 16 and 20): at
+# most 25 MB at n = 20, and 400 MB at n = 24. Checked before padding
+# allocates.
 MAX_ADDRESS_WIDTH = 20
 
 NEWLINE, COMMA, ZERO = ord("\n"), ord(","), ord("0")
@@ -376,6 +377,9 @@ def _cells(body: np.ndarray, k: int, csv: bool) -> np.ndarray | None:
             # leaves room for no other cell
             if np.count_nonzero(block == _COMMA_CELL) != len(block) - len(block) // k:
                 return None
+            # a checked block is freed before the next is masked and before
+            # the digits are read
+            del block
         # every cell is now a digit and a separator: the digit is the low
         # bit of the cell's low byte, read in one contiguous pass
         bits = cells.astype(np.uint8)

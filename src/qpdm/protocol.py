@@ -55,7 +55,6 @@ it drives, and the initiator's counterpart holds the secret key.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -234,13 +233,11 @@ def transcript_total(transcript: Transcript) -> tuple[int, int]:
     return total, max((4 * n + 2 for _, n, _ in records), default=0)
 
 
-@functools.lru_cache(maxsize=64)
 def oracle_layout(n: int, l: int, k: int, p: int = 0) -> qsim.RegisterLayout:
     """The canonical composite layout, n + p + 3 qubits; zero-width
     counting register when p=0. A label holds no data register, so the
-    split point l and the item count k set no width. Layouts are immutable,
-    so one is built per shape and shared: a count asks for its layout each
-    time."""
+    split point l and the item count k set no width. Two layouts of one
+    shape compare equal by their registers."""
     widths = {"counting": p, "address": n, "b_flag": 1, "a_flag": 1, "kick_ancilla": 1}
     return qsim.RegisterLayout(tuple((name, widths[name]) for name in REGISTER_ORDER))
 
@@ -268,9 +265,10 @@ def oracle_phase(initiator: PartyState, responder: PartyState, z: frozenset, n: 
     (``dataset.itemset``), the roles are distinct, the pair is two views of
     one row count cut from one database object at one split point, the
     responder holds a key, the views hold 2^n rows and the key is n bits
-    wide. Then the key's 2^n images are checked, in one scatter, to fit the
-    address register and to be a bijection on it, so that distinct labels
-    stay distinct and each mark is undone where it was made.
+    wide. Then the key's 2^n images are checked by ``qsim.check_bijection``,
+    which marks the values they reach, to fit the address register and to
+    be a bijection on it, so that distinct labels stay distinct and each
+    mark is undone where it was made.
     """
     init_view, resp_view = initiator.view, responder.view
     z = itemset(z, init_view.width + resp_view.width)
@@ -288,7 +286,7 @@ def oracle_phase(initiator: PartyState, responder: PartyState, z: frozenset, n: 
     if key.n != n:
         raise ValueError(f"key of width {key.n} does not fit the {n}-qubit address register")
     images = key.apply(np.arange(1 << n))
-    qsim.inverse_permutation(images, n, "address")
+    qsim.check_bijection(images, n, "address")
     return (resp_view.contains(z) & init_view.contains(z))[images]
 
 

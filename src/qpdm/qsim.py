@@ -9,7 +9,7 @@ can overflow. ``SparseState.amps`` gives the same state as a read-only
 
 A command (estimate, mine, compare) builds no SparseState: a count reads
 its marked count from the oracle's diagonal (``protocol.oracle_phase``),
-which uses only inverse_permutation, the key's range and bijection check
+which uses only check_bijection, the key's range and bijection check
 that it shares with the gate primitives. The seven-step oracle call on a
 state (``protocol.run_oracle_u``) gathers that diagonal onto bare label
 arrays and checks its phase qubits with check_phase_qubits; it runs in
@@ -282,25 +282,25 @@ def apply_u0(state: SparseState, register: str, control: int | None = None) -> S
     return state._with(labels, np.where(flip, -amps, amps))
 
 
-def _check_fits(values: np.ndarray, width: int, register: str) -> None:
-    """Every value fits the register: none is negative or ``width`` bits wide or wider."""
-    if (values >> width).any():
-        bad = values[np.flatnonzero(values >> width)[0]]
+def _fits(values: np.ndarray, width: int) -> bool:
+    """Every value fits ``width`` bits. The OR of all values has a bit at or
+    above ``width`` exactly when some value is negative or too wide: one
+    reduction, no temporary."""
+    return not np.bitwise_or.reduce(values) >> width
+
+
+def check_bijection(images: np.ndarray, width: int, register: str) -> None:
+    """Refuse unless the map on a register's 2^width values that sends j to
+    images[j] is a bijection: every image fits the register, and the images
+    reach every value, so none is reached twice and distinct labels stay
+    distinct. One bool mark per value, O(2^width)."""
+    if not _fits(images, width):
+        bad = images[np.flatnonzero(images >> width)[0]]
         raise ValueError(f"permutation output {bad} does not fit register {register!r}")
-
-
-def inverse_permutation(images: np.ndarray, width: int, register: str) -> np.ndarray:
-    """The inverse, as an int64 table, of the map on a register's 2^width
-    values that sends j to images[j], checked as apply_permutation checks:
-    every image fits the register, and no two are equal, so the map is a
-    bijection and keeps distinct labels distinct. One scatter, O(2^width)."""
-    size = 1 << width
-    _check_fits(images, width, register)
-    inverse = np.full(size, -1, dtype=np.int64)
-    inverse[images] = np.arange(size)
-    if inverse.min() < 0:  # a value no image reached: two images are equal
+    reached = np.zeros(1 << width, dtype=bool)
+    reached[images] = True
+    if len(images) != len(reached) or not reached.all():
         raise SimulationError("permutation is not a bijection on the register")
-    return inverse
 
 
 def memory_cells(memory: Sequence[int], count: int, width: int) -> np.ndarray:
@@ -316,9 +316,7 @@ def memory_cells(memory: Sequence[int], count: int, width: int) -> np.ndarray:
             raise ValueError(f"memory cells do not all fit {width} bits")
         raise ValueError(f"memory cells must be integers, got dtype {cells.dtype}")
     cells = cells.astype(np.int64, copy=False)
-    # the OR of all cells has a bit at or above `width` exactly when some cell
-    # is negative or wider than the register; one reduction, no temporary
-    if np.bitwise_or.reduce(cells) >> width:
+    if not _fits(cells, width):
         raise ValueError(f"memory cells do not all fit {width} bits")
     return cells
 
@@ -332,20 +330,18 @@ def check_phase_qubits(a: int, b: int, control: int | None = None) -> None:
 def apply_permutation(state: SparseState, register: str, u: Callable) -> SparseState:
     """Replace register content j by u(j) on every basis label.
 
-    u is applied elementwise to an int64 array of register contents and
-    must return an array of the same shape (or a scalar). u must be a bijection on the register's value range; the
-    caller (key constructor) guarantees that, but out-of-range outputs and
-    collisions are still trapped.
+    u is evaluated once on the int64 array of the register's 2^width values
+    and must return an array of the same shape (or a scalar). That table is
+    refused by check_bijection unless u is a bijection on the register, so
+    out-of-range outputs and collisions are trapped whichever labels the
+    state holds; each label then takes its new content from the table.
     """
     labels, layout = state.labels, state.layout
-    uj = np.asarray(u(layout.extract(labels, register)))
-    if uj.shape != labels.shape:
-        uj = np.broadcast_to(uj, labels.shape)
-    _check_fits(uj, layout.width(register), register)
-    new = (labels & ~layout.mask(register)) | (uj.astype(labels.dtype, copy=False) << layout.offset(register))
-    ordered = np.sort(new)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise SimulationError("permutation is not a bijection on the register")
+    width = layout.width(register)
+    table = np.broadcast_to(np.asarray(u(np.arange(1 << width))), (1 << width,))
+    check_bijection(table, width, register)
+    uj = table[layout.extract(labels, register)].astype(labels.dtype, copy=False)
+    new = (labels & ~layout.mask(register)) | (uj << layout.offset(register))
     return state._with(new, state.amplitudes)
 
 

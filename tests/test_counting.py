@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,33 @@ class TestMarkedCount:
         support = exact_support(db, z)
         assert support == exact_support(padded, z) <= 1
         assert _marked_count(init, resp, z) == support * db.original_count
+
+    # tracemalloc peak of one count at n = 16 (Python 3.11, numpy 2.4): the
+    # addresses and the key's images, 8 B per address each, and for cyclic
+    # keys one more array for the second of the two shifts; the bijection
+    # check's marks (1 B per address) come after the addresses are freed.
+    # It relies on numpy reusing the temporaries of (j + p) & mask and of the
+    # shifts' OR in place. An int64 table over the addresses, such as an
+    # inverse of the key, would add 8 B per address.
+    PEAK_PER_ADDRESS = {"bitflip": 16, "modadd": 16, "cyclic": 24}
+    # room for the interpreter's own objects; one more byte per address is 64 KiB
+    SLACK = 8 << 10
+
+    @pytest.mark.parametrize("family", KEY_FAMILIES)
+    def test_footprint_per_address(self, family):
+        n = 16
+        bits = (np.random.default_rng(16).random((1 << n, 8)) < 0.5).astype(np.uint8)
+        alice, bob = parties(TransactionDatabase.from_bits(bits, 1 << n), 4)
+        resp = bob.with_key(make_key(family, 1, n))
+        z = frozenset({1, 2, 5})
+        _marked_count(alice, resp, z)  # warm-up: first-call allocations are not the count's
+        tracemalloc.start()
+        try:
+            _marked_count(alice, resp, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_PER_ADDRESS[family] * (1 << n) + self.SLACK, f"peak {peak} B"
 
 
 class TestQuantumCount:

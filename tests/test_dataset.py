@@ -726,10 +726,12 @@ class TestParserAtSize:
 
 
 class TestParserMemory:
-    # tracemalloc peak of parse_database on the file below with the stride-2
-    # digit read that the contiguous one replaced (Python 3.11, numpy 2.4):
-    # the last block's masked cells and the output matrix, 512 KiB each
-    STRIDED_PEAK = 1_049_850
+    # tracemalloc peak of parse_database on the file below (Python 3.11,
+    # numpy 2.4): one block's masked cells (512 KiB) and its comma test
+    # (256 KiB). Each checked block is freed before the next is masked and
+    # before the 512 KiB output matrix is made; a block kept alive while the
+    # output is made would raise the peak to 1 MiB.
+    PEAK = 787_610
     # room for the interpreter's own objects, which differ between Python
     # and numpy versions; a new temporary of one byte per row is 64 KiB
     SLACK = 8 << 10
@@ -750,4 +752,4 @@ class TestParserMemory:
         finally:
             tracemalloc.stop()
         assert np.array_equal(db.bits, rows)
-        assert peak <= self.STRIDED_PEAK + self.SLACK, f"peak {peak} B"
+        assert peak <= self.PEAK + self.SLACK, f"peak {peak} B"

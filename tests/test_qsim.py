@@ -16,7 +16,7 @@ from qpdm.qsim import (
     apply_phase_flip,
     apply_u0,
     apply_w,
-    inverse_permutation,
+    check_bijection,
     inverse_qft,
     max_deviation,
     measure_register,
@@ -162,15 +162,40 @@ class TestPermutation:
         with pytest.raises(SimulationError):
             apply_permutation(st, "r", lambda j: 0)
 
+    def test_non_bijection_refused_whatever_the_labels(self):
+        # one label stays one label under j -> 0, but u is no bijection
+        st = prepare_basis(single(2), 0b10)
+        with pytest.raises(SimulationError, match="^permutation is not a bijection on the register$"):
+            apply_permutation(st, "r", lambda j: 0)
+        with pytest.raises(ValueError, match="^permutation output 4 does not fit register 'r'$"):
+            apply_permutation(st, "r", lambda j: j + 1)
+
 
 class TestInversePermutation:
-    @settings(max_examples=50, deadline=None)
-    @given(width=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_inverts_every_permutation(self, width, seed):
+    # a map on a register's values has an inverse exactly when
+    # check_bijection accepts its images
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_accepts_permutations_refuses_changed_images(self, data):
+        width = data.draw(st.integers(1, 8), label="width")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         images = np.random.default_rng(seed).permutation(1 << width)
-        inverse = inverse_permutation(images, width, "r")
-        assert inverse.dtype == np.int64
-        assert np.array_equal(inverse[images], np.arange(1 << width))
+        assert check_bijection(images, width, "r") is None
+        j = data.draw(st.integers(0, len(images) - 1), label="changed image")
+        other = data.draw(st.integers(0, len(images) - 2), label="image it copies")
+        collided = images.copy()
+        collided[j] = images[other + (other >= j)]
+        with pytest.raises(SimulationError, match="^permutation is not a bijection on the register$"):
+            check_bijection(collided, width, "r")
+        bad = data.draw(
+            st.one_of(st.integers(-(1 << 62), -1), st.integers(1 << width, (1 << 62) - 1)),
+            label="out-of-range image",
+        )
+        outside = images.copy()
+        outside[j] = bad
+        with pytest.raises(ValueError, match=f"^permutation output {bad} does not fit register 'r'$"):
+            check_bijection(outside, width, "r")
 
     @pytest.mark.parametrize(
         "images, error, message",
@@ -182,7 +207,7 @@ class TestInversePermutation:
     )
     def test_refusals_as_apply_permutation(self, images, error, message):
         with pytest.raises(error, match=f"^{message}$"):
-            inverse_permutation(np.array(images), 2, "r")
+            check_bijection(np.array(images), 2, "r")
         table = np.array(images)
         st = apply_w(prepare_basis(single(2)), "r")
         with pytest.raises(error, match=f"^{message}$"):
