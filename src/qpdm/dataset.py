@@ -231,8 +231,9 @@ class PartitionedView:
     database's, so a view's cells are 0/1 and its padding rows zero because
     the database's are. Views compare by identity. Two parties form one
     partitioned database only when their views are cut from the same
-    database object at the same split point; the oracle call
-    (``protocol.run_oracle_u``) refuses any other pair.
+    database object at the same split point; the oracle's diagonal
+    (``protocol.oracle_phase``), which every count and every oracle call
+    reads, refuses any other pair.
     """
 
     role: str

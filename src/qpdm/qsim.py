@@ -25,7 +25,9 @@ in two classes:
   position and never grow the state.
 * spreading operations: the Hadamard wall on a register and the inverse QFT.
   Only these can enlarge the state, by at most a factor of 2^(register
-  width); equal labels they produce are merged by a sort.
+  width). Both group the labels by the content of the other registers
+  (np.unique), transform a grid of one row of 2^width amplitudes per
+  distinct content, and read the labels back from the grid's cells.
 
 Four of them (apply_permutation, qram_query with its cell check
 memory_cells, apply_membership_mark, apply_phase_and) are the gate-level
@@ -60,7 +62,9 @@ INT_LABEL_BITS = 62  # widest layout a RegisterLayout admits: its labels are int
 
 
 class SimulationError(RuntimeError):
-    """Internal consistency violation (norm drift, failed disentanglement)."""
+    """Internal consistency violation: a key or permutation that is not a
+    bijection, a measurement on an empty or unnormalized state, a readout
+    distribution that lost its norm."""
 
 
 @dataclass(frozen=True)
@@ -137,17 +141,19 @@ class SparseState:
     read-only arrays over one register layout.
 
     ``SparseState(layout, {label: amplitude})`` builds a state from a
-    mapping; the primitives build theirs with ``from_arrays``.
+    mapping and refuses a label outside the layout; the primitives build
+    theirs with ``from_arrays``, unchecked.
     """
 
     __slots__ = ("layout", "labels", "amplitudes", "_amps")
 
     def __init__(self, layout: RegisterLayout, amps: Mapping[int, complex]):
-        self._set(
-            layout,
-            np.array(list(amps), dtype=np.int64),
-            np.array(list(amps.values()), dtype=complex),
-        )
+        labels = np.array(list(amps), dtype=np.int64)
+        width = layout.total_width
+        if not _fits(labels, width):
+            bad = labels[np.flatnonzero(labels >> width)[0]]
+            raise ValueError(f"label {bad} outside {width}-bit space")
+        self._set(layout, labels, np.array(list(amps.values()), dtype=complex))
 
     @classmethod
     def from_arrays(
@@ -209,34 +215,36 @@ class MeasurementOutcome:
     post_state: SparseState
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, ordered, first): the stable sort order of keys, the keys in
-    that order, and a mask of the first element of each run of equal keys."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return order, ordered, first
-
-
-def _merge(labels: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the amplitudes of equal labels; the labels come back ascending."""
-    if not len(labels):
-        return labels, amplitudes
-    order, ordered, first = _runs(labels)
-    starts = np.flatnonzero(first)
-    return ordered[starts], np.add.reduceat(amplitudes[order], starts)
-
-
 def _bit_set(labels: np.ndarray, qubit: int) -> np.ndarray:
     return (labels & (1 << qubit)) != 0
 
 
+def _grid(state: SparseState, register: str) -> tuple[np.ndarray, np.ndarray]:
+    """(rests, grid): the distinct contents of the other registers,
+    ascending, and one row of 2^width amplitudes per rest, indexed by the
+    register's content."""
+    layout, labels = state.layout, state.labels
+    rests, row = np.unique(labels & ~layout.mask(register), return_inverse=True)
+    grid = np.zeros((len(rests), 1 << layout.width(register)), dtype=complex)
+    grid[row, layout.extract(labels, register)] = state.amplitudes
+    return rests, grid
+
+
+def _from_grid(state: SparseState, register: str, rests: np.ndarray, grid: np.ndarray) -> SparseState:
+    """The state a grid holds, amplitudes below PRUNE_EPS dropped."""
+    keep = np.abs(grid) >= PRUNE_EPS
+    rows, values = np.nonzero(keep)
+    labels = rests[rows] | (values.astype(np.int64) << state.layout.offset(register))
+    return state._with(labels, grid[keep])
+
+
 def max_deviation(a: SparseState, b: SparseState) -> float:
     """Largest amplitude difference between two states over all basis labels."""
-    _, diff = _merge(
-        np.concatenate([a.labels, b.labels]), np.concatenate([a.amplitudes, -b.amplitudes])
-    )
+    if a.layout != b.layout:
+        raise ValueError(f"states over different layouts: {a.layout!r} and {b.layout!r}")
+    labels, which = np.unique(np.concatenate([a.labels, b.labels]), return_inverse=True)
+    diff = np.zeros(len(labels), dtype=complex)
+    np.add.at(diff, which, np.concatenate([a.amplitudes, -b.amplitudes]))
     return float(np.max(np.abs(diff), initial=0.0))
 
 
@@ -251,22 +259,15 @@ def prepare_basis(layout: RegisterLayout, label: int = 0) -> SparseState:
 
 def apply_w(state: SparseState, register: str) -> SparseState:
     """Hadamard on every qubit of a register (the wall W = H^(x)w)."""
-    off = state.layout.offset(register)
-    width = state.layout.width(register)
+    rests, grid = _grid(state, register)
     inv = 1.0 / math.sqrt(2.0)
-    labels, amps = state.labels, state.amplitudes
-    for q in range(off, off + width):
-        mask = 1 << q
-        one = _bit_set(labels, q)
-        c = amps * inv
-        lo = labels & ~mask
-        labels = np.concatenate([lo, lo | mask])
-        amps = np.concatenate([c, np.where(one, -c, c)])
-        # with the qubit 0 on every label, the 2N new labels are distinct
-        if one.any():
-            labels, amps = _merge(labels, amps)
-    keep = np.abs(amps) >= PRUNE_EPS
-    return state._with(labels[keep], amps[keep])
+    for q in range(state.layout.width(register)):
+        # pairs[:, 0] and pairs[:, 1]: the contents with qubit q at 0 and at 1
+        pairs = grid.reshape(-1, 2, 1 << q)
+        lo, hi = pairs[:, 0] * inv, pairs[:, 1] * inv
+        pairs[:, 0] = lo + hi
+        pairs[:, 1] = lo - hi
+    return _from_grid(state, register, rests, grid)
 
 
 def apply_u0(state: SparseState, register: str, control: int | None = None) -> SparseState:
@@ -415,21 +416,9 @@ def apply_phase_flip(state: SparseState, qubit: int | None = None) -> SparseStat
 def inverse_qft(state: SparseState, register: str) -> SparseState:
     """Inverse discrete Fourier transform of size 2^width on one register:
     |m> -> sum_f exp(-2*pi*i*m*f/P) |f> / sqrt(P)."""
-    layout = state.layout
-    off = layout.offset(register)
-    size = 1 << layout.width(register)
-    labels = state.labels
-    # one row of `size` amplitudes per distinct content of the other registers
-    order, ordered, first = _runs(labels & ~layout.mask(register))
-    rests = ordered[first]
-    row = np.cumsum(first) - 1
-    grid = np.zeros((len(rests), size), dtype=complex)
-    grid[row, layout.extract(labels[order], register)] = state.amplitudes[order]
-    out = np.fft.fft(grid, axis=1) * (1.0 / math.sqrt(size))
-    keep = np.abs(out) >= PRUNE_EPS
-    rows, fs = np.nonzero(keep)
-    new = rests[rows] | (fs.astype(labels.dtype) << off)
-    return state._with(new, out[keep])
+    rests, grid = _grid(state, register)
+    out = np.fft.fft(grid, axis=1) * (1.0 / math.sqrt(grid.shape[1]))
+    return _from_grid(state, register, rests, out)
 
 
 def measure_register(state: SparseState, register: str, rng: np.random.Generator) -> MeasurementOutcome:
@@ -441,10 +430,8 @@ def measure_register(state: SparseState, register: str, rng: np.random.Generator
     contents = state.extract(state.labels, register)
     if not len(contents):
         raise SimulationError("measurement on an empty state")
-    order, ordered, first = _runs(contents)
-    starts = np.flatnonzero(first)
-    values = ordered[starts]
-    probs = np.add.reduceat(np.abs(state.amplitudes[order]) ** 2, starts)
+    values, which = np.unique(contents, return_inverse=True)
+    probs = np.bincount(which, weights=np.abs(state.amplitudes) ** 2)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-8:
         raise SimulationError(f"measurement on unnormalized state (norm^2 = {total!r})")

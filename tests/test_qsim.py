@@ -39,6 +39,44 @@ def random_state(layout, rng, terms=None):
     return SparseState(layout, {int(l): complex(a) for l, a in zip(labels, amps)})
 
 
+THREE = RegisterLayout((("a", 2), ("b", 3), ("c", 2)))
+
+
+def rowed_state(layout, register, rng):
+    """A random state over half the contents of the other registers (at
+    least three), where the first row (the register's contents at one such
+    content) is full, the second holds one label and the rest are random."""
+    off, size = layout.offset(register), 1 << layout.width(register)
+    rests = np.unique(np.arange(1 << layout.total_width) & ~layout.mask(register))
+    labels = []
+    for i, rest in enumerate(rng.permutation(rests)[: max(3, len(rests) // 2)]):
+        if i == 0:
+            values = np.arange(size)
+        elif i == 1:
+            values = rng.integers(size, size=1)
+        else:
+            values = rng.choice(size, size=rng.integers(1, size + 1), replace=False)
+        labels += [int(rest) | int(v) << off for v in values]
+    amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    amps /= np.linalg.norm(amps)
+    return SparseState(layout, dict(zip(labels, amps.tolist())))
+
+
+def dense(state):
+    """The state as a vector over all 2^total_width labels."""
+    assert len(np.unique(state.labels)) == len(state.labels)
+    vec = np.zeros(1 << state.layout.total_width, dtype=complex)
+    vec[state.labels] = state.amplitudes
+    return vec
+
+
+def on_register(layout, register, matrix):
+    """kron(I_hi, matrix, I_lo): matrix acting on one register."""
+    lo = 1 << layout.offset(register)
+    hi = 1 << (layout.total_width - layout.offset(register) - layout.width(register))
+    return np.kron(np.eye(hi), np.kron(matrix, np.eye(lo)))
+
+
 class TestLayout:
     def test_offsets_msb_first(self):
         layout = RegisterLayout((("a", 2), ("b", 3), ("c", 1)))
@@ -85,6 +123,16 @@ class TestPrepareBasis:
         with pytest.raises(ValueError):
             prepare_basis(single(2), 4)
 
+    @pytest.mark.parametrize("label", [4, 7, -1, 1 << 40])
+    def test_mapping_label_outside_layout_refused(self, label):
+        # a state built from a mapping obeys prepare_basis' fit rule, in its words
+        message = f"^label {label} outside 2-bit space$"
+        with pytest.raises(ValueError, match=message):
+            SparseState(single(2), {0: 0.6 + 0j, label: 0.8 + 0j})
+        with pytest.raises(ValueError, match=message):
+            prepare_basis(single(2), label)
+        assert SparseState(single(2), {3: 1.0 + 0j}).amps == {3: 1.0 + 0j}
+
     def test_single_term(self):
         st = prepare_basis(single(4), 9)
         assert len(st.amps) == 1
@@ -113,6 +161,19 @@ class TestHadamardWall:
         layout = RegisterLayout((("a", 1), ("b", 1)))
         st = apply_w(prepare_basis(layout, 0b10), "b")
         assert set(st.amps) == {0b10, 0b11}
+
+    @pytest.mark.parametrize("register", ["a", "b", "c"])
+    def test_matches_dense_operator(self, register):
+        # top, middle and bottom register, over several rests at once
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+        wall = np.ones((1, 1))
+        for _ in range(THREE.width(register)):
+            wall = np.kron(wall, h)
+        op = on_register(THREE, register, wall)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            st = rowed_state(THREE, register, rng)
+            assert np.max(np.abs(dense(apply_w(st, register)) - op @ dense(st))) < 1e-12
 
 
 class TestZeroReflection:
@@ -415,6 +476,17 @@ class TestInverseQft:
         for label in out.amps:
             assert layout.extract(label, "rest") == 1
 
+    @pytest.mark.parametrize("register", ["a", "b", "c"])
+    def test_matches_dense_operator(self, register):
+        size = 1 << THREE.width(register)
+        f, m = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+        idft = np.exp(-2j * np.pi * f * m / size) / math.sqrt(size)
+        op = on_register(THREE, register, idft)
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            st = rowed_state(THREE, register, rng)
+            assert np.max(np.abs(dense(inverse_qft(st, register)) - op @ dense(st))) < 1e-12
+
 
 class TestMeasure:
     def test_basis_state_deterministic(self):
@@ -555,6 +627,14 @@ class TestWideLabels:
             RegisterLayout((("addr", 1), ("data", INT_LABEL_BITS)))
         with pytest.raises(ValueError, match="^layout of 73 qubits"):
             RegisterLayout((("hi", 70), ("r", 3)))
+
+
+def test_max_deviation_refuses_different_layouts():
+    # label 1 is b = 1 in one layout and r = 1 in the other
+    two = RegisterLayout((("a", 1), ("b", 1)))
+    with pytest.raises(ValueError, match="^states over different layouts"):
+        max_deviation(prepare_basis(two, 1), prepare_basis(single(2), 1))
+    assert max_deviation(prepare_basis(single(2), 1), prepare_basis(single(2), 1)) == 0.0
 
 
 def test_dump_format():
