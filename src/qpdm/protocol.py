@@ -35,10 +35,10 @@ checks its own family, width and parameter where it is made). A count
 reads its marked count from this diagonal, so no command path builds a
 state. ``run_oracle_u`` is the call on a state, which the statevector
 reference, the tests and the demos run: it checks the state, gathers
-``oracle_phase`` onto the labels' address field (ANDed with the control
-bit) and negates those amplitudes. No label moves, so the output reuses
-the entry label array; a SparseState is built at exit, and after each
-step when a record is asked for.
+``oracle_phase`` onto the labels' address field and negates those
+amplitudes on the control's 1 branches with ``qsim.negate_where``. No
+label moves, so the output reuses the entry label array; a SparseState
+is built at exit, and after each step when a record is asked for.
 
 Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
 n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
@@ -195,6 +195,8 @@ class Transcript:
     def log_calls(self, initiator_role: str, n: int, calls: int = 1) -> None:
         if initiator_role not in ("alice", "bob"):
             raise ValueError(f"unknown initiator role {initiator_role!r}")
+        if not (_is_integer(n) and _is_integer(calls)):
+            raise ValueError(f"address width and call count must be integers, got {n!r} and {calls!r}")
         if n < 1:
             raise ValueError("address width must be at least 1")
         if calls < 1:
@@ -315,7 +317,7 @@ def run_oracle_u(
     aux = 0
     for name in AUX_REGISTERS:
         aux |= layout.mask(name)
-    labels, amps = state.labels, state.amplitudes
+    labels = state.labels
     if (labels & aux).any():
         raise ValueError("auxiliary registers must be zero at oracle entry")
     # step 4's phase qubits are the two flags, whichever party drives which,
@@ -329,11 +331,7 @@ def run_oracle_u(
     # where both flags are set: so the phase of address j is oracle_phase's
     # entry j, gathered onto the labels.
     addr = layout.extract(labels, "address")
-    negate = oracle_phase(initiator, responder, z, n)[addr]
-    if control is not None:
-        negate &= (labels & (1 << control)) != 0
-    out_amps = amps.copy()
-    np.negative(amps, out=out_amps, where=negate)
+    out = qsim.negate_where(state, oracle_phase(initiator, responder, z, n)[addr], control)
 
     if record is not None:
         # Step 1 encrypts the address; steps 2 and 3 mark the responder's,
@@ -344,10 +342,10 @@ def run_oracle_u(
         step2 = step1 | responder.view.contains(z)[encrypted].astype(np.int64) << flags[responder.role]
         step3 = step2 | initiator.view.contains(z)[encrypted].astype(np.int64) << flags[initiator.role]
         for step, step_labels in enumerate((step1, step2, step3, step3, step2, step1, labels), start=1):
-            step_amps = amps if step < 4 else out_amps
+            step_amps = state.amplitudes if step < 4 else out.amplitudes
             record.append((f"step{step}", qsim.SparseState.from_arrays(layout, step_labels, step_amps)))
     transcript.log_calls(initiator.role, n)
-    return qsim.SparseState.from_arrays(layout, labels, out_amps)
+    return out
 
 
 def reference_phase_oracle(

@@ -12,17 +12,17 @@ its marked count from the oracle's diagonal (``protocol.oracle_phase``),
 which uses only check_bijection, the key's range and bijection check
 that it shares with the gate primitives. The seven-step oracle call on a
 state (``protocol.run_oracle_u``) gathers that diagonal onto bare label
-arrays and checks its phase qubits with check_phase_qubits; it runs in
-the statevector reference, the demos and the tests, and no primitive
-that changes a state runs on a command path.
+arrays, negates with negate_where and checks its phase qubits with
+check_phase_qubits; it runs in the statevector reference, the demos and
+the tests, and no primitive that changes a state runs on a command path.
 
 The primitives are each a handful of whole-array operations, and they fall
 in two classes:
 
 * signed basis permutations: encryption permutations, QRAM queries (XOR
-  loads of integer memory cells, hence self-inverse), membership marks, the
-  zero reflection, phase kickback. These map the label array position by
-  position and never grow the state.
+  loads of integer memory cells, hence self-inverse), membership marks, and
+  the zero reflection, phase kickback and phase flip, each a negate_where.
+  These map the label array position by position and never grow the state.
 * spreading operations: the Hadamard wall on a register and the inverse QFT.
   Only these can enlarge the state, by at most a factor of 2^(register
   width). Both group the labels by the content of the other registers
@@ -30,12 +30,12 @@ in two classes:
   distinct content, and read the labels back from the grid's cells.
 
 Four of them (apply_permutation, qram_query with its cell check
-memory_cells, apply_membership_mark, apply_phase_and) are the gate-level
-reference the oracle call is tested against, on a layout the tests give
-data registers for the loaded rows. The Hadamard wall, the zero
-reflection, the phase flip and the inverse QFT serve the controlled Grover
-iteration and the statevector counting path, the reference the readout is
-tested against.
+memory_cells, apply_membership_mark, and apply_phase_and, negate_where on
+the AND of two qubits) are the gate-level reference the oracle call is
+tested against, on a layout the tests give data registers for the loaded
+rows. The Hadamard wall, the zero reflection, the phase flip and the
+inverse QFT serve the controlled Grover iteration and the statevector
+counting path, the reference the readout is tested against.
 
 Operations are pure: each returns a fresh SparseState and leaves its input
 untouched. Amplitudes with magnitude below ``PRUNE_EPS`` are dropped after
@@ -57,6 +57,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dataset import _is_integer
+
 PRUNE_EPS = 1e-14
 INT_LABEL_BITS = 62  # widest layout a RegisterLayout admits: its labels are int64
 
@@ -73,67 +75,62 @@ class RegisterLayout:
 
     ``registers`` lists (name, width) pairs, first entry occupying the most
     significant bits. Zero-width registers are allowed and act as inert
-    placeholders so a single canonical ordering can serve every run. The
-    width, offset and mask of every register are tabulated at construction,
-    and a layout wider than INT_LABEL_BITS is refused, so that every label
-    fits an int64.
+    placeholders so a single canonical ordering can serve every run. One
+    table, built at construction, holds each register's (offset, width);
+    a width that is not a non-negative integer and a layout wider than
+    INT_LABEL_BITS are refused there, so that every label fits an int64.
     """
 
     registers: tuple[tuple[str, int], ...]
     total_width: int = field(init=False, repr=False, compare=False)
-    _widths: dict = field(init=False, repr=False, compare=False)
-    _offsets: dict = field(init=False, repr=False, compare=False)
-    _masks: dict = field(init=False, repr=False, compare=False)
+    _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        widths, offsets, masks = {}, {}, {}
-        total = sum(w for _, w in self.registers)
-        if total > INT_LABEL_BITS:
-            raise ValueError(f"layout of {total} qubits is wider than INT_LABEL_BITS = {INT_LABEL_BITS}")
-        pos = total
-        for name, width in self.registers:
-            if width < 0:
-                raise ValueError(f"register {name!r} has negative width")
-            if name in widths:
+        table, pos = {}, 0
+        for name, width in reversed(self.registers):
+            if not (_is_integer(width) and width >= 0):
+                raise ValueError(f"register {name!r} width must be a non-negative integer, got {width!r}")
+            if name in table:
                 raise ValueError(f"duplicate register {name!r}")
-            pos -= width
-            widths[name], offsets[name] = width, pos
-            masks[name] = ((1 << width) - 1) << pos
-        object.__setattr__(self, "total_width", total)
-        object.__setattr__(self, "_widths", widths)
-        object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_masks", masks)
+            table[name] = (pos, width)
+            pos += width
+        if pos > INT_LABEL_BITS:
+            raise ValueError(f"layout of {pos} qubits is wider than INT_LABEL_BITS = {INT_LABEL_BITS}")
+        object.__setattr__(self, "total_width", pos)
+        object.__setattr__(self, "_table", table)
 
-    def _lookup(self, table: dict, name: str) -> int:
-        value = table.get(name)
-        if value is None:
+    def _lookup(self, name: str) -> tuple[int, int]:
+        if name not in self._table:
             raise ValueError(f"unknown register {name!r}")
-        return value
+        return self._table[name]
 
     def width(self, name: str) -> int:
-        return self._lookup(self._widths, name)
+        return self._lookup(name)[1]
 
     def offset(self, name: str) -> int:
-        return self._lookup(self._offsets, name)
+        return self._lookup(name)[0]
 
     def mask(self, name: str) -> int:
-        return self._lookup(self._masks, name)
+        offset, width = self._lookup(name)
+        return ((1 << width) - 1) << offset
 
     def qubit(self, name: str, i: int = 0) -> int:
         """Absolute bit position of qubit i (significance 2^i) of a register."""
-        if not 0 <= i < self.width(name):
+        offset, width = self._lookup(name)
+        if not (_is_integer(i) and 0 <= i < width):
             raise ValueError(f"register {name!r} has no qubit {i}")
-        return self._offsets[name] + i
+        return offset + i
 
     def extract(self, label, name: str):
         """Register content of one label, or elementwise of a label array."""
-        return (label >> self.offset(name)) & ((1 << self._widths[name]) - 1)
+        offset, width = self._lookup(name)
+        return (label >> offset) & ((1 << width) - 1)
 
     def replace(self, label: int, name: str, value: int) -> int:
-        w = self.width(name)
-        if not 0 <= value < 1 << w:
+        offset, width = self._lookup(name)
+        if not 0 <= value < 1 << width:
             raise ValueError(f"value {value} does not fit register {name!r}")
-        return (label & ~self._masks[name]) | (value << self._offsets[name])
+        return (label & ~self.mask(name)) | (value << offset)
 
 
 class SparseState:
@@ -141,18 +138,15 @@ class SparseState:
     read-only arrays over one register layout.
 
     ``SparseState(layout, {label: amplitude})`` builds a state from a
-    mapping and refuses a label outside the layout; the primitives build
-    theirs with ``from_arrays``, unchecked.
+    mapping, refusing a label that is not an integer inside the layout as
+    memory_cells refuses a cell; the primitives use ``from_arrays``, unchecked.
     """
 
     __slots__ = ("layout", "labels", "amplitudes", "_amps")
 
     def __init__(self, layout: RegisterLayout, amps: Mapping[int, complex]):
-        labels = np.array(list(amps), dtype=np.int64)
-        width = layout.total_width
-        if not _fits(labels, width):
-            bad = labels[np.flatnonzero(labels >> width)[0]]
-            raise ValueError(f"label {bad} outside {width}-bit space")
+        words = "labels must be integers, got dtype {dtype}", "label {value} outside {width}-bit space"
+        labels = _fitting_integers(list(amps), layout.total_width, *words)
         self._set(layout, labels, np.array(list(amps.values()), dtype=complex))
 
     @classmethod
@@ -219,6 +213,16 @@ def _bit_set(labels: np.ndarray, qubit: int) -> np.ndarray:
     return (labels & (1 << qubit)) != 0
 
 
+def negate_where(state: SparseState, mask: np.ndarray, control: int | None = None) -> SparseState:
+    """Negate the amplitudes where the bool mask over the labels holds and,
+    when a control qubit is given, the control is 1: the one conditional
+    sign change every phase operation is. No label moves."""
+    labels, amps = state.labels, state.amplitudes
+    if control is not None:
+        mask = mask & _bit_set(labels, control)
+    return state._with(labels, np.where(mask, -amps, amps))
+
+
 def _grid(state: SparseState, register: str) -> tuple[np.ndarray, np.ndarray]:
     """(rests, grid): the distinct contents of the other registers,
     ascending, and one row of 2^width amplitudes per rest, indexed by the
@@ -250,11 +254,7 @@ def max_deviation(a: SparseState, b: SparseState) -> float:
 
 def prepare_basis(layout: RegisterLayout, label: int = 0) -> SparseState:
     """Single-amplitude state |label>."""
-    if not 0 <= label < 1 << layout.total_width:
-        raise ValueError(f"label {label} outside {layout.total_width}-bit space")
-    return SparseState.from_arrays(
-        layout, np.array([label], dtype=np.int64), np.array([1.0 + 0j])
-    )
+    return SparseState(layout, {label: 1})
 
 
 def apply_w(state: SparseState, register: str) -> SparseState:
@@ -276,11 +276,7 @@ def apply_u0(state: SparseState, register: str, control: int | None = None) -> S
     rmask = state.layout.mask(register)
     if control is not None and rmask >> control & 1:
         raise ValueError("control qubit must lie outside the reflected register")
-    labels, amps = state.labels, state.amplitudes
-    flip = (labels & rmask) == 0
-    if control is not None:
-        flip &= _bit_set(labels, control)
-    return state._with(labels, np.where(flip, -amps, amps))
+    return negate_where(state, (state.labels & rmask) == 0, control)
 
 
 def _fits(values: np.ndarray, width: int) -> bool:
@@ -304,22 +300,32 @@ def check_bijection(images: np.ndarray, width: int, register: str) -> None:
         raise SimulationError("permutation is not a bijection on the register")
 
 
+def _fitting_integers(values: Sequence[int], width: int, not_integers: str, misfit: str) -> np.ndarray:
+    """``values`` as an int64 array (uncopied when it already is one; empty
+    when there are none), refused unless each is an integer that fits
+    ``width`` bits, in the caller's words: ``not_integers`` may name the
+    {dtype}, ``misfit`` the first {value}, as given, that does not fit."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        # Python ints take dtype object or float64 when one is past int64,
+        # and so past every register
+        if isinstance(values, np.ndarray) or any(type(v) is not int for v in values):
+            raise ValueError(not_integers.format(dtype=array.dtype))
+    else:
+        array = array.astype(np.int64, copy=False)
+        if _fits(array, width):
+            return array
+    bad = next(v for v in values if v >> width)
+    raise ValueError(misfit.format(value=bad, width=width))
+
+
 def memory_cells(memory: Sequence[int], count: int, width: int) -> np.ndarray:
     """QRAM memory as an int64 array (uncopied when it already is one),
     checked to hold ``count`` integer cells that each fit ``width`` bits."""
     if len(memory) != count:
         raise ValueError(f"memory must have {count} cells, got {len(memory)}")
-    cells = np.asarray(memory)
-    if cells.dtype.kind not in "iu":
-        # Python ints take dtype object or float64 when one is past int64,
-        # and so past every register
-        if not isinstance(memory, np.ndarray) and all(type(c) is int for c in memory):
-            raise ValueError(f"memory cells do not all fit {width} bits")
-        raise ValueError(f"memory cells must be integers, got dtype {cells.dtype}")
-    cells = cells.astype(np.int64, copy=False)
-    if not _fits(cells, width):
-        raise ValueError(f"memory cells do not all fit {width} bits")
-    return cells
+    words = "memory cells must be integers, got dtype {dtype}", "memory cells do not all fit {width} bits"
+    return _fitting_integers(memory, width, *words)
 
 
 def check_phase_qubits(a: int, b: int, control: int | None = None) -> None:
@@ -398,19 +404,12 @@ def apply_phase_and(state: SparseState, a: int, b: int, control: int | None = No
     the ancilla never entangles, so the external behaviour is identical.
     """
     check_phase_qubits(a, b, control)
-    labels, amps = state.labels, state.amplitudes
-    flip = _bit_set(labels, a) & _bit_set(labels, b)
-    if control is not None:
-        flip &= _bit_set(labels, control)
-    return state._with(labels, np.where(flip, -amps, amps))
+    return negate_where(state, _bit_set(state.labels, a) & _bit_set(state.labels, b), control)
 
 
 def apply_phase_flip(state: SparseState, qubit: int | None = None) -> SparseState:
     """Negate amplitudes where the qubit is 1; with no qubit, a global -1."""
-    labels, amps = state.labels, state.amplitudes
-    if qubit is None:
-        return state._with(labels, -amps)
-    return state._with(labels, np.where(_bit_set(labels, qubit), -amps, amps))
+    return negate_where(state, np.ones(len(state.labels), dtype=bool), qubit)
 
 
 def inverse_qft(state: SparseState, register: str) -> SparseState:

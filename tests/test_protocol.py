@@ -982,7 +982,8 @@ class TestTranscriptTotals:
     def test_bad_record_rejected(self):
         # a record holds whole calls, so a partial call cannot be logged
         transcript = Transcript()
-        for role, n, calls in [("carol", 3, 1), ("alice_to_bob", 3, 1), ("alice", 0, 1), ("bob", 3, 0)]:
+        bad = [("carol", 3, 1), ("alice_to_bob", 3, 1), ("alice", 0, 1), ("bob", 3, 0), ("alice", 1.5, 1), ("alice", 3, 2.5)]
+        for role, n, calls in bad:
             with pytest.raises(ValueError):
                 transcript.log_calls(role, n, calls)
         assert transcript.records == []

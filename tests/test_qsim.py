@@ -21,6 +21,7 @@ from qpdm.qsim import (
     max_deviation,
     measure_register,
     memory_cells,
+    negate_where,
     prepare_basis,
     qram_query,
 )
@@ -112,6 +113,18 @@ class TestLayout:
         with pytest.raises(ValueError):
             layout.qubit("lo", 3)
 
+    @pytest.mark.parametrize("width", [1.0, 2.5, "1", None])
+    def test_non_integer_width_refused(self, width):
+        with pytest.raises(ValueError, match="^register 'r' width must be a non-negative integer"):
+            RegisterLayout((("hi", 2), ("r", width)))
+
+    def test_non_integer_qubit_refused(self):
+        layout = RegisterLayout((("hi", 2), ("lo", 3)))
+        assert layout.qubit("hi", np.int64(1)) == 4
+        for i in (0.5, 1.0, "1"):
+            with pytest.raises(ValueError, match="^register 'hi' has no qubit"):
+                layout.qubit("hi", i)
+
 
 class TestPrepareBasis:
     def test_all_zero(self):
@@ -132,6 +145,27 @@ class TestPrepareBasis:
         with pytest.raises(ValueError, match=message):
             prepare_basis(single(2), label)
         assert SparseState(single(2), {3: 1.0 + 0j}).amps == {3: 1.0 + 0j}
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            (1.5, "^labels must be integers, got dtype float64$"),
+            (1.0, "^labels must be integers, got dtype float64$"),
+            (1 << 63, f"^label {1 << 63} outside 2-bit space$"),
+            (1 << 70, f"^label {1 << 70} outside 2-bit space$"),
+        ],
+    )
+    def test_non_integer_or_too_wide_label_refused(self, label, message):
+        # labels obey memory_cells' rule: integers only, and an integer past
+        # int64 is a misfit, not a bare OverflowError
+        with pytest.raises(ValueError, match=message):
+            SparseState(single(2), {0: 0.6 + 0j, label: 0.8 + 0j})
+        with pytest.raises(ValueError, match=message):
+            prepare_basis(single(2), label)
+
+    def test_empty_mapping_is_the_empty_state(self):
+        st = SparseState(single(2), {})
+        assert st.labels.dtype == np.int64 and len(st.labels) == 0 and st.amps == {}
 
     def test_single_term(self):
         st = prepare_basis(single(4), 9)
@@ -422,6 +456,18 @@ class TestPhaseAnd:
             apply_phase_and(st, 1, 1)
         with pytest.raises(ValueError):
             apply_phase_and(st, 1, 2, control=2)
+
+
+class TestNegateWhere:
+    def test_negates_masked_labels_on_control_branches(self):
+        rng = np.random.default_rng(4)
+        st = random_state(THREE, rng, terms=60)
+        mask = rng.integers(0, 2, size=len(st.labels)).astype(bool)
+        for control in (None, 0, 5):
+            out = negate_where(st, mask, control)
+            hit = mask if control is None else mask & ((st.labels >> control & 1) == 1)
+            assert np.array_equal(out.labels, st.labels)
+            assert np.array_equal(out.amplitudes, np.where(hit, -st.amplitudes, st.amplitudes))
 
 
 class TestPhaseFlip:
