@@ -98,6 +98,8 @@ class ClassicalKey:
 
     def encrypt(self, x: int) -> int:
         """x^e mod p; commutes with any other key over the same prime."""
+        if not _is_integer(x):
+            raise ValueError(f"value must be an integer, got {x!r}")
         if not 1 <= x <= self.p - 1:
             raise ValueError(f"value {x} outside [1, {self.p - 1}]")
         return pow(x, self.e, self.p)
@@ -140,6 +142,8 @@ def classical_support(
     """
     if key_a.p != key_b.p:
         raise ValueError("keys must share the same prime")
+    if not _is_integer(n):
+        raise ValueError(f"N must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("N must be positive")
     for name, s in (("S1", s1), ("S2", s2)):
@@ -171,8 +175,8 @@ def exhaustive_key_attack(p: int, singly: set[int], doubly: set[int]) -> list[in
         raise ValueError(f"attack guarded to primes <= {MAX_ATTACK_PRIME}")
     check_prime(p)
     for name, s in (("singly", singly), ("doubly", doubly)):
-        if not s or any(not 1 <= x <= p - 1 for x in s):
-            raise ValueError(f"{name} must be a non-empty subset of [1, {p - 1}]")
+        if not s or any(not (_is_integer(x) and 1 <= x <= p - 1) for x in s):
+            raise ValueError(f"{name} must be a non-empty set of integers in [1, {p - 1}]")
     target = set(doubly)
     candidates = [
         w for w in valid_exponents(p).tolist() if {pow(x, w, p) for x in singly} == target

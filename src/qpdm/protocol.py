@@ -74,8 +74,17 @@ REGISTER_ORDER = ("counting", "address", "b_flag", "a_flag", "kick_ancilla")
 AUX_REGISTERS = REGISTER_ORDER[2:]
 
 
+def _check_address_width(n: int) -> None:
+    """Refuse an address width that is not an integer of at least 1."""
+    if not _is_integer(n):
+        raise ValueError(f"address width must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("address width must be at least 1")
+
+
 def _key_space(family: str, n: int) -> int:
-    """Number of keys of a family at width n: the parameter lies in [0, this)."""
+    """Number of keys of a family at a checked width n: the parameter lies in [0, this)."""
+    _check_address_width(n)
     return n if family == "cyclic" else 1 << n
 
 
@@ -97,13 +106,9 @@ class EncryptionKey:
     def __post_init__(self):
         if self.family not in KEY_FAMILIES:
             raise ValueError(f"unknown key family {self.family!r}")
-        if not _is_integer(self.n):
-            raise ValueError(f"address width must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError("address width must be at least 1")
+        bound = _key_space(self.family, self.n)
         if not _is_integer(self.parameter):
             raise ValueError(f"{self.family} parameter must be an integer, got {self.parameter!r}")
-        bound = _key_space(self.family, self.n)
         if not 0 <= self.parameter < bound:
             raise ValueError(f"{self.family} parameter {self.parameter} outside [0, {bound})")
 
@@ -170,6 +175,7 @@ class PartyState:
 
 def build_qram(view: PartitionedView, n: int) -> PartyState:
     """Load a padded view into a party's QRAM, cell j = row j."""
+    _check_address_width(n)
     if len(view.bits) != 1 << n:
         raise ValueError(f"view has {len(view.bits)} rows, expected 2^{n}")
     return PartyState(view)
@@ -195,12 +201,9 @@ class Transcript:
     def log_calls(self, initiator_role: str, n: int, calls: int = 1) -> None:
         if initiator_role not in ("alice", "bob"):
             raise ValueError(f"unknown initiator role {initiator_role!r}")
-        if not (_is_integer(n) and _is_integer(calls)):
-            raise ValueError(f"address width and call count must be integers, got {n!r} and {calls!r}")
-        if n < 1:
-            raise ValueError("address width must be at least 1")
-        if calls < 1:
-            raise ValueError("a record logs at least one oracle call")
+        _check_address_width(n)
+        if not (_is_integer(calls) and calls >= 1):
+            raise ValueError(f"a record logs a whole number of oracle calls, at least one, got {calls!r}")
         self.records.append((initiator_role, n, calls))
 
     @property
@@ -304,11 +307,12 @@ def run_oracle_u(
     """One oracle call: |j> -> (-1)^(c(u(j))) |j> on control=1 branches.
 
     The state's preconditions are checked first: the flags and the ancilla
-    are zero on every basis label, and the control, if any, is neither
-    phase qubit and lies outside the address register. Every other check,
-    and the phase of each address, is ``oracle_phase``'s; the phase is
-    gathered onto the labels, which keep their places. A count reads its
-    marked count from ``oracle_phase`` alone and never calls this.
+    are zero on every basis label, and the control, if any, is a qubit of
+    the layout, neither phase qubit, outside the address register
+    (``RegisterLayout.check_qubits``). Every other check, and the phase of
+    each address, is ``oracle_phase``'s; the phase is gathered onto the
+    labels, which keep their places. A count reads its marked count from
+    ``oracle_phase`` alone and never calls this.
     ``record``, if given, collects ("stepX", state) snapshots after each
     step for tracing. The call is logged on the transcript once it has run.
     """
@@ -322,10 +326,8 @@ def run_oracle_u(
         raise ValueError("auxiliary registers must be zero at oracle entry")
     # step 4's phase qubits are the two flags, whichever party drives which,
     # and a control inside the address register would be read before u
-    qsim.check_phase_qubits(layout.qubit("a_flag"), layout.qubit("b_flag"), control)
-    address = layout.mask("address")
-    if control is not None and address >> control & 1:
-        raise ValueError("control qubit must lie outside the address register")
+    flags = {"alice": layout.qubit("a_flag"), "bob": layout.qubit("b_flag")}
+    layout.check_qubits(a_flag=flags["alice"], b_flag=flags["bob"], control=control, outside="address")
 
     # Steps 2-6 leave the address u(j) and the flags only, and step 4 negates
     # where both flags are set: so the phase of address j is oracle_phase's
@@ -337,8 +339,7 @@ def run_oracle_u(
         # Step 1 encrypts the address; steps 2 and 3 mark the responder's,
         # then the initiator's flag; steps 5 to 7 undo them in reverse.
         encrypted = responder.key.apply(addr)
-        flags = {"alice": layout.qubit("a_flag"), "bob": layout.qubit("b_flag")}
-        step1 = (labels & ~address) | encrypted << layout.offset("address")
+        step1 = (labels & ~layout.mask("address")) | encrypted << layout.offset("address")
         step2 = step1 | responder.view.contains(z)[encrypted].astype(np.int64) << flags[responder.role]
         step3 = step2 | initiator.view.contains(z)[encrypted].astype(np.int64) << flags[initiator.role]
         for step, step_labels in enumerate((step1, step2, step3, step3, step2, step1, labels), start=1):

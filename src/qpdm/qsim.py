@@ -12,9 +12,10 @@ its marked count from the oracle's diagonal (``protocol.oracle_phase``),
 which uses only check_bijection, the key's range and bijection check
 that it shares with the gate primitives. The seven-step oracle call on a
 state (``protocol.run_oracle_u``) gathers that diagonal onto bare label
-arrays, negates with negate_where and checks its phase qubits with
-check_phase_qubits; it runs in the statevector reference, the demos and
-the tests, and no primitive that changes a state runs on a command path.
+arrays, negates with negate_where and checks its qubits with
+RegisterLayout.check_qubits, the one check of every qubit position; it
+runs in the statevector reference, the demos and the tests, and no
+primitive that changes a state runs on a command path.
 
 The primitives are each a handful of whole-array operations, and they fall
 in two classes:
@@ -121,6 +122,19 @@ class RegisterLayout:
             raise ValueError(f"register {name!r} has no qubit {i}")
         return offset + i
 
+    def check_qubits(self, outside: str | None = None, **qubits) -> None:
+        """Refuse the qubit positions, given by role, unless each that is not
+        None is an integer position in the layout, none lies inside the
+        register named ``outside``, if one is, and they are distinct."""
+        given = {role: q for role, q in qubits.items() if q is not None}
+        for role, q in given.items():
+            if not (_is_integer(q) and 0 <= q < self.total_width):
+                raise ValueError(f"{role} qubit must be an integer in [0, {self.total_width}), got {q!r}")
+            if outside is not None and self.mask(outside) >> q & 1:
+                raise ValueError(f"{role} qubit must lie outside the {outside} register")
+        if len(set(given.values())) != len(given):
+            raise ValueError(f"qubits must be distinct, got {given}")
+
     def extract(self, label, name: str):
         """Register content of one label, or elementwise of a label array."""
         offset, width = self._lookup(name)
@@ -128,8 +142,8 @@ class RegisterLayout:
 
     def replace(self, label: int, name: str, value: int) -> int:
         offset, width = self._lookup(name)
-        if not 0 <= value < 1 << width:
-            raise ValueError(f"value {value} does not fit register {name!r}")
+        if not (_is_integer(value) and 0 <= value < 1 << width):
+            raise ValueError(f"value {value!r} does not fit register {name!r}")
         return (label & ~self.mask(name)) | (value << offset)
 
 
@@ -209,17 +223,14 @@ class MeasurementOutcome:
     post_state: SparseState
 
 
-def _bit_set(labels: np.ndarray, qubit: int) -> np.ndarray:
-    return (labels & (1 << qubit)) != 0
-
-
 def negate_where(state: SparseState, mask: np.ndarray, control: int | None = None) -> SparseState:
     """Negate the amplitudes where the bool mask over the labels holds and,
     when a control qubit is given, the control is 1: the one conditional
     sign change every phase operation is. No label moves."""
     labels, amps = state.labels, state.amplitudes
+    state.layout.check_qubits(control=control)
     if control is not None:
-        mask = mask & _bit_set(labels, control)
+        mask = mask & ((labels >> control & 1) == 1)
     return state._with(labels, np.where(mask, -amps, amps))
 
 
@@ -273,27 +284,19 @@ def apply_w(state: SparseState, register: str) -> SparseState:
 def apply_u0(state: SparseState, register: str, control: int | None = None) -> SparseState:
     """Reflection about the all-zero register content: negate amplitudes with
     register content 0, on branches where the control qubit (if any) is 1."""
-    rmask = state.layout.mask(register)
-    if control is not None and rmask >> control & 1:
-        raise ValueError("control qubit must lie outside the reflected register")
-    return negate_where(state, (state.labels & rmask) == 0, control)
-
-
-def _fits(values: np.ndarray, width: int) -> bool:
-    """Every value fits ``width`` bits. The OR of all values has a bit at or
-    above ``width`` exactly when some value is negative or too wide: one
-    reduction, no temporary."""
-    return not np.bitwise_or.reduce(values) >> width
+    state.layout.check_qubits(control=control, outside=register)
+    return negate_where(state, (state.labels & state.layout.mask(register)) == 0, control)
 
 
 def check_bijection(images: np.ndarray, width: int, register: str) -> None:
     """Refuse unless the map on a register's 2^width values that sends j to
-    images[j] is a bijection: every image fits the register, and the images
-    reach every value, so none is reached twice and distinct labels stay
-    distinct. One bool mark per value, O(2^width)."""
-    if not _fits(images, width):
-        bad = images[np.flatnonzero(images >> width)[0]]
-        raise ValueError(f"permutation output {bad} does not fit register {register!r}")
+    images[j] is a bijection: every image is an integer that fits the
+    register (``_fitting_integers``), and the images reach every value, so
+    none is reached twice and distinct labels stay distinct. One bool mark
+    per value, O(2^width)."""
+    not_integers = "permutation outputs must be integers, got dtype {dtype}"
+    misfit = f"permutation output {{value}} does not fit register {register!r}"
+    images = _fitting_integers(images, width, not_integers, misfit)
     reached = np.zeros(1 << width, dtype=bool)
     reached[images] = True
     if len(images) != len(reached) or not reached.all():
@@ -313,7 +316,9 @@ def _fitting_integers(values: Sequence[int], width: int, not_integers: str, misf
             raise ValueError(not_integers.format(dtype=array.dtype))
     else:
         array = array.astype(np.int64, copy=False)
-        if _fits(array, width):
+        # the OR of all values has a bit at or above width exactly when some
+        # value is negative or too wide: one reduction, no temporary
+        if not np.bitwise_or.reduce(array) >> width:
             return array
     bad = next(v for v in values if v >> width)
     raise ValueError(misfit.format(value=bad, width=width))
@@ -326,12 +331,6 @@ def memory_cells(memory: Sequence[int], count: int, width: int) -> np.ndarray:
         raise ValueError(f"memory must have {count} cells, got {len(memory)}")
     words = "memory cells must be integers, got dtype {dtype}", "memory cells do not all fit {width} bits"
     return _fitting_integers(memory, width, *words)
-
-
-def check_phase_qubits(a: int, b: int, control: int | None = None) -> None:
-    """The two phase qubits and the control, if any, must be distinct."""
-    if a == b or control in (a, b):
-        raise ValueError("phase qubits must be distinct")
 
 
 def apply_permutation(state: SparseState, register: str, u: Callable) -> SparseState:
@@ -380,18 +379,16 @@ def apply_membership_mark(
     1-based item indices, shifted down by ``offset`` into the register's
     bitstring). An empty zpart is vacuously contained, so the flag toggles
     on every label. Self-inverse. The flag qubit must lie outside the data
-    register, and every position, shifted down by ``offset``, inside it.
+    register, and every integer position, less ``offset``, inside it.
     """
     layout = state.layout
+    layout.check_qubits(flag=flag, outside=data)
     d_off, width = layout.offset(data), layout.width(data)
-    if d_off <= flag < d_off + width:
-        raise ValueError("flag qubit must lie outside the data register")
     sel = 0
     for pos in zpart:
-        q = pos - offset
-        if not 1 <= q <= width:
-            raise ValueError(f"position {pos} (offset {offset}) outside data register of width {width}")
-        sel |= 1 << (width - q)
+        if not (_is_integer(pos) and 1 <= pos - offset <= width):
+            raise ValueError(f"position {pos!r} (offset {offset}) names no qubit of register {data!r}")
+        sel |= 1 << (width - pos + offset)
     labels = state.labels
     hit = ((labels >> d_off) & sel) == sel
     return state._with(np.where(hit, labels ^ (1 << flag), labels), state.amplitudes)
@@ -403,8 +400,9 @@ def apply_phase_and(state: SparseState, a: int, b: int, control: int | None = No
     This is the Toffoli-onto-|-> phase kickback applied directly as a phase;
     the ancilla never entangles, so the external behaviour is identical.
     """
-    check_phase_qubits(a, b, control)
-    return negate_where(state, _bit_set(state.labels, a) & _bit_set(state.labels, b), control)
+    state.layout.check_qubits(a=a, b=b, control=control)
+    labels = state.labels
+    return negate_where(state, (labels >> a & labels >> b & 1) == 1, control)
 
 
 def apply_phase_flip(state: SparseState, qubit: int | None = None) -> SparseState:

@@ -48,6 +48,8 @@ class TestKey:
             ClassicalKey(11, 3).encrypt(0)
         with pytest.raises(ValueError):
             ClassicalKey(11, 3).encrypt(11)
+        with pytest.raises(ValueError, match="^value must be an integer, got 1.5$"):
+            ClassicalKey(11, 3).encrypt(1.5)
 
     def test_commutativity(self):
         rng = np.random.default_rng(0)
@@ -125,6 +127,13 @@ class TestSupport:
         with pytest.raises(ValueError):
             classical_support({1}, {1}, ClassicalKey(11, 3), ClassicalKey(13, 5), 5, BitLog())
 
+    def test_non_integer_n_or_value_refused(self):
+        key_a, key_b = self.keys()
+        with pytest.raises(ValueError, match="^N must be an integer, got 2.5$"):
+            classical_support({1}, {1}, key_a, key_b, 2.5, BitLog())
+        with pytest.raises(ValueError, match="^value must be an integer, got 1.5$"):
+            classical_support({1.5}, {1}, key_a, key_b, 5, BitLog())
+
     def test_index_set_from_view(self):
         db = TransactionDatabase(3, ("110", "100", "011", "111"), 4)
         alice, bob = vertical_partition(db, 2)
@@ -171,6 +180,9 @@ class TestAttack:
             exhaustive_key_attack(11, {6, 7}, {1, 2})
         with pytest.raises(ValueError, match="^prime must be an integer, got 11.0$"):
             exhaustive_key_attack(11.0, {2}, {8})
+        for singly, doubly, name in (({1.5}, {2}, "singly"), ({2}, {8.0}, "doubly")):
+            with pytest.raises(ValueError, match=rf"^{name} must be a non-empty set of integers in \[1, 10\]$"):
+                exhaustive_key_attack(11, singly, doubly)
 
     def test_large_prime_guard(self):
         with pytest.raises(ValueError):

@@ -257,6 +257,16 @@ class TestKeys:
         ):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 make_key(*args)
+        # the key space and the QRAM check a width the way the key does
+        rng = np.random.default_rng(0)
+        for call in (
+            lambda: sample_key("bitflip", 2.5, rng),
+            lambda: sample_key("cyclic", 2.5, rng),
+            lambda: all_keys("bitflip", 2.5),
+            lambda: build_qram(vertical_partition(DB8, 2)[0], 2.5),
+        ):
+            with pytest.raises(ValueError, match="^address width must be an integer, got 2.5$"):
+                call()
         key = make_key("modadd", np.int64(5), np.int32(3))
         assert key.apply(np.arange(8)).tolist() == [5, 6, 7, 0, 1, 2, 3, 4]
         assert make_key("bitflip", True, 3).apply(0) == 1
@@ -612,6 +622,31 @@ class TestOracle:
             with pytest.raises(ValueError, match="^control qubit must lie outside the address register$"):
                 run_oracle_u(state, alice, bob, frozenset({1, 3}), transcript, layout.qubit("address", i), record)
         assert transcript.records == [] and record == []
+
+    @pytest.mark.parametrize("qubit", [0.5, -1, "width", 70])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda st, q, t: qsim.negate_where(st, np.ones(len(st.labels), dtype=bool), q),
+            lambda st, q, t: qsim.apply_u0(st, "address", control=q),
+            lambda st, q, t: qsim.apply_phase_and(st, q, st.layout.qubit("b_flag")),
+            lambda st, q, t: qsim.apply_phase_flip(st, q),
+            lambda st, q, t: qsim.apply_membership_mark(st, "address", q, frozenset({1})),
+            lambda st, q, t: run_oracle_u(st, *make_parties(DB8, 2, make_key("modadd", 1, 3)), frozenset({1}), t, q),
+        ],
+        ids=["negate_where", "apply_u0", "apply_phase_and", "apply_phase_flip", "apply_membership_mark",
+             "run_oracle_u"],
+    )
+    def test_qubit_outside_the_layout_refused(self, call, qubit):
+        # one check decides every qubit position: an integer in the layout,
+        # refused before any label is formed or a call is logged
+        layout = oracle_layout(3, 2, 4, p=1)
+        qubit = layout.total_width if qubit == "width" else qubit
+        transcript = Transcript()
+        message = rf"^\w+ qubit must be an integer in \[0, 7\), got {qubit!r}$"
+        with pytest.raises(ValueError, match=message):
+            call(random_address_state(layout, np.random.default_rng(13)), qubit, transcript)
+        assert transcript.records == []
 
     @pytest.mark.parametrize("family", KEY_FAMILIES)
     @pytest.mark.parametrize("width", [2, 4])

@@ -125,6 +125,13 @@ class TestLayout:
             with pytest.raises(ValueError, match="^register 'hi' has no qubit"):
                 layout.qubit("hi", i)
 
+    def test_non_integer_value_refused(self):
+        layout = RegisterLayout((("hi", 2), ("lo", 3)))
+        assert layout.replace(0, "hi", np.int64(3)) == 0b11000
+        for value in (1.5, 1.0, "1"):
+            with pytest.raises(ValueError, match=f"^value {value!r} does not fit register 'hi'$"):
+                layout.replace(0, "hi", value)
+
 
 class TestPrepareBasis:
     def test_all_zero(self):
@@ -298,6 +305,8 @@ class TestInversePermutation:
             ([0, 0, 2, 3], SimulationError, "permutation is not a bijection on the register"),
             ([3, 2, 1, 4], ValueError, "permutation output 4 does not fit register 'r'"),
             ([1, -1, 2, 3], ValueError, "permutation output -1 does not fit register 'r'"),
+            ([True] * 4, ValueError, "permutation outputs must be integers, got dtype bool"),
+            ([0.0, 1.0, 2.0, 3.0], ValueError, "permutation outputs must be integers, got dtype float64"),
         ],
     )
     def test_refusals_as_apply_permutation(self, images, error, message):
@@ -414,6 +423,12 @@ class TestMembershipMark:
         st = prepare_basis(self.layout)
         with pytest.raises(ValueError):
             apply_membership_mark(st, "data", self.layout.qubit("data", 0), frozenset({1}))
+
+    def test_non_integer_position_refused(self):
+        st = prepare_basis(self.layout)
+        for zpart in ({1.5}, {1.0}, {1, 2.0}):
+            with pytest.raises(ValueError, match=r"^position \S+ \(offset 0\) names no qubit of register 'data'$"):
+                apply_membership_mark(st, "data", self.layout.qubit("flag"), frozenset(zpart))
 
     def test_offset_positions(self):
         # positions {3} with offset 2 test bit 1 of the register
