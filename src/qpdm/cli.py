@@ -17,8 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
+from ._pcg64 import Generator
 from .classical import (
     MAX_ATTACK_PRIME,
     MAX_CLASSICAL_PRIME,
@@ -196,7 +195,7 @@ def cmd_estimate(args) -> int:
     padded = _load_db(args.db)
     alice, bob = _build_parties(padded, args.split, items)
     transcript = Transcript()
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     est = joint_support(alice, bob, items, counting, rng, transcript)
     report = {
         "command": "estimate",
@@ -286,7 +285,7 @@ def cmd_compare(args) -> int:
         raise ValueError("prime must exceed N")
     if args.eA is None or args.eB is None:
         exponents = valid_exponents(prime)
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     transcript = Transcript()
     est = joint_support(alice, bob, items, counting, rng, transcript)
     total_qubits, per_call = transcript_total(transcript)

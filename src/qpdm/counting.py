@@ -289,7 +289,9 @@ def quantum_count(
 ) -> float:
     """One count: run phase estimation, measure, and return the support
     estimate rescaled from the padded space to the real row count (at
-    least one in every database)."""
+    least one in every database). ``rng`` is any generator with
+    ``random()`` and ``integers(low, high)``, numpy's included.
+    """
     _, cdf = _count_readout(initiator, alice, bob, z, config, transcript)
     # the first readout whose cumulative probability exceeds one uniform
     # draw; the clamp catches a cumulative sum that rounds to just below 1
@@ -311,6 +313,9 @@ def joint_support(
 
     On exhaustion the last round's estimates are reported with
     accepted=False; the caller decides what to do with them.
+
+    ``rng`` is any generator with ``random()`` and ``integers(low, high)``,
+    numpy's included.
     """
     n = alice.address_width
     band = config.agreement_band * config.s
@@ -342,6 +347,9 @@ def estimate_confidence(
     The reported error_bound is confidence_bound's first-order quotient
     propagation; the plain sum of the two support bounds is reported
     alongside as error_bound_sum.
+
+    ``rng`` is any generator with ``random()`` and ``integers(low, high)``,
+    numpy's included.
     """
     k = alice.data_width + bob.data_width
     x, y = rule_sides(x, y, k)

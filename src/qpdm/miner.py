@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-import numpy as np
-
+from ._pcg64 import Generator
 from .counting import CountingConfig, SupportEstimate, confidence_bound, joint_support
 from .dataset import TransactionDatabase, exact_support
 from .protocol import PartyState, Transcript, transcript_total
@@ -116,10 +115,7 @@ def quantum_estimator(
     (seed, itemset), so candidate evaluation order does not matter."""
 
     def estimate(z: frozenset) -> SupportEstimate:
-        if seed is None:
-            rng = np.random.default_rng()
-        else:
-            rng = np.random.default_rng([seed, *sorted(z)])
+        rng = Generator(None if seed is None else [seed, *sorted(z)])
         return joint_support(alice, bob, z, config, rng, transcript)
 
     return estimate

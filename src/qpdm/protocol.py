@@ -55,6 +55,7 @@ it drives, and the initiator's counterpart holds the secret key.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -136,7 +137,9 @@ make_key = EncryptionKey
 
 
 def sample_key(family: str, n: int, rng: np.random.Generator) -> EncryptionKey:
-    """Draw a key parameter uniformly from its family's range."""
+    """Draw a key parameter uniformly from its family's range. ``rng`` is
+    any generator with ``random()`` and ``integers(low, high)``, numpy's
+    included."""
     return EncryptionKey(family, int(rng.integers(0, _key_space(family, n))), n)
 
 
@@ -261,6 +264,16 @@ def oracle_call_events(initiator_role: str, n: int) -> tuple[TransferEvent, ...]
     )
 
 
+# Every count at one width keys the same addresses, so the last range
+# formed is held, read-only, for the next (as counting._readout is held).
+@functools.lru_cache(maxsize=1)
+def _addresses(n: int) -> np.ndarray:
+    """The 2^n addresses 0 .. 2^n - 1, an int64 array."""
+    addresses = np.arange(1 << n)
+    addresses.flags.writeable = False
+    return addresses
+
+
 def oracle_phase(initiator: PartyState, responder: PartyState, z: frozenset, n: int) -> np.ndarray:
     """The oracle's diagonal over the 2^n addresses: entry j is True where
     the call negates |j>, the AND of the two containment columns at u(j).
@@ -290,7 +303,7 @@ def oracle_phase(initiator: PartyState, responder: PartyState, z: frozenset, n: 
         raise ValueError("party QRAM size does not match the address register")
     if key.n != n:
         raise ValueError(f"key of width {key.n} does not fit the {n}-qubit address register")
-    images = key.apply(np.arange(1 << n))
+    images = key.apply(_addresses(n))
     qsim.check_bijection(images, n, "address")
     return (resp_view.contains(z) & init_view.contains(z))[images]
 

@@ -379,10 +379,13 @@ def apply_membership_mark(
     1-based item indices, shifted down by ``offset`` into the register's
     bitstring). An empty zpart is vacuously contained, so the flag toggles
     on every label. Self-inverse. The flag qubit must lie outside the data
-    register, and every integer position, less ``offset``, inside it.
+    register, ``offset`` must be an integer, and every integer position,
+    less ``offset``, inside the register.
     """
     layout = state.layout
     layout.check_qubits(flag=flag, outside=data)
+    if not _is_integer(offset):
+        raise ValueError(f"offset must be an integer, got {offset!r}")
     d_off, width = layout.offset(data), layout.width(data)
     sel = 0
     for pos in zpart:
@@ -423,6 +426,8 @@ def measure_register(state: SparseState, register: str, rng: np.random.Generator
 
     Exactly one uniform draw is consumed; outcomes are walked in ascending
     value order, so results are reproducible for a given rng state.
+    ``rng`` is any generator with ``random()`` and ``integers(low, high)``,
+    numpy's included.
     """
     contents = state.extract(state.labels, register)
     if not len(contents):

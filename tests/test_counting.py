@@ -594,6 +594,19 @@ class TestJointSupport:
         assert est.accepted
         assert est.rounds_used == 2
 
+    def test_agreement_rule_refuses_a_gap_of_exactly_the_band(self, monkeypatch):
+        # s = 0.5 and band 0.5: agreement_band * s = 0.25 = |0.25 - 0.5|,
+        # and the estimates must differ by less
+        values = iter([0.25, 0.5])
+        monkeypatch.setattr(
+            "qpdm.counting.quantum_count", lambda *a, **k: next(values)
+        )
+        alice, bob = parties(DB16_T4, 1)
+        config = CountingConfig(p=6, s=0.5, agreement_band=0.5, max_rounds=1)
+        est = joint_support(alice, bob, frozenset({1, 2}), config, np.random.default_rng(0))
+        assert not est.accepted
+        assert (est.rounds_used, est.s1, est.s2) == (1, 0.25, 0.5)
+
     def test_exhaustion_reports_last_round(self, monkeypatch):
         monkeypatch.setattr(
             "qpdm.counting.quantum_count",

@@ -52,6 +52,16 @@ class TestAprioriExact:
         result = apriori_frequent(alice, bob, config_for(0.4), exact_estimator(db))
         assert [[rec.items for rec in level] for level in result.levels] == [[(1,), (2,)]]
 
+    def test_threshold_and_borderline_boundaries(self):
+        # s = 0.5 and band 0.5 put the threshold s - band*s and the margin
+        # band*s at exactly 1/4: support 1/4 is not kept, and 3/4, exactly
+        # the margin from s, is kept and borderline
+        db = TransactionDatabase(2, ("10", "10", "11", "00"), 4)
+        alice, bob = parties(db, 1)
+        result = apriori_frequent(alice, bob, config_for(0.5, band=0.5), exact_estimator(db))
+        kept = [(rec.items, rec.estimate, rec.borderline) for level in result.levels for rec in level]
+        assert kept == [((1,), Fraction(3, 4), True)]
+
     def test_matches_brute_force_on_random_dbs(self):
         rng = np.random.default_rng(0)
         for trial in range(8):

@@ -430,6 +430,12 @@ class TestMembershipMark:
             with pytest.raises(ValueError, match=r"^position \S+ \(offset 0\) names no qubit of register 'data'$"):
                 apply_membership_mark(st, "data", self.layout.qubit("flag"), frozenset(zpart))
 
+    @pytest.mark.parametrize("offset", [0.5, 1.5])
+    def test_non_integer_offset_refused(self, offset):
+        st = prepare_basis(self.layout)
+        with pytest.raises(ValueError, match=rf"^offset must be an integer, got {offset}$"):
+            apply_membership_mark(st, "data", self.layout.qubit("flag"), frozenset({2}), offset=offset)
+
     def test_offset_positions(self):
         # positions {3} with offset 2 test bit 1 of the register
         st = prepare_basis(self.layout, self.layout.replace(0, "data", 0b10))

@@ -1,7 +1,7 @@
 """Importing qpdm loads numpy with a one-thread OpenBLAS pool and leaves the
 environment as it was; a caller's own thread setting or an earlier numpy
-import wins. A command leaves numpy.fft unloaded. Each case runs in a fresh
-interpreter."""
+import wins. A command leaves numpy.fft and numpy.random unloaded. Each case
+runs in a fresh interpreter."""
 import os
 import subprocess
 import sys
@@ -55,18 +55,27 @@ def test_numpy_imported_first_is_left_alone():
     assert (unchanged, openblas) == ("True", "None")
 
 
-def test_mine_forms_no_fourier_transform():
-    # the readout is a closed form: a command never loads numpy.fft
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mine", "--db", "demos/data/market.csv", "--split", "2", "--s", "0.3", "--c", "0.6", "--seed", "11"],
+        ["estimate", "--db", "demos/data/market.csv", "--items", "1,2", "--split", "2", "--seed", "3"],
+        ["compare", "--db", "demos/data/market.csv", "--items", "1,2", "--split", "2", "--seed", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_leaves_fft_and_random_unloaded(argv):
+    # the readout is a closed form, so no FFT; the seeded streams come from
+    # qpdm's own PCG64, so no numpy.random
     code = (
         "import sys\n"
         "from qpdm import cli\n"
-        "assert cli.main(['mine', '--db', 'demos/data/market.csv', '--split', '2',"
-        " '--s', '0.3', '--c', '0.6', '--seed', '11']) == 0\n"
-        "print('numpy.fft' in sys.modules)\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print([m for m in ('numpy.fft', 'numpy.random') if m in sys.modules])\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=SRC.parent, env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "[]"
