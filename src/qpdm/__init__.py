@@ -63,7 +63,6 @@ from .miner import (
 )
 from .protocol import (
     EncryptionKey,
-    PartyState,
     Transcript,
     build_qram,
     controlled_grover,

@@ -139,7 +139,7 @@ def _resolve_seed(args) -> int | None:
 
 
 def _counting_config(args) -> CountingConfig:
-    # checked first: default_counting_width divides by s
+    # checked first, in CountingConfig's words: default_counting_width takes s > 0
     if not 0 < args.s < 1:
         raise ValueError("support threshold s must lie in (0, 1)")
     c = getattr(args, "c", None)
@@ -293,8 +293,8 @@ def cmd_compare(args) -> int:
     e_b = args.eB if args.eB is not None else int(rng.choice(exponents))
     key_a, key_b = ClassicalKey(prime, e_a), ClassicalKey(prime, e_b)
     bits = BitLog()
-    s1 = index_set(alice.view, items)
-    s2 = index_set(bob.view, items)
+    s1 = index_set(alice, items)
+    s2 = index_set(bob, items)
     classical_value = classical_support(s1, s2, key_a, key_b, padded.original_count, bits)
 
     report = {

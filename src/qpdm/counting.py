@@ -21,7 +21,8 @@ P, and their mean, formed in O(P) with no transform, depends on the
 marked count M alone. M is read from the oracle's diagonal: the number of
 addresses ``protocol.oracle_phase`` negates under the count's own key, so
 a count builds no state and makes every check an oracle call makes of
-its parties, key and itemset.
+its parties, key and itemset. A party is its ``PartitionedView``, and the
+responder's carries the count's key (``with_key``).
 
 The distribution is computed once per (M, n, P) and held, read-only with
 its cumulative sum, until a count needs another: all 2R counts of an
@@ -43,10 +44,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import qsim
-from .dataset import _is_integer, rule_sides
+from .dataset import PartitionedView, _is_integer, rule_sides
 from .protocol import (
     KEY_FAMILIES,
-    PartyState,
     Transcript,
     controlled_grover,
     oracle_layout,
@@ -102,8 +102,15 @@ class CountingConfig:
 
 
 def default_counting_width(s: float) -> int:
-    """p with 2^p >= 2000/s, the recommended precision for threshold s."""
-    return max(1, math.ceil(math.log2(2000.0 / s)))
+    """p with 2^p >= 2000/s, the recommended precision for a threshold
+    s > 0. Where 2000/s overflows a float, p is read from the exact
+    quotient; elsewhere from the float one."""
+    if not 0 < s < math.inf:
+        raise ValueError(f"support threshold s must be positive and finite, got {s!r}")
+    ratio = 2000.0 / s
+    if math.isinf(ratio):
+        return (math.ceil(Fraction(2000) / Fraction(s)) - 1).bit_length()
+    return max(1, math.ceil(math.log2(ratio)))
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ def confidence_bound(
     return supp_xy / supp_x, err_xy / supp_x + err_x * supp_xy / (supp_x * supp_x)
 
 
-def _resolve_parties(initiator: str, alice: PartyState, bob: PartyState):
+def _resolve_parties(initiator: str, alice: PartitionedView, bob: PartitionedView):
     if initiator == "alice":
         return alice, bob
     if initiator == "bob":
@@ -157,21 +164,20 @@ def _resolve_parties(initiator: str, alice: PartyState, bob: PartyState):
     raise ValueError(f"initiator must be 'alice' or 'bob', got {initiator!r}")
 
 
-def _marked_count(init: PartyState, resp: PartyState, z: frozenset) -> int:
+def _marked_count(init: PartitionedView, resp: PartitionedView, z: frozenset) -> int:
     """The marked count M: the addresses the oracle's diagonal negates."""
     return int(np.count_nonzero(oracle_phase(init, resp, z, init.address_width)))
 
 
 def _statevector_prepared(
-    init: PartyState,
-    resp: PartyState,
+    init: PartitionedView,
+    resp: PartitionedView,
     z: frozenset,
     config: CountingConfig,
     transcript: Transcript | None,
 ) -> qsim.SparseState:
     # oracle_phase refuses a pair not cut from one database: one width fits both
-    k = init.data_width + resp.data_width
-    layout = oracle_layout(init.address_width, init.view.split_point, k, p=config.p)
+    layout = oracle_layout(init.address_width, init.split_point, init.width + resp.width, p=config.p)
     transcript = transcript if transcript is not None else Transcript()
     st = qsim.prepare_basis(layout)
     st = qsim.apply_w(st, "counting")
@@ -227,8 +233,8 @@ def _readout(marked: int, n: int, P: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _count_readout(
     initiator: str,
-    alice: PartyState,
-    bob: PartyState,
+    alice: PartitionedView,
+    bob: PartitionedView,
     z: frozenset,
     config: CountingConfig,
     transcript: Transcript | None,
@@ -245,8 +251,8 @@ def _count_readout(
 
 def counting_distribution(
     initiator: str,
-    alice: PartyState,
-    bob: PartyState,
+    alice: PartitionedView,
+    bob: PartitionedView,
     z: frozenset,
     config: CountingConfig,
     transcript: Transcript | None = None,
@@ -260,8 +266,8 @@ def counting_distribution(
 
 def statevector_distribution(
     initiator: str,
-    alice: PartyState,
-    bob: PartyState,
+    alice: PartitionedView,
+    bob: PartitionedView,
     z: frozenset,
     config: CountingConfig,
     transcript: Transcript | None = None,
@@ -280,11 +286,11 @@ def statevector_distribution(
 
 def quantum_count(
     initiator: str,
-    alice: PartyState,
-    bob: PartyState,
+    alice: PartitionedView,
+    bob: PartitionedView,
     z: frozenset,
     config: CountingConfig,
-    rng: np.random.Generator,
+    rng,
     transcript: Transcript | None = None,
 ) -> float:
     """One count: run phase estimation, measure, and return the support
@@ -296,16 +302,16 @@ def quantum_count(
     # the first readout whose cumulative probability exceeds one uniform
     # draw; the clamp catches a cumulative sum that rounds to just below 1
     f = min(int(np.searchsorted(cdf, rng.random(), side="right")), config.P - 1)
-    scale = (1 << alice.address_width) / alice.view.original_count
+    scale = (1 << alice.address_width) / alice.original_count
     return min(1.0, phase_readout(f, config.P) * scale)
 
 
 def joint_support(
-    alice: PartyState,
-    bob: PartyState,
+    alice: PartitionedView,
+    bob: PartitionedView,
     z: frozenset,
     config: CountingConfig,
-    rng: np.random.Generator,
+    rng,
     transcript: Transcript | None = None,
 ) -> SupportEstimate:
     """Alternate Alice- and Bob-initiated counts with fresh keys each round
@@ -334,12 +340,12 @@ def joint_support(
 
 
 def estimate_confidence(
-    alice: PartyState,
-    bob: PartyState,
+    alice: PartitionedView,
+    bob: PartitionedView,
     x: frozenset,
     y: frozenset,
     config: CountingConfig,
-    rng: np.random.Generator,
+    rng,
     transcript: Transcript | None = None,
 ) -> ConfidenceEstimate:
     """Estimated conf(X => Y) = supp(X u Y) / supp(X) from two joint counts.
@@ -351,8 +357,7 @@ def estimate_confidence(
     ``rng`` is any generator with ``random()`` and ``integers(low, high)``,
     numpy's included.
     """
-    k = alice.data_width + bob.data_width
-    x, y = rule_sides(x, y, k)
+    x, y = rule_sides(x, y, alice.width + bob.width)
     antecedent = joint_support(alice, bob, x, config, rng, transcript)
     if not antecedent.accepted:
         raise EstimationError("antecedent support estimate was not accepted")

@@ -34,11 +34,15 @@ numerator; the denominator is always the original row count.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # protocol imports this module
+    from .protocol import EncryptionKey
 
 ItemSet = frozenset
 """An itemset is a frozenset of 1-based item indices."""
@@ -222,24 +226,27 @@ class TransactionDatabase:
 
 @dataclass(frozen=True, eq=False)
 class PartitionedView:
-    """One party's half of a vertically partitioned database.
+    """A party's view, carrying the responder's key for one run.
 
     Alice holds columns 1..l, Bob columns l+1..k, so a split leaves each
     party at least one column: l is an integer in 1..k-1. A view is cut
     only from a database and holds it: ``bits`` is the party's column slice
-    of the database's read-only matrix and ``original_count`` the
-    database's, so a view's cells are 0/1 and its padding rows zero because
-    the database's are. Views compare by identity. Two parties form one
-    partitioned database only when their views are cut from the same
-    database object at the same split point; the oracle's diagonal
-    (``protocol.oracle_phase``), which every count and every oracle call
-    reads, refuses any other pair.
+    of the database's read-only matrix, its QRAM (cell j is row j), and
+    ``original_count`` the database's, so a view's cells are 0/1 and its
+    padding rows zero because the database's are. ``key`` is present only
+    on the party that answers as responder in a run (``with_key``); modules
+    above the protocol never see key parameters. Views compare by identity.
+    Two parties form one partitioned database only when their views are
+    cut from the same database object at the same split point; the
+    oracle's diagonal (``protocol.oracle_phase``), which every count and
+    every oracle call reads, refuses any other pair.
     """
 
     role: str
     split_point: int
     db: TransactionDatabase = field(repr=False)
     bits: np.ndarray = field(init=False, repr=False)
+    key: EncryptionKey | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.role not in ("alice", "bob"):
@@ -263,6 +270,14 @@ class PartitionedView:
     @property
     def width(self) -> int:
         return self.bits.shape[1]
+
+    @property
+    def address_width(self) -> int:
+        return (len(self.bits) - 1).bit_length()
+
+    def with_key(self, key: EncryptionKey | None) -> PartitionedView:
+        """This view holding ``key``: cut from the same database at the same split."""
+        return replace(self, key=key)
 
     def item_part(self, z: ItemSet) -> tuple[ItemSet, int]:
         """Restrict an itemset to this party's columns.

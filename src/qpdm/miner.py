@@ -23,8 +23,8 @@ from typing import Callable, Iterable
 
 from ._pcg64 import Generator
 from .counting import CountingConfig, SupportEstimate, confidence_bound, joint_support
-from .dataset import TransactionDatabase, exact_support
-from .protocol import PartyState, Transcript, transcript_total
+from .dataset import PartitionedView, TransactionDatabase, exact_support
+from .protocol import Transcript, transcript_total
 
 Estimator = Callable[[frozenset], SupportEstimate]
 
@@ -105,8 +105,8 @@ def exact_estimator(db: TransactionDatabase) -> Estimator:
 
 
 def quantum_estimator(
-    alice: PartyState,
-    bob: PartyState,
+    alice: PartitionedView,
+    bob: PartitionedView,
     config: CountingConfig,
     seed: int | None,
     transcript: Transcript | None = None,
@@ -139,11 +139,11 @@ def _join_level(level: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def apriori_frequent(
-    alice: PartyState, bob: PartyState, config: CountingConfig, estimator: Estimator
+    alice: PartitionedView, bob: PartitionedView, config: CountingConfig, estimator: Estimator
 ) -> AprioriResult:
     """Frequent itemsets by level, using estimate > s - agreement_band*s as
     the frequency test so borderline itemsets are kept rather than dropped."""
-    k = alice.view.width + bob.view.width
+    k = alice.width + bob.width
     margin = config.agreement_band * config.s
     threshold = config.s - margin
     levels: list[list[FrequentItemset]] = []
@@ -232,8 +232,8 @@ def _report_diff(report: MiningReport, truth: MiningReport) -> dict:
 
 
 def run_mining(
-    alice: PartyState,
-    bob: PartyState,
+    alice: PartitionedView,
+    bob: PartitionedView,
     config: CountingConfig,
     c: float,
     estimator: Estimator,

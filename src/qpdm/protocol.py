@@ -1,6 +1,10 @@
-"""Two-party protocol machinery: encryption keys, party state, the
-seven-step oracle construction, the controlled Grover iteration, and
-qubit-transfer accounting.
+"""Two-party protocol machinery: encryption keys, the seven-step oracle
+construction, the controlled Grover iteration, and qubit-transfer
+accounting.
+
+A party is its view (``dataset.PartitionedView``): its column slice of the
+padded database, whose bit matrix is its QRAM, and, on the party that
+answers as responder in a run, its secret key (``with_key``).
 
 One oracle call realizes, on the address register, the diagonal map
 
@@ -24,7 +28,7 @@ between steps a label holds only the address, the two flags and the
 ancilla, and each query, mark and unquery is, on the labels, one XOR of
 the flag with the party's containment column (``PartitionedView.contains``)
 at the encrypted address. The layout has no data registers, and a party's
-view's bit matrix is its only copy of its data. The gate-level reference
+bit matrix is its only copy of its data. The gate-level reference
 the plan is tested against, which loads rows into data registers one qsim
 primitive per query, mark, phase and permutation, lives in the tests.
 
@@ -50,13 +54,13 @@ when the control is zero everywhere: the physical protocol sends the
 registers regardless of the control qubit's state.
 
 The mirrored, responder-initiated protocol is the same code path with
-the party arguments swapped; the party object's role decides which flag
-it drives, and the initiator's counterpart holds the secret key.
+the party arguments swapped; a party's role decides which flag it
+drives, and the initiator's counterpart holds the secret key.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -136,7 +140,7 @@ class EncryptionKey:
 make_key = EncryptionKey
 
 
-def sample_key(family: str, n: int, rng: np.random.Generator) -> EncryptionKey:
+def sample_key(family: str, n: int, rng) -> EncryptionKey:
     """Draw a key parameter uniformly from its family's range. ``rng`` is
     any generator with ``random()`` and ``integers(low, high)``, numpy's
     included."""
@@ -148,40 +152,13 @@ def all_keys(family: str, n: int) -> list[EncryptionKey]:
     return [EncryptionKey(family, par, n) for par in range(_key_space(family, n))]
 
 
-@dataclass(frozen=True)
-class PartyState:
-    """One party's handle: its view, and optionally its key.
-
-    The view's bit matrix is the party's QRAM: cell j is row j. The key is
-    present only on the party acting as responder-encryptor for a given
-    run; modules above the protocol never see key parameters.
-    """
-
-    view: PartitionedView
-    key: EncryptionKey | None = None
-
-    @property
-    def role(self) -> str:
-        return self.view.role
-
-    @property
-    def address_width(self) -> int:
-        return (len(self.view.bits) - 1).bit_length()
-
-    @property
-    def data_width(self) -> int:
-        return self.view.width
-
-    def with_key(self, key: EncryptionKey | None) -> "PartyState":
-        return replace(self, key=key)
-
-
-def build_qram(view: PartitionedView, n: int) -> PartyState:
-    """Load a padded view into a party's QRAM, cell j = row j."""
+def build_qram(view: PartitionedView, n: int) -> PartitionedView:
+    """The party of a padded view, whose bit matrix is its QRAM (cell j =
+    row j), checked to hold 2^n rows."""
     _check_address_width(n)
     if len(view.bits) != 1 << n:
         raise ValueError(f"view has {len(view.bits)} rows, expected 2^{n}")
-    return PartyState(view)
+    return view
 
 
 @dataclass(frozen=True)
@@ -274,44 +251,41 @@ def _addresses(n: int) -> np.ndarray:
     return addresses
 
 
-def oracle_phase(initiator: PartyState, responder: PartyState, z: frozenset, n: int) -> np.ndarray:
+def oracle_phase(initiator: PartitionedView, responder: PartitionedView, z: frozenset, n: int) -> np.ndarray:
     """The oracle's diagonal over the 2^n addresses: entry j is True where
     the call negates |j>, the AND of the two containment columns at u(j).
 
     Every check of a call that is not about a state is made here, before
     anything is formed: z is an itemset over the two views' columns
-    (``dataset.itemset``), the roles are distinct, the pair is two views of
-    one row count cut from one database object at one split point, the
-    responder holds a key, the views hold 2^n rows and the key is n bits
+    (``dataset.itemset``), the roles are distinct, the pair is two views
+    cut from one database object at one split point (so of one row count),
+    the responder holds a key, the views hold 2^n rows and the key is n bits
     wide. Then the key's 2^n images are checked by ``qsim.check_bijection``,
     which marks the values they reach, to fit the address register and to
     be a bijection on it, so that distinct labels stay distinct and each
     mark is undone where it was made.
     """
-    init_view, resp_view = initiator.view, responder.view
-    z = itemset(z, init_view.width + resp_view.width)
+    z = itemset(z, initiator.width + responder.width)
     if initiator.role == responder.role:
         raise ValueError("initiator and responder must have distinct roles")
-    if len(init_view.bits) != len(resp_view.bits):
-        raise ValueError("parties are built over different address spaces")
-    if init_view.db is not resp_view.db or init_view.split_point != resp_view.split_point:
+    if initiator.db is not responder.db or initiator.split_point != responder.split_point:
         raise ValueError("parties are not cut from one database at one split")
     key = responder.key
     if key is None:
         raise ValueError("responder holds no encryption key")
-    if len(init_view.bits) != 1 << n:
+    if len(initiator.bits) != 1 << n:
         raise ValueError("party QRAM size does not match the address register")
     if key.n != n:
         raise ValueError(f"key of width {key.n} does not fit the {n}-qubit address register")
     images = key.apply(_addresses(n))
     qsim.check_bijection(images, n, "address")
-    return (resp_view.contains(z) & init_view.contains(z))[images]
+    return (responder.contains(z) & initiator.contains(z))[images]
 
 
 def run_oracle_u(
     state: qsim.SparseState,
-    initiator: PartyState,
-    responder: PartyState,
+    initiator: PartitionedView,
+    responder: PartitionedView,
     z: frozenset,
     transcript: Transcript,
     control: int | None = None,
@@ -353,8 +327,8 @@ def run_oracle_u(
         # then the initiator's flag; steps 5 to 7 undo them in reverse.
         encrypted = responder.key.apply(addr)
         step1 = (labels & ~layout.mask("address")) | encrypted << layout.offset("address")
-        step2 = step1 | responder.view.contains(z)[encrypted].astype(np.int64) << flags[responder.role]
-        step3 = step2 | initiator.view.contains(z)[encrypted].astype(np.int64) << flags[initiator.role]
+        step2 = step1 | responder.contains(z)[encrypted].astype(np.int64) << flags[responder.role]
+        step3 = step2 | initiator.contains(z)[encrypted].astype(np.int64) << flags[initiator.role]
         for step, step_labels in enumerate((step1, step2, step3, step3, step2, step1, labels), start=1):
             step_amps = state.amplitudes if step < 4 else out.amplitudes
             record.append((f"step{step}", qsim.SparseState.from_arrays(layout, step_labels, step_amps)))
@@ -384,8 +358,8 @@ def reference_phase_oracle(
 
 def controlled_grover(
     state: qsim.SparseState,
-    initiator: PartyState,
-    responder: PartyState,
+    initiator: PartitionedView,
+    responder: PartitionedView,
     z: frozenset,
     control: int | None,
     transcript: Transcript,

@@ -421,7 +421,7 @@ def inverse_qft(state: SparseState, register: str) -> SparseState:
     return _from_grid(state, register, rests, out)
 
 
-def measure_register(state: SparseState, register: str, rng: np.random.Generator) -> MeasurementOutcome:
+def measure_register(state: SparseState, register: str, rng) -> MeasurementOutcome:
     """Projective measurement of one register in the computational basis.
 
     Exactly one uniform draw is consumed; outcomes are walked in ascending

@@ -628,6 +628,12 @@ class TestErrorLines:
             pytest.param(estimate("--s", "1e-5"), None, EXIT_USAGE,
                          "--s 1e-05 implies counting width 28 (2^p >= 2000/s), above"
                          " MAX_COUNTING_WIDTH = 24; set the width with --p", id="implied-p"),
+            pytest.param(estimate("--s", "1e-306"), None, EXIT_USAGE,
+                         "--s 1e-306 implies counting width 1028 (2^p >= 2000/s), above"
+                         " MAX_COUNTING_WIDTH = 24; set the width with --p", id="implied-p-overflow"),
+            pytest.param(estimate("--s", "5e-324"), None, EXIT_USAGE,
+                         "--s 5e-324 implies counting width 1085 (2^p >= 2000/s), above"
+                         " MAX_COUNTING_WIDTH = 24; set the width with --p", id="implied-p-subnormal"),
             pytest.param(estimate("--p", "40"), None, EXIT_USAGE,
                          "counting width p must lie in 1..24, got 40", id="p"),
             pytest.param(estimate("--band", "nan"), None, EXIT_USAGE,

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -117,6 +118,28 @@ class TestConfig:
         # P ~ 2000 / s rounded up to a power of two
         assert default_counting_width(0.25) == 13
         assert 1 << default_counting_width(0.5) >= 2000 / 0.5
+
+    def test_default_width_unchanged_where_the_quotient_is_finite(self):
+        # goldens depend on the default p: wherever 2000/s is a finite float
+        # it is ceil(log2(2000/s)), as it always was, here at s = 2000/2^k
+        # and its float neighbours, where the quotient rounds to 2^k or not
+        for k in range(11, 61):
+            s = 2000 / 2**k
+            thresholds = (math.nextafter(s, 0), s, math.nextafter(s, 1))
+            widths = [default_counting_width(t) for t in thresholds]
+            assert widths == [max(1, math.ceil(math.log2(2000.0 / t))) for t in thresholds] == [k] * 3
+
+    def test_default_width_past_the_float_range(self):
+        # below s ~ 1.1e-305, 2000/s overflows to inf: p is read from the
+        # exact quotient, and meets the float one's 1024 at the overflow
+        limit = 2000 / sys.float_info.max
+        assert math.isinf(2000.0 / math.nextafter(limit, 0))
+        assert default_counting_width(limit) == default_counting_width(math.nextafter(limit, 0)) == 1024
+        assert default_counting_width(1e-306) == 1028
+        assert default_counting_width(5e-324) == 1085  # 2^1084 < 2000 * 2^1074 < 2^1085
+        for s in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^support threshold s must be positive and finite, got "):
+                default_counting_width(s)
 
 
 class TestDistribution:
@@ -454,6 +477,20 @@ class TestQuantumCount:
         with pytest.raises(ValueError, match="^database has no real rows$"):
             TransactionDatabase.from_bits(np.zeros((2, 2), dtype=np.uint8), 0)
 
+    def test_a_zero_draw_reads_the_first_readout_it_falls_below(self):
+        # every row holds {1, 2}, so M = 2^n and the readout is a point mass
+        # at P/2: the cumulative sum is 0 below it and 1 from it on. A draw
+        # of 0.0 reads the first readout whose cumulative sum exceeds it,
+        # P/2 and an estimate of 1.0, never readout 0, of probability 0
+        class ZeroDraw:
+            def random(self):
+                return 0.0
+
+        alice, bob = parties(TransactionDatabase(2, ("11",) * 4, 4), 1)
+        bob = bob.with_key(make_key("bitflip", 1, 2))
+        config = CountingConfig(p=4, s=0.25)
+        assert quantum_count("alice", alice, bob, frozenset({1, 2}), config, ZeroDraw()) == 1.0
+
     def test_transcript_full_count_total(self):
         alice, bob = parties(DB16_T4, 1)
         bob = bob.with_key(make_key("bitflip", 3, 4))
@@ -508,12 +545,13 @@ class TestReadoutMemo:
 
 class TestJointSupport:
     def test_different_address_spaces_refused(self):
-        # alice over 2^2 rows, bob over 2^3: refused before any oracle call
+        # alice over 2^2 rows, bob over 2^3, so over two databases: refused
+        # before any oracle call
         alice, _ = parties(FOUR_ROWS, 2)
         _, bob = parties(TransactionDatabase(3, FOUR_ROWS.rows * 2, 8), 2)
         config = CountingConfig(p=4, s=0.4)
         z = frozenset({1, 3})
-        refusal = "parties are built over different address spaces"
+        refusal = "parties are not cut from one database at one split"
         transcript = Transcript()
         with pytest.raises(ValueError, match=refusal):
             joint_support(alice, bob, z, config, np.random.default_rng(0), transcript)

@@ -429,14 +429,14 @@ class TestRowStore:
         alice, bob = (build_qram(view, n) for view in vertical_partition(db, l))
 
         assert db.bits.tolist() == [[int(c) for c in row] for row in db.rows]
-        assert np.array_equal(np.hstack([alice.view.bits, bob.view.bits]), db.bits)
+        assert np.array_equal(np.hstack([alice.bits, bob.bits]), db.bits)
         for party, part in ((alice, slice(None, l)), (bob, slice(l, None))):
             view_rows = [row[part] for row in db.rows]
-            assert ["".join(map(str, row)) for row in party.view.bits.tolist()] == view_rows
-            zpart, offset = party.view.item_part(z)
+            assert ["".join(map(str, row)) for row in party.bits.tolist()] == view_rows
+            zpart, offset = party.item_part(z)
             column = [all(row[i - offset - 1] == "1" for i in zpart) for row in view_rows]
-            assert party.view.contains(z).tolist() == column
-            assert index_set(party.view, z) == {j + 1 for j in range(n_rows) if column[j]}
+            assert party.contains(z).tolist() == column
+            assert index_set(party, z) == {j + 1 for j in range(n_rows) if column[j]}
         assert exact_support(db, z) == brute_support(db.rows, z, n_rows)
 
 

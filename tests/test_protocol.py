@@ -97,7 +97,7 @@ def relabel(state, layout):
 def party_cells(party):
     """A party's QRAM cells: row j of its view as an integer, leftmost
     column most significant."""
-    return [int("".join(map(str, row)), 2) for row in party.view.bits.tolist()]
+    return [int("".join(map(str, row)), 2) for row in party.bits.tolist()]
 
 
 def gate_reference_oracle_u(
@@ -109,7 +109,7 @@ def gate_reference_oracle_u(
     two data registers, loads each party's rows from cells built from its
     view's bits, and maps every step's state back to ``state``'s layout,
     checking first that the data registers are zero."""
-    z = itemset(z, initiator.view.width + responder.view.width)
+    z = itemset(z, initiator.width + responder.width)
     if initiator.role == responder.role:
         raise ValueError("initiator and responder must have distinct roles")
     key = responder.key
@@ -117,10 +117,10 @@ def gate_reference_oracle_u(
         raise ValueError("responder holds no encryption key")
     plan_layout = state.layout
     n = plan_layout.width("address")
-    if len(responder.view.bits) != 1 << n or len(initiator.view.bits) != 1 << n:
+    if len(responder.bits) != 1 << n or len(initiator.bits) != 1 << n:
         raise ValueError("party QRAM size does not match the address register")
     alice = initiator if initiator.role == "alice" else responder
-    layout = gate_layout(plan_layout, alice.view.split_point, initiator.data_width + responder.data_width)
+    layout = gate_layout(plan_layout, alice.split_point, initiator.width + responder.width)
     if control is not None:  # the same qubit of the same register in the wider layout
         name = next(name for name, _ in plan_layout.registers if plan_layout.mask(name) >> control & 1)
         control += layout.offset(name) - plan_layout.offset(name)
@@ -138,8 +138,8 @@ def gate_reference_oracle_u(
     if aux_dirty(state):
         raise ValueError("auxiliary registers must be zero at oracle entry")
 
-    init_items, init_off = initiator.view.item_part(z)
-    resp_items, resp_off = responder.view.item_part(z)
+    init_items, init_off = initiator.item_part(z)
+    resp_items, resp_off = responder.item_part(z)
     init_data, init_flag = registers(initiator)
     resp_data, resp_flag = registers(responder)
     init_fq = layout.qubit(init_flag)
@@ -306,10 +306,10 @@ class TestKeys:
 class TestBuildQram:
     def test_copies_rows(self):
         alice, bob = make_parties(DB8, 2)
-        assert np.array_equal(bob.view.bits, DB8.bits[:, 2:])
+        assert np.array_equal(bob.bits, DB8.bits[:, 2:])
         assert party_cells(bob) == [int(r[2:], 2) for r in DB8.rows]
         assert party_cells(alice) == [int(r[:2], 2) for r in DB8.rows]
-        assert bob.data_width == 2
+        assert bob.width == 2
         assert bob.address_width == 3
 
     @settings(max_examples=150, deadline=None)
@@ -355,19 +355,23 @@ class TestBuildQram:
 
         monkeypatch.setattr(qsim, "memory_cells", refuse)
         alice, bob = (build_qram(view, 3) for view in vertical_partition(DB8, 2))
-        assert np.shares_memory(alice.view.bits, DB8.bits) and np.shares_memory(bob.view.bits, DB8.bits)
+        assert np.shares_memory(alice.bits, DB8.bits) and np.shares_memory(bob.bits, DB8.bits)
         assert party_cells(alice) == [int(r[:2], 2) for r in DB8.rows]
         assert party_cells(bob) == [int(r[2:], 2) for r in DB8.rows]
 
     def test_cells_read_only_and_shared_by_with_key(self):
         _, bob = make_parties(DB8, 2)
         with pytest.raises(ValueError):
-            bob.view.bits[0, 0] = 1
+            bob.bits[0, 0] = 1
         keyed = bob.with_key(make_key("bitflip", 5, 3))
         assert keyed.key == make_key("bitflip", 5, 3) and bob.key is None
-        assert keyed.view is bob.view
-        assert keyed.with_key(None).view is bob.view
-        assert keyed.with_key(None) == bob
+        assert keyed.with_key(None).key is None
+        # a keyed copy shares the database and its bit matrix, at one split,
+        # and its repr shows no key
+        for copy in (keyed, keyed.with_key(None)):
+            assert (copy.role, copy.split_point) == (bob.role, bob.split_point) and copy.db is bob.db
+            assert np.shares_memory(copy.bits, bob.bits) and np.array_equal(copy.bits, bob.bits)
+            assert repr(copy) == repr(bob)
 
     def test_unpadded_rejected(self):
         db = TransactionDatabase(3, ("101",) * 3, 3)
