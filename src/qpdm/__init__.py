@@ -8,7 +8,11 @@ numpy is loaded already or one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS
 and OMP_NUM_THREADS is set. qpdm makes no BLAS call, and starting a pool of
 one thread per CPU takes longer than most qpdm commands run. A caller who
 wants a threaded BLAS in the same process imports numpy first or sets one
-of those variables. The environment is left as it was either way."""
+of those variables. The environment is left as it was either way.
+
+The gate-level engine, ``qpdm.qsim``, is imported only when it is first
+used, so no command loads it; ``qpdm.SparseState``, ``qpdm.RegisterLayout``
+and ``qpdm.MeasurementOutcome`` are its names, resolved on first access."""
 
 import os
 import sys
@@ -72,6 +76,17 @@ from .protocol import (
     sample_key,
     transcript_total,
 )
-from .qsim import MeasurementOutcome, RegisterLayout, SparseState
 
 __version__ = "0.1.0"
+
+# The gate-level engine's names, resolved on first access (PEP 562) so
+# that importing qpdm, or running a command, never loads qsim.
+_QSIM_NAMES = ("MeasurementOutcome", "RegisterLayout", "SparseState")
+
+
+def __getattr__(name):
+    if name in _QSIM_NAMES:
+        from . import qsim
+
+        return getattr(qsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

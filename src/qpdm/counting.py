@@ -32,7 +32,9 @@ transcript of the circuit it stands for as one record of its P-1 logical
 oracle calls, and consumes one uniform draw, compared against the held
 cumulative sum. statevector_distribution runs the circuit itself, every
 controlled Grover call over the full counting register; it is exponential
-in p and is the reference the tests pin this module to.
+in p and is the reference the tests pin this module to. It alone needs
+the gate-level engine, ``qsim``, and imports it on first use, so a command
+never loads it.
 """
 from __future__ import annotations
 
@@ -40,11 +42,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import qsim
-from .dataset import PartitionedView, _is_integer, rule_sides
+from .dataset import PartitionedView, SimulationError, _is_integer, rule_sides
 from .protocol import (
     KEY_FAMILIES,
     Transcript,
@@ -54,6 +56,9 @@ from .protocol import (
     run_oracle_u,  # noqa: F401 -- unused; perfbench/tracing.py wraps counting.run_oracle_u
     sample_key,
 )
+
+if TYPE_CHECKING:  # the statevector reference imports the engine on first use
+    from . import qsim
 
 # A readout distribution and its cumulative sum, held for the next count,
 # take about 16 B of peak RSS per readout value (measured above the
@@ -176,6 +181,8 @@ def _statevector_prepared(
     config: CountingConfig,
     transcript: Transcript | None,
 ) -> qsim.SparseState:
+    from . import qsim
+
     # oracle_phase refuses a pair not cut from one database: one width fits both
     layout = oracle_layout(init.address_width, init.split_point, init.width + resp.width, p=config.p)
     transcript = transcript if transcript is not None else Transcript()
@@ -216,7 +223,7 @@ def _readout_distribution(marked: int, n: int, P: int) -> np.ndarray:
     del kernel
     probs *= 0.5
     if abs(probs.sum() - 1.0) > 1e-9:
-        raise qsim.SimulationError("counting distribution lost normalization")
+        raise SimulationError("counting distribution lost normalization")
     return probs
 
 

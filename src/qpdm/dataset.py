@@ -37,7 +37,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -55,6 +55,48 @@ def _is_integer(value) -> bool:
     except TypeError:
         return False
     return True
+
+
+class SimulationError(RuntimeError):
+    """Internal consistency violation: a key or permutation that is not a
+    bijection, a measurement on an empty or unnormalized state, a readout
+    distribution that lost its norm."""
+
+
+def _fitting_integers(values: Sequence[int], width: int, not_integers: str, misfit: str) -> np.ndarray:
+    """``values`` as an int64 array (uncopied when it already is one; empty
+    when there are none), refused unless each is an integer that fits
+    ``width`` bits, in the caller's words: ``not_integers`` may name the
+    {dtype}, ``misfit`` the first {value}, as given, that does not fit."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        # Python ints take dtype object or float64 when one is past int64,
+        # and so past every register
+        if isinstance(values, np.ndarray) or any(type(v) is not int for v in values):
+            raise ValueError(not_integers.format(dtype=array.dtype))
+    else:
+        array = array.astype(np.int64, copy=False)
+        # the OR of all values has a bit at or above width exactly when some
+        # value is negative or too wide: one reduction, no temporary
+        if not np.bitwise_or.reduce(array) >> width:
+            return array
+    bad = next(v for v in values if v >> width)
+    raise ValueError(misfit.format(value=bad, width=width))
+
+
+def check_bijection(images: np.ndarray, width: int, register: str) -> None:
+    """Refuse unless the map on a register's 2^width values that sends j to
+    images[j] is a bijection: every image is an integer that fits the
+    register (``_fitting_integers``), and the images reach every value, so
+    none is reached twice and distinct labels stay distinct. One bool mark
+    per value, O(2^width)."""
+    not_integers = "permutation outputs must be integers, got dtype {dtype}"
+    misfit = f"permutation output {{value}} does not fit register {register!r}"
+    images = _fitting_integers(images, width, not_integers, misfit)
+    reached = np.zeros(1 << width, dtype=bool)
+    reached[images] = True
+    if len(images) != len(reached) or not reached.all():
+        raise SimulationError("permutation is not a bijection on the register")
 
 
 def itemset(items, n_items: int | None = None) -> ItemSet:

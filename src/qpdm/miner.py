@@ -1,6 +1,6 @@
 """Level-wise Apriori mining over an injected support estimator, rule
-generation over frequent itemsets, and an exact full-enumeration miner
-used as ground truth.
+generation over frequent itemsets, and an exact miner, level-wise over
+exact supports, used as ground truth.
 
 The estimator is any callable itemset -> SupportEstimate; injecting the
 exact oracle turns apriori_frequent into textbook Apriori, injecting the
@@ -28,7 +28,7 @@ from .protocol import Transcript, transcript_total
 
 Estimator = Callable[[frozenset], SupportEstimate]
 
-MAX_EXACT_ITEMS = 20  # full enumeration guard
+MAX_EXACT_ITEMS = 20  # exact miner guard
 
 
 @dataclass(frozen=True)
@@ -205,16 +205,24 @@ def generate_rules(frequent: Iterable[FrequentItemset], c: float) -> list[Associ
 
 
 def exact_mine(db: TransactionDatabase, s: float, c: float) -> MiningReport:
-    """Ground truth: enumerate every non-empty itemset with exact supports,
-    then generate rules. Guarded to k <= 20 items."""
+    """Ground truth: every itemset with exact support above s, by size and
+    then in lexicographic order, and the rules over them. Guarded to k <= 20
+    items. An exact support never exceeds a subset's, so the only itemsets
+    read at each size are ``_join_level``'s candidates from the frequent
+    ones of the size below: in order, those whose (size-1)-subsets are all
+    frequent."""
     if db.n_items > MAX_EXACT_ITEMS:
         raise ValueError(f"exact enumeration refused beyond {MAX_EXACT_ITEMS} items")
     frequent = []
-    for size in range(1, db.n_items + 1):
-        for combo in itertools.combinations(range(1, db.n_items + 1), size):
+    candidates = [(i,) for i in range(1, db.n_items + 1)]
+    while candidates:
+        level = []
+        for combo in candidates:
             supp = exact_support(db, frozenset(combo))
             if supp > s:
+                level.append(combo)
                 frequent.append(FrequentItemset(combo, supp, 0.0, 0, False))
+        candidates = _join_level(level)
     return MiningReport(frequent=frequent, rules=generate_rules(frequent, c))
 
 

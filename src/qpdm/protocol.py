@@ -42,7 +42,11 @@ reference, the tests and the demos run: it checks the state, gathers
 ``oracle_phase`` onto the labels' address field and negates those
 amplitudes on the control's 1 branches with ``qsim.negate_where``. No
 label moves, so the output reuses the entry label array; a SparseState
-is built at exit, and after each step when a record is asked for.
+is built at exit, and after each step when a record is asked for. The
+functions on a state (``oracle_layout``, ``run_oracle_u`` and
+``controlled_grover``) import the gate-level engine ``qsim`` on first
+use; ``oracle_phase`` needs only ``dataset.check_bijection``, so a
+command never loads it.
 
 Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
 n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
@@ -61,12 +65,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import qsim
-from .dataset import PartitionedView, TransactionDatabase, _is_integer, itemset
+from .dataset import PartitionedView, TransactionDatabase, _is_integer, check_bijection, itemset
+
+if TYPE_CHECKING:  # the gate-level engine is imported where a state is built
+    from . import qsim
 
 KEY_FAMILIES = ("bitflip", "modadd", "cyclic")
 # Largest transcript that to_json expands: an event costs about 200 B of
@@ -223,6 +229,8 @@ def oracle_layout(n: int, l: int, k: int, p: int = 0) -> qsim.RegisterLayout:
     counting register when p=0. A label holds no data register, so the
     split point l and the item count k set no width. Two layouts of one
     shape compare equal by their registers."""
+    from . import qsim
+
     widths = {"counting": p, "address": n, "b_flag": 1, "a_flag": 1, "kick_ancilla": 1}
     return qsim.RegisterLayout(tuple((name, widths[name]) for name in REGISTER_ORDER))
 
@@ -260,7 +268,7 @@ def oracle_phase(initiator: PartitionedView, responder: PartitionedView, z: froz
     (``dataset.itemset``), the roles are distinct, the pair is two views
     cut from one database object at one split point (so of one row count),
     the responder holds a key, the views hold 2^n rows and the key is n bits
-    wide. Then the key's 2^n images are checked by ``qsim.check_bijection``,
+    wide. Then the key's 2^n images are checked by ``check_bijection``,
     which marks the values they reach, to fit the address register and to
     be a bijection on it, so that distinct labels stay distinct and each
     mark is undone where it was made.
@@ -278,7 +286,7 @@ def oracle_phase(initiator: PartitionedView, responder: PartitionedView, z: froz
     if key.n != n:
         raise ValueError(f"key of width {key.n} does not fit the {n}-qubit address register")
     images = key.apply(_addresses(n))
-    qsim.check_bijection(images, n, "address")
+    check_bijection(images, n, "address")
     return (responder.contains(z) & initiator.contains(z))[images]
 
 
@@ -303,6 +311,8 @@ def run_oracle_u(
     ``record``, if given, collects ("stepX", state) snapshots after each
     step for tracing. The call is logged on the transcript once it has run.
     """
+    from . import qsim
+
     layout = state.layout
     n = layout.width("address")
     aux = 0
@@ -371,6 +381,8 @@ def controlled_grover(
     unconditioned (they cancel on control=0 branches). With control=None
     this is plain G including a true global phase of -1.
     """
+    from . import qsim
+
     state = run_oracle_u(state, initiator, responder, z, transcript, control=control)
     state = qsim.apply_w(state, "address")
     state = qsim.apply_u0(state, "address", control=control)

@@ -7,15 +7,18 @@ layout wider than INT_LABEL_BITS is refused where it is made, so no label
 can overflow. ``SparseState.amps`` gives the same state as a read-only
 {label: amplitude} mapping, built from the arrays on first use.
 
-A command (estimate, mine, compare) builds no SparseState: a count reads
-its marked count from the oracle's diagonal (``protocol.oracle_phase``),
-which uses only check_bijection, the key's range and bijection check
-that it shares with the gate primitives. The seven-step oracle call on a
-state (``protocol.run_oracle_u``) gathers that diagonal onto bare label
+A command (estimate, mine, compare) builds no SparseState and never
+imports this module: a count reads its marked count from the oracle's
+diagonal (``protocol.oracle_phase``), which uses only check_bijection,
+the key's range and bijection check. That check, the integer rule
+``_fitting_integers`` it builds on and SimulationError live in
+``dataset`` and are imported here, so the gate primitives share them;
+``protocol``, ``counting`` and the package root load this engine on
+first use. The seven-step oracle call on a state
+(``protocol.run_oracle_u``) gathers that diagonal onto bare label
 arrays, negates with negate_where and checks its qubits with
 RegisterLayout.check_qubits, the one check of every qubit position; it
-runs in the statevector reference, the demos and the tests, and no
-primitive that changes a state runs on a command path.
+runs in the statevector reference, the demos and the tests.
 
 The primitives are each a handful of whole-array operations, and they fall
 in two classes:
@@ -58,16 +61,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import _is_integer
+from .dataset import SimulationError, _fitting_integers, _is_integer, check_bijection
 
 PRUNE_EPS = 1e-14
 INT_LABEL_BITS = 62  # widest layout a RegisterLayout admits: its labels are int64
-
-
-class SimulationError(RuntimeError):
-    """Internal consistency violation: a key or permutation that is not a
-    bijection, a measurement on an empty or unnormalized state, a readout
-    distribution that lost its norm."""
 
 
 @dataclass(frozen=True)
@@ -286,42 +283,6 @@ def apply_u0(state: SparseState, register: str, control: int | None = None) -> S
     register content 0, on branches where the control qubit (if any) is 1."""
     state.layout.check_qubits(control=control, outside=register)
     return negate_where(state, (state.labels & state.layout.mask(register)) == 0, control)
-
-
-def check_bijection(images: np.ndarray, width: int, register: str) -> None:
-    """Refuse unless the map on a register's 2^width values that sends j to
-    images[j] is a bijection: every image is an integer that fits the
-    register (``_fitting_integers``), and the images reach every value, so
-    none is reached twice and distinct labels stay distinct. One bool mark
-    per value, O(2^width)."""
-    not_integers = "permutation outputs must be integers, got dtype {dtype}"
-    misfit = f"permutation output {{value}} does not fit register {register!r}"
-    images = _fitting_integers(images, width, not_integers, misfit)
-    reached = np.zeros(1 << width, dtype=bool)
-    reached[images] = True
-    if len(images) != len(reached) or not reached.all():
-        raise SimulationError("permutation is not a bijection on the register")
-
-
-def _fitting_integers(values: Sequence[int], width: int, not_integers: str, misfit: str) -> np.ndarray:
-    """``values`` as an int64 array (uncopied when it already is one; empty
-    when there are none), refused unless each is an integer that fits
-    ``width`` bits, in the caller's words: ``not_integers`` may name the
-    {dtype}, ``misfit`` the first {value}, as given, that does not fit."""
-    array = np.asarray(values)
-    if array.size and array.dtype.kind not in "iu":
-        # Python ints take dtype object or float64 when one is past int64,
-        # and so past every register
-        if isinstance(values, np.ndarray) or any(type(v) is not int for v in values):
-            raise ValueError(not_integers.format(dtype=array.dtype))
-    else:
-        array = array.astype(np.int64, copy=False)
-        # the OR of all values has a bit at or above width exactly when some
-        # value is negative or too wide: one reduction, no temporary
-        if not np.bitwise_or.reduce(array) >> width:
-            return array
-    bad = next(v for v in values if v >> width)
-    raise ValueError(misfit.format(value=bad, width=width))
 
 
 def memory_cells(memory: Sequence[int], count: int, width: int) -> np.ndarray:

@@ -233,6 +233,31 @@ class TestExactMine:
                 rec.items for level in result.levels for rec in level
             }
 
+    def test_matches_full_enumeration(self):
+        # every non-empty itemset counted row by row, in the size-then-
+        # lexicographic order exact_mine lists them: the same records, in the
+        # same order, and so the same rules
+        rng = np.random.default_rng(20)
+        for case in range(40):
+            k = int(rng.integers(1, 9))
+            n_rows = int(rng.integers(1, 17))
+            density = float(rng.uniform(0.2, 0.95))
+            rows = tuple("".join("1" if x else "0" for x in rng.random(k) < density) for _ in range(n_rows))
+            db = TransactionDatabase(k, rows, n_rows)
+            if case % 2:
+                db = pad_to_power_of_two(db)
+            s = float(rng.choice([0.0, 0.1, 0.25, 0.4, 0.6, 1.0]))
+            c = float(rng.uniform(0.0, 1.0))
+            expected = []
+            for size in range(1, k + 1):
+                for combo in itertools.combinations(range(1, k + 1), size):
+                    hits = sum(1 for row in rows if all(row[i - 1] == "1" for i in combo))
+                    if Fraction(hits, n_rows) > s:
+                        expected.append(FrequentItemset(combo, Fraction(hits, n_rows), 0.0, 0, False))
+            report = exact_mine(db, s, c)
+            assert report.frequent == expected, (case, rows, s)
+            assert report.rules == generate_rules(expected, c)
+
     def test_zero_threshold_reports_all_supported(self):
         db = TransactionDatabase(2, ("11", "10"), 2)
         report = exact_mine(db, 0.0, 0.9)
