@@ -18,23 +18,26 @@ sin^2(pi phi) / (P sin(pi d / P))^2, where phi = r - floor(r) and d = f - r
 is reduced mod P to [-P/2, P/2); when phi = 0, as at M = 0 or M = 2^n, the
 kernel is a point mass on r. The -2 theta kernel is its mirror f -> -f mod
 P, and their mean, formed in O(P) with no transform, depends on the
-marked count M alone. M is read from the oracle's diagonal: the number of
-addresses ``protocol.oracle_phase`` negates under the count's own key, so
-a count builds no state and makes every check an oracle call makes of
-its parties, key and itemset. A party is its ``PartitionedView``, and the
-responder's carries the count's key (``with_key``).
+marked count M alone. M is the count of ``protocol.joint_column``, the
+rows both parties hold the itemset on: the oracle's diagonal is that
+column permuted by the responder's key, which keeps its count, so a count
+makes the pair checks of an oracle call but applies no key, checks no
+bijection (every key is one where it is made) and builds no state. A
+party is its ``PartitionedView``; the responder's carries the count's key
+(``with_key``), which sets the oracle call on a state, the gate-level
+reference and what a transfer reveals.
 
 The distribution is computed once per (M, n, P) and held, read-only with
 its cumulative sum, until a count needs another: all 2R counts of an
-R-round joint_support share one marked count, since u is a bijection, and
-so share one distribution; at most one is held. Every count logs the
-transcript of the circuit it stands for as one record of its P-1 logical
-oracle calls, and consumes one uniform draw, compared against the held
-cumulative sum. statevector_distribution runs the circuit itself, every
-controlled Grover call over the full counting register; it is exponential
-in p and is the reference the tests pin this module to. It alone needs
-the gate-level engine, ``qsim``, and imports it on first use, so a command
-never loads it.
+R-round joint_support share one marked count, whatever the key or the
+initiator, and so share one distribution; at most one is held. Every
+count logs the transcript of the circuit it stands for as one record of
+its P-1 logical oracle calls, and consumes one uniform draw, compared
+against the held cumulative sum. statevector_distribution runs the
+circuit itself, every controlled Grover call over the full counting
+register; it is exponential in p and is the reference the tests pin this
+module to. It alone needs the gate-level engine, ``qsim``, and imports it
+on first use, so a command never loads it.
 """
 from __future__ import annotations
 
@@ -51,8 +54,8 @@ from .protocol import (
     KEY_FAMILIES,
     Transcript,
     controlled_grover,
+    joint_column,
     oracle_layout,
-    oracle_phase,
     run_oracle_u,  # noqa: F401 -- unused; perfbench/tracing.py wraps counting.run_oracle_u
     sample_key,
 )
@@ -170,8 +173,8 @@ def _resolve_parties(initiator: str, alice: PartitionedView, bob: PartitionedVie
 
 
 def _marked_count(init: PartitionedView, resp: PartitionedView, z: frozenset) -> int:
-    """The marked count M: the addresses the oracle's diagonal negates."""
-    return int(np.count_nonzero(oracle_phase(init, resp, z, init.address_width)))
+    """M: the rows both parties hold z on, a count the key's bijection keeps."""
+    return int(np.count_nonzero(joint_column(init, resp, z, init.address_width)))
 
 
 def _statevector_prepared(
@@ -183,7 +186,7 @@ def _statevector_prepared(
 ) -> qsim.SparseState:
     from . import qsim
 
-    # oracle_phase refuses a pair not cut from one database: one width fits both
+    # joint_column refuses a pair not cut from one database: one width fits both
     layout = oracle_layout(init.address_width, init.split_point, init.width + resp.width, p=config.p)
     transcript = transcript if transcript is not None else Transcript()
     st = qsim.prepare_basis(layout)
@@ -246,8 +249,8 @@ def _count_readout(
     config: CountingConfig,
     transcript: Transcript | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, cdf) of one count: reads the marked count from the oracle's
-    diagonal and logs the transcript of all P-1 oracle calls of the
+    """(probs, cdf) of one count: reads the marked count from the joint
+    column and logs the transcript of all P-1 oracle calls of the
     counting circuit."""
     init, resp = _resolve_parties(initiator, alice, bob)
     marked = _marked_count(init, resp, z)
@@ -266,7 +269,7 @@ def counting_distribution(
 ) -> np.ndarray:
     """Exact probability vector over the counting readout f = 0 .. P-1, as a
     read-only array that later counts with the same (M, n, P) share. Reads
-    M from the oracle's diagonal and logs all P-1 oracle calls, as a count
+    M from the joint column and logs all P-1 oracle calls, as a count
     does."""
     return _count_readout(initiator, alice, bob, z, config, transcript)[0]
 

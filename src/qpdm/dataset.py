@@ -129,10 +129,10 @@ def rule_sides(x, y, n_items: int | None = None) -> tuple[ItemSet, ItemSet]:
 
 
 # Widest address register a database may pad to. One count's marked count
-# (the oracle's diagonal) peaks at 16 B per address under bitflip and
-# modadd keys and 24 B under cyclic ones (tracemalloc, n = 16 and 20): at
-# most 25 MB at n = 20, and 400 MB at n = 24. Checked before padding
-# allocates.
+# (the joint column, no key applied) peaks at 4 B per address whatever the
+# key family (tracemalloc, n = 16 and 20): 4 MiB at n = 20. The cap stays
+# at 20 until a footprint of the whole run, set-up included, sizes it.
+# Checked before padding allocates.
 MAX_ADDRESS_WIDTH = 20
 
 NEWLINE, COMMA, ZERO = ord("\n"), ord(","), ord("0")
@@ -248,6 +248,7 @@ class TransactionDatabase:
         )
 
     def __hash__(self):
+        """Hashes a copy of the whole matrix: a cache keyed on a database keys on identity."""
         return hash((self.original_count, self.item_names, self.bits.shape, self.bits.tobytes()))
 
     @property
@@ -279,9 +280,9 @@ class PartitionedView:
     on the party that answers as responder in a run (``with_key``); modules
     above the protocol never see key parameters. Views compare by identity.
     Two parties form one partitioned database only when their views are
-    cut from the same database object at the same split point; the
-    oracle's diagonal (``protocol.oracle_phase``), which every count and
-    every oracle call reads, refuses any other pair.
+    cut from the same database object at the same split point; the pair
+    checks (``protocol.joint_column``), which every count and every oracle
+    call makes, refuse any other pair.
     """
 
     role: str

@@ -32,21 +32,23 @@ bit matrix is its only copy of its data. The gate-level reference
 the plan is tested against, which loads rows into data registers one qsim
 primitive per query, mark, phase and permutation, lives in the tests.
 
-The oracle's diagonal is ``oracle_phase``: the phase of address j is the
-AND of the two containment columns at u(j), formed once over the 2^n
-addresses after every check of a call that is not about a state (a key
-checks its own family, width and parameter where it is made). A count
-reads its marked count from this diagonal, so no command path builds a
-state. ``run_oracle_u`` is the call on a state, which the statevector
-reference, the tests and the demos run: it checks the state, gathers
-``oracle_phase`` onto the labels' address field and negates those
-amplitudes on the control's 1 branches with ``qsim.negate_where``. No
-label moves, so the output reuses the entry label array; a SparseState
-is built at exit, and after each step when a record is asked for. The
-functions on a state (``oracle_layout``, ``run_oracle_u`` and
-``controlled_grover``) import the gate-level engine ``qsim`` on first
-use; ``oracle_phase`` needs only ``dataset.check_bijection``, so a
-command never loads it.
+``joint_column`` makes every check of a pair that is not about a state
+(a key checks its family, width and parameter where it is made, so it is
+a bijection) and returns the AND of the two containment columns, no key
+applied. The oracle's diagonal, ``oracle_phase``, is that column at the
+key's 2^n images, once ``check_bijection`` finds them a bijection on the
+address register. A count reads the column alone, since a bijection keeps
+the number of marked entries, so no command applies a key or builds a
+state. The key matters where a state is: in ``run_oracle_u``, the call
+the statevector reference, the tests and the demos run, which checks the
+state, gathers ``oracle_phase`` onto the labels' address field and
+negates those amplitudes on the control's 1 branches with
+``qsim.negate_where``; in the tests' gate-level reference, which permutes
+the labels by it; and in what a transfer reveals, as the address travels
+encrypted. No label moves, so the output reuses the entry label array; a
+SparseState is built at exit, and after each step when a record is asked
+for. ``oracle_layout``, ``run_oracle_u`` and ``controlled_grover`` import
+the gate-level engine ``qsim`` on first use, so a command never loads it.
 
 Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
 n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
@@ -63,7 +65,6 @@ drives, and the initiator's counterpart holds the secret key.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -249,30 +250,14 @@ def oracle_call_events(initiator_role: str, n: int) -> tuple[TransferEvent, ...]
     )
 
 
-# Every count at one width keys the same addresses, so the last range
-# formed is held, read-only, for the next (as counting._readout is held).
-@functools.lru_cache(maxsize=1)
-def _addresses(n: int) -> np.ndarray:
-    """The 2^n addresses 0 .. 2^n - 1, an int64 array."""
-    addresses = np.arange(1 << n)
-    addresses.flags.writeable = False
-    return addresses
-
-
-def oracle_phase(initiator: PartitionedView, responder: PartitionedView, z: frozenset, n: int) -> np.ndarray:
-    """The oracle's diagonal over the 2^n addresses: entry j is True where
-    the call negates |j>, the AND of the two containment columns at u(j).
-
-    Every check of a call that is not about a state is made here, before
-    anything is formed: z is an itemset over the two views' columns
-    (``dataset.itemset``), the roles are distinct, the pair is two views
-    cut from one database object at one split point (so of one row count),
-    the responder holds a key, the views hold 2^n rows and the key is n bits
-    wide. Then the key's 2^n images are checked by ``check_bijection``,
-    which marks the values they reach, to fit the address register and to
-    be a bijection on it, so that distinct labels stay distinct and each
-    mark is undone where it was made.
-    """
+def joint_column(initiator: PartitionedView, responder: PartitionedView, z: frozenset, n: int) -> np.ndarray:
+    """The rows both parties hold z on, the AND of their containment
+    columns, no key applied. Every check of a pair that is not about a
+    state is made first: z is an itemset over the two views' columns
+    (``dataset.itemset``), the roles are distinct, the views are cut from
+    one database object at one split point (so of one row count), the
+    responder holds a key, the views hold 2^n rows and the key is n bits
+    wide."""
     z = itemset(z, initiator.width + responder.width)
     if initiator.role == responder.role:
         raise ValueError("initiator and responder must have distinct roles")
@@ -285,9 +270,20 @@ def oracle_phase(initiator: PartitionedView, responder: PartitionedView, z: froz
         raise ValueError("party QRAM size does not match the address register")
     if key.n != n:
         raise ValueError(f"key of width {key.n} does not fit the {n}-qubit address register")
-    images = key.apply(_addresses(n))
+    return responder.contains(z) & initiator.contains(z)
+
+
+def oracle_phase(initiator: PartitionedView, responder: PartitionedView, z: frozenset, n: int) -> np.ndarray:
+    """The oracle's diagonal over the 2^n addresses: entry j is True where
+    the call negates |j>, ``joint_column`` (which makes every check of the
+    pair) at u(j). The key's 2^n images are checked by ``check_bijection``,
+    which marks the values they reach, to fit the address register and to
+    be a bijection on it, so that distinct labels stay distinct and each
+    mark is undone where it was made."""
+    column = joint_column(initiator, responder, z, n)
+    images = responder.key.apply(np.arange(1 << n))
     check_bijection(images, n, "address")
-    return (responder.contains(z) & initiator.contains(z))[images]
+    return column[images]
 
 
 def run_oracle_u(
@@ -307,7 +303,7 @@ def run_oracle_u(
     (``RegisterLayout.check_qubits``). Every other check, and the phase of
     each address, is ``oracle_phase``'s; the phase is gathered onto the
     labels, which keep their places. A count reads its marked count from
-    ``oracle_phase`` alone and never calls this.
+    ``joint_column`` alone and never calls this.
     ``record``, if given, collects ("stepX", state) snapshots after each
     step for tracing. The call is logged on the transcript once it has run.
     """

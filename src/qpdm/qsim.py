@@ -8,15 +8,15 @@ can overflow. ``SparseState.amps`` gives the same state as a read-only
 {label: amplitude} mapping, built from the arrays on first use.
 
 A command (estimate, mine, compare) builds no SparseState and never
-imports this module: a count reads its marked count from the oracle's
-diagonal (``protocol.oracle_phase``), which uses only check_bijection,
-the key's range and bijection check. That check, the integer rule
-``_fitting_integers`` it builds on and SimulationError live in
-``dataset`` and are imported here, so the gate primitives share them;
-``protocol``, ``counting`` and the package root load this engine on
-first use. The seven-step oracle call on a state
-(``protocol.run_oracle_u``) gathers that diagonal onto bare label
-arrays, negates with negate_where and checks its qubits with
+imports this module: a count reads its marked count from the keyless
+joint column (``protocol.joint_column``), and the oracle's diagonal
+(``protocol.oracle_phase``) adds only check_bijection, the key's range
+and bijection check. That check, the integer rule ``_fitting_integers``
+it builds on and SimulationError live in ``dataset`` and are imported
+here, so the gate primitives share them; ``protocol``, ``counting`` and
+the package root load this engine on first use. The seven-step oracle
+call on a state (``protocol.run_oracle_u``) gathers the diagonal onto
+bare label arrays, negates with negate_where and checks its qubits with
 RegisterLayout.check_qubits, the one check of every qubit position; it
 runs in the statevector reference, the demos and the tests.
 

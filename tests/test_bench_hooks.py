@@ -29,7 +29,7 @@ def test_traced_estimate_spans(tmp_path):
     spans = json.loads(stats.read_text())["spans"]
     names = {span[0] for span in spans}
     assert {"counting.quantum_count", "protocol.transcript_total"} <= names
-    # a count reads M from the oracle's diagonal and builds no state
+    # a count reads M from the joint column, applies no key and builds no state
     assert "protocol.run_oracle_u" not in names
     report = json.loads(result.stdout)
     # market.csv has 16 rows: n = 4, 4n + 2 = 18 qubits per oracle call

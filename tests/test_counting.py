@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpdm import counting, qsim
+from qpdm import counting, protocol, qsim
 from qpdm.counting import (
     MAX_COUNTING_WIDTH,
     CountingConfig,
@@ -33,6 +33,7 @@ from qpdm.dataset import (
 )
 from qpdm.protocol import (
     KEY_FAMILIES,
+    EncryptionKey,
     Transcript,
     build_qram,
     make_key,
@@ -399,13 +400,12 @@ class TestMarkedCount:
         assert _marked_count(init, resp, z) == support * db.original_count
 
     # tracemalloc peak of one count at n = 16 (Python 3.11, numpy 2.4): the
-    # addresses and the key's images, 8 B per address each, and for cyclic
-    # keys one more array for the second of the two shifts; the bijection
-    # check's marks (1 B per address) come after the addresses are freed.
-    # It relies on numpy reusing the temporaries of (j + p) & mask and of the
-    # shifts' OR in place. An int64 table over the addresses, such as an
-    # inverse of the key, would add 8 B per address.
-    PEAK_PER_ADDRESS = {"bitflip": 16, "modadd": 16, "cyclic": 24}
+    # responder's containment column, 1 B per address, is held while the
+    # initiator's is formed from a gather of its two items of z (2 B) and
+    # their AND along the row (1 B). No key is applied, so the family sets
+    # no term; an int64 array over the addresses, such as the key's images,
+    # would add 8 B per address.
+    PEAK_PER_ADDRESS = 5
     # room for the interpreter's own objects; one more byte per address is 64 KiB
     SLACK = 8 << 10
 
@@ -423,7 +423,62 @@ class TestMarkedCount:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= self.PEAK_PER_ADDRESS[family] * (1 << n) + self.SLACK, f"peak {peak} B"
+        assert peak <= self.PEAK_PER_ADDRESS * (1 << n) + self.SLACK, f"peak {peak} B"
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_count_refuses_a_key_of_another_width(self, width):
+        # the pair checks a count makes are an oracle call's, in its words,
+        # before a readout is formed or a call is logged
+        alice, bob = parties(DB16_T4, 1)
+        key = make_key("modadd", 1, width)
+        message = f"^key of width {width} does not fit the 4-qubit address register$"
+        self.assert_count_refuses(message, (("alice", alice, bob.with_key(key)), ("bob", alice.with_key(key), bob)))
+
+    def test_count_refuses_a_responder_without_a_key(self):
+        alice, bob = parties(DB16_T4, 1)
+        keyed = make_key("bitflip", 1, 4)
+        runs = (("alice", alice, bob), ("bob", alice, bob), ("alice", alice.with_key(keyed), bob))
+        self.assert_count_refuses("^responder holds no encryption key$", runs)
+
+    @staticmethod
+    def assert_count_refuses(message, runs):
+        config = CountingConfig(p=4, s=0.25)
+        z = frozenset({1, 2})
+        transcript = Transcript()
+        for initiator, alice, bob in runs:
+            with pytest.raises(ValueError, match=message):
+                quantum_count(initiator, alice, bob, z, config, np.random.default_rng(0), transcript)
+            with pytest.raises(ValueError, match=message):
+                counting_distribution(initiator, alice, bob, z, config, transcript)
+        assert transcript.records == []
+
+    @pytest.mark.parametrize("family", KEY_FAMILIES)
+    def test_count_applies_no_key(self, family, monkeypatch):
+        # M is the joint column's count, which the key's bijection keeps, so
+        # a seeded estimate reads the same with every key image and every
+        # bijection check made to raise
+        db = db_with_marked(5, 9, seed=3)
+        alice, bob = parties(db, 1)
+        config = CountingConfig(p=6, s=0.2, agreement_band=0.05, key_family=family)
+        z = frozenset({1, 2})
+
+        def run():
+            transcript = Transcript()
+            estimate = joint_support(alice, bob, z, config, np.random.default_rng(36), transcript)
+            probs = counting_distribution("bob", alice.with_key(make_key(family, 1, 5)), bob, z, config, transcript)
+            return estimate, probs.copy(), transcript.records
+
+        expected = run()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a count applied a key or checked a bijection")
+
+        monkeypatch.setattr(EncryptionKey, "apply", refuse)
+        monkeypatch.setattr(protocol, "check_bijection", refuse)
+        estimate, probs, records = run()
+        assert estimate == expected[0] and records == expected[2]
+        assert np.array_equal(probs, expected[1])
+        assert expected[0].rounds_used > 1
 
 
 class TestQuantumCount:

@@ -6,7 +6,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from qpdm import qsim
-from qpdm.dataset import PartitionedView, TransactionDatabase, itemset, vertical_partition
+from qpdm.dataset import PartitionedView, TransactionDatabase, check_bijection, itemset, vertical_partition
 from qpdm.protocol import (
     AUX_REGISTERS,
     EncryptionKey,
@@ -211,6 +211,16 @@ class TestKeys:
                 for j in rng.integers(0, 32, size=100):
                     assert key.invert(key.apply(int(j))) == int(j)
                     assert key.apply(key.invert(int(j))) == int(j)
+
+    @pytest.mark.parametrize("family", KEY_FAMILIES)
+    def test_every_key_is_a_bijection_on_the_address_register(self, family):
+        # a count applies no key and checks no bijection, since a key is a
+        # bijection wherever it is made: that fact is proved here, for
+        # every key of each width up to 10
+        for n in range(1, 11):
+            addresses = np.arange(1 << n)
+            for key in all_keys(family, n):
+                assert check_bijection(key.apply(addresses), n, "address") is None, key
 
     def test_inverse_on_label_arrays(self):
         # run_oracle_u applies keys to whole int64 arrays, and the gate

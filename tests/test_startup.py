@@ -93,8 +93,8 @@ def test_import_leaves_qsim_unloaded():
 )
 def test_command_leaves_fft_and_random_unloaded(argv):
     # the readout is a closed form, so no FFT; the seeded streams come from
-    # qpdm's own PCG64, so no numpy.random; a count reads the oracle's
-    # diagonal, so no qsim
+    # qpdm's own PCG64, so no numpy.random; a count reads the joint
+    # column, so no qsim
     code = (
         "import sys\n"
         "from qpdm import cli\n"
