@@ -14,12 +14,11 @@ protocol cannot encrypt 0, so index j enters as the value j + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .dataset import MAX_ADDRESS_WIDTH, PartitionedView, _is_integer
+from .dataset import MAX_ADDRESS_WIDTH, FrozenRecord, PartitionedView, Record, _is_integer
 
 MAX_ATTACK_PRIME = 10**6
 # Largest prime ``compare`` accepts, checked before any trial division.
@@ -82,12 +81,11 @@ def valid_exponents(p: int) -> np.ndarray:
     return exponents
 
 
-@dataclass(frozen=True)
-class ClassicalKey:
-    p: int
-    e: int
+class ClassicalKey(FrozenRecord):
+    __slots__ = ("p", "e")
 
-    def __post_init__(self):
+    def __init__(self, p: int, e: int):
+        self._init(p, e)
         check_prime(self.p)
         if not _is_integer(self.e):
             raise ValueError(f"exponent must be an integer, got {self.e!r}")
@@ -105,11 +103,13 @@ class ClassicalKey:
         return pow(x, self.e, self.p)
 
 
-@dataclass
-class BitLog:
+class BitLog(Record):
     """Accumulator of (direction, bits) transfers for one protocol run."""
 
-    events: list[tuple[str, int]] = field(default_factory=list)
+    __slots__ = ("events",)
+
+    def __init__(self, events: list[tuple[str, int]] | None = None):
+        self.events = [] if events is None else events
 
     def log(self, direction: str, bits: int) -> None:
         self.events.append((direction, bits))

@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import PartitionedView, SimulationError, _is_integer, rule_sides
+from .dataset import FrozenRecord, PartitionedView, SimulationError, _is_integer, rule_sides
 from .protocol import (
     KEY_FAMILIES,
     Transcript,
@@ -74,21 +73,24 @@ class EstimationError(RuntimeError):
     """An estimate is unusable (too rare an antecedent, no agreement)."""
 
 
-@dataclass(frozen=True)
-class CountingConfig:
+class CountingConfig(FrozenRecord):
     """Counting width, preset support threshold, and the agreement rule.
 
     P = 2^p counting values; a round's two estimates are accepted when they
     differ by less than agreement_band * s.
     """
 
-    p: int
-    s: float
-    agreement_band: float = 0.01
-    max_rounds: int = 20
-    key_family: str = "bitflip"
+    __slots__ = ("p", "s", "agreement_band", "max_rounds", "key_family")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        p: int,
+        s: float,
+        agreement_band: float = 0.01,
+        max_rounds: int = 20,
+        key_family: str = "bitflip",
+    ):
+        self._init(p, s, agreement_band, max_rounds, key_family)
         if not _is_integer(self.p):
             raise ValueError(f"counting width p must be an integer, got {self.p!r}")
         if not 1 <= self.p <= MAX_COUNTING_WIDTH:
@@ -121,28 +123,38 @@ def default_counting_width(s: float) -> int:
     return max(1, math.ceil(math.log2(ratio)))
 
 
-@dataclass(frozen=True)
-class SupportEstimate:
+class SupportEstimate(FrozenRecord):
     """An accepted (or exhausted) support value with its error bound."""
 
-    value: float | Fraction
-    error_bound: float
-    rounds_used: int
-    s1: float
-    s2: float
-    accepted: bool
+    __slots__ = ("value", "error_bound", "rounds_used", "s1", "s2", "accepted")
+
+    def __init__(
+        self,
+        value: float | Fraction,
+        error_bound: float,
+        rounds_used: int,
+        s1: float,
+        s2: float,
+        accepted: bool,
+    ):
+        self._init(value, error_bound, rounds_used, s1, s2, accepted)
 
 
-@dataclass(frozen=True)
-class ConfidenceEstimate:
+class ConfidenceEstimate(FrozenRecord):
     """Estimated confidence with first-order and plain-sum error bounds."""
 
-    value: float
-    error_bound: float
-    error_bound_sum: float
-    numerator: SupportEstimate
-    antecedent: SupportEstimate
-    accepted: bool
+    __slots__ = ("value", "error_bound", "error_bound_sum", "numerator", "antecedent", "accepted")
+
+    def __init__(
+        self,
+        value: float,
+        error_bound: float,
+        error_bound_sum: float,
+        numerator: SupportEstimate,
+        antecedent: SupportEstimate,
+        accepted: bool,
+    ):
+        self._init(value, error_bound, error_bound_sum, numerator, antecedent, accepted)
 
 
 def phase_readout(f: int, P: int) -> float:

@@ -17,13 +17,12 @@ is handed a frozenset.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from ._pcg64 import Generator
 from .counting import CountingConfig, SupportEstimate, confidence_bound, joint_support
-from .dataset import PartitionedView, TransactionDatabase, exact_support
+from .dataset import FrozenRecord, PartitionedView, Record, TransactionDatabase, exact_support
 from .protocol import Transcript, transcript_total
 
 Estimator = Callable[[frozenset], SupportEstimate]
@@ -31,38 +30,59 @@ Estimator = Callable[[frozenset], SupportEstimate]
 MAX_EXACT_ITEMS = 20  # exact miner guard
 
 
-@dataclass(frozen=True)
-class FrequentItemset:
-    items: tuple[int, ...]
-    estimate: float | Fraction
-    error_bound: float
-    rounds: int
-    borderline: bool
+class FrequentItemset(FrozenRecord):
+    __slots__ = ("items", "estimate", "error_bound", "rounds", "borderline")
+
+    def __init__(
+        self,
+        items: tuple[int, ...],
+        estimate: float | Fraction,
+        error_bound: float,
+        rounds: int,
+        borderline: bool,
+    ):
+        self._init(items, estimate, error_bound, rounds, borderline)
 
 
-@dataclass(frozen=True)
-class AssociationRule:
-    antecedent: tuple[int, ...]
-    consequent: tuple[int, ...]
-    support: float | Fraction
-    confidence: float | Fraction
-    support_error: float
-    confidence_error: float
+class AssociationRule(FrozenRecord):
+    __slots__ = ("antecedent", "consequent", "support", "confidence", "support_error", "confidence_error")
+
+    def __init__(
+        self,
+        antecedent: tuple[int, ...],
+        consequent: tuple[int, ...],
+        support: float | Fraction,
+        confidence: float | Fraction,
+        support_error: float,
+        confidence_error: float,
+    ):
+        self._init(antecedent, consequent, support, confidence, support_error, confidence_error)
 
 
-@dataclass
-class AprioriResult:
-    levels: list[list[FrequentItemset]]
-    undetermined: list[tuple[int, ...]]
+class AprioriResult(Record):
+    __slots__ = ("levels", "undetermined")
+
+    def __init__(self, levels: list[list[FrequentItemset]], undetermined: list[tuple[int, ...]]):
+        self.levels = levels
+        self.undetermined = undetermined
 
 
-@dataclass
-class MiningReport:
-    frequent: list[FrequentItemset]
-    rules: list[AssociationRule]
-    undetermined: list[tuple[int, ...]] = field(default_factory=list)
-    total_qubits: int = 0
-    exact_diff: dict | None = None
+class MiningReport(Record):
+    __slots__ = ("frequent", "rules", "undetermined", "total_qubits", "exact_diff")
+
+    def __init__(
+        self,
+        frequent: list[FrequentItemset],
+        rules: list[AssociationRule],
+        undetermined: list[tuple[int, ...]] | None = None,
+        total_qubits: int = 0,
+        exact_diff: dict | None = None,
+    ):
+        self.frequent = frequent
+        self.rules = rules
+        self.undetermined = [] if undetermined is None else undetermined
+        self.total_qubits = total_qubits
+        self.exact_diff = exact_diff
 
     def to_json_dict(self) -> dict:
         out = {

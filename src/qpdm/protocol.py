@@ -65,12 +65,19 @@ drives, and the initiator's counterpart holds the secret key.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .dataset import PartitionedView, TransactionDatabase, _is_integer, check_bijection, itemset
+from .dataset import (
+    FrozenRecord,
+    PartitionedView,
+    Record,
+    TransactionDatabase,
+    _is_integer,
+    check_bijection,
+    itemset,
+)
 
 if TYPE_CHECKING:  # the gate-level engine is imported where a state is built
     from . import qsim
@@ -100,8 +107,7 @@ def _key_space(family: str, n: int) -> int:
     return n if family == "cyclic" else 1 << n
 
 
-@dataclass(frozen=True)
-class EncryptionKey:
+class EncryptionKey(FrozenRecord):
     """A secret bijection u on the n-bit address space.
 
     Families: bitflip u(j) = j XOR lam; modadd u(j) = j + lam mod 2^n;
@@ -111,11 +117,10 @@ class EncryptionKey:
     bijection.
     """
 
-    family: str
-    parameter: int
-    n: int
+    __slots__ = ("family", "parameter", "n")
 
-    def __post_init__(self):
+    def __init__(self, family: str, parameter: int, n: int):
+        self._init(family, parameter, n)
         if self.family not in KEY_FAMILIES:
             raise ValueError(f"unknown key family {self.family!r}")
         bound = _key_space(self.family, self.n)
@@ -168,22 +173,25 @@ def build_qram(view: PartitionedView, n: int) -> PartitionedView:
     return view
 
 
-@dataclass(frozen=True)
-class TransferEvent:
-    direction: str  # "alice_to_bob" | "bob_to_alice"
-    qubits: int
-    step: str  # step1 | step3 | step6 | step7
+class TransferEvent(FrozenRecord):
+    __slots__ = ("direction", "qubits", "step")
+
+    def __init__(self, direction: str, qubits: int, step: str):
+        # direction: "alice_to_bob" | "bob_to_alice"; step: step1 | step3 | step6 | step7
+        self._init(direction, qubits, step)
 
 
-@dataclass
-class Transcript:
+class Transcript(Record):
     """Ordered log of the oracle calls between the parties.
 
     Each record (initiator role, n, calls) stands for ``calls`` identical
     oracle calls in a row, each the four transfers of oracle_call_events.
     """
 
-    records: list[tuple[str, int, int]] = field(default_factory=list)
+    __slots__ = ("records",)
+
+    def __init__(self, records: list[tuple[str, int, int]] | None = None):
+        self.records = [] if records is None else records
 
     def log_calls(self, initiator_role: str, n: int, calls: int = 1) -> None:
         if initiator_role not in ("alice", "bob"):

@@ -56,19 +56,17 @@ from __future__ import annotations
 import math
 import types
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import SimulationError, _fitting_integers, _is_integer, check_bijection
+from .dataset import FrozenRecord, SimulationError, _fitting_integers, _is_integer, check_bijection
 
 PRUNE_EPS = 1e-14
 INT_LABEL_BITS = 62  # widest layout a RegisterLayout admits: its labels are int64
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
+class RegisterLayout(FrozenRecord):
     """Named bit fields inside a composite basis label.
 
     ``registers`` lists (name, width) pairs, first entry occupying the most
@@ -79,13 +77,12 @@ class RegisterLayout:
     INT_LABEL_BITS are refused there, so that every label fits an int64.
     """
 
-    registers: tuple[tuple[str, int], ...]
-    total_width: int = field(init=False, repr=False, compare=False)
-    _table: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("registers", "total_width", "_table")
+    _fields = ("registers",)
 
-    def __post_init__(self):
+    def __init__(self, registers: tuple[tuple[str, int], ...]):
         table, pos = {}, 0
-        for name, width in reversed(self.registers):
+        for name, width in reversed(registers):
             if not (_is_integer(width) and width >= 0):
                 raise ValueError(f"register {name!r} width must be a non-negative integer, got {width!r}")
             if name in table:
@@ -94,8 +91,7 @@ class RegisterLayout:
             pos += width
         if pos > INT_LABEL_BITS:
             raise ValueError(f"layout of {pos} qubits is wider than INT_LABEL_BITS = {INT_LABEL_BITS}")
-        object.__setattr__(self, "total_width", pos)
-        object.__setattr__(self, "_table", table)
+        self._init(registers, pos, table)
 
     def _lookup(self, name: str) -> tuple[int, int]:
         if name not in self._table:
@@ -213,11 +209,11 @@ class SparseState:
         return SparseState.from_arrays(self.layout, labels, amplitudes)
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    value: int
-    probability: float
-    post_state: SparseState
+class MeasurementOutcome(FrozenRecord):
+    __slots__ = ("value", "probability", "post_state")
+
+    def __init__(self, value: int, probability: float, post_state: SparseState):
+        self._init(value, probability, post_state)
 
 
 def negate_where(state: SparseState, mask: np.ndarray, control: int | None = None) -> SparseState:

@@ -23,7 +23,7 @@ from qpdm.dataset import (
     rule_sides,
     vertical_partition,
 )
-from qpdm.protocol import build_qram
+from qpdm.protocol import build_qram, make_key
 
 FOUR_ROWS = TransactionDatabase(3, ("110", "100", "011", "111"), 4)
 
@@ -263,6 +263,16 @@ class TestPartition:
                 # column slices of the database's matrix, not copies
                 assert np.shares_memory(alice.bits, db.bits)
                 assert np.shares_memory(bob.bits, db.bits)
+
+    def test_with_key_keeps_the_cut(self):
+        # a keyed view holds the same database and column slice, not a
+        # fresh cut of them
+        db = TransactionDatabase(4, ("1101", "0110"), 2)
+        for view in vertical_partition(db, 2):
+            keyed = view.with_key(make_key("bitflip", 1, 1))
+            assert keyed.bits is view.bits and keyed.db is view.db
+            assert (keyed.role, keyed.split_point, keyed.key) == (view.role, 2, make_key("bitflip", 1, 1))
+            assert keyed.with_key(None).bits is view.bits
 
     def test_item_part(self):
         db = TransactionDatabase(4, ("1101",), 1)

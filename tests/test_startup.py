@@ -1,9 +1,10 @@
 """Importing qpdm loads numpy with a one-thread OpenBLAS pool and leaves the
 environment as it was; a caller's own thread setting or an earlier numpy
 import wins. Neither the import nor a command loads the gate-level engine
-qpdm.qsim, and a command leaves numpy.fft and numpy.random unloaded. A
-process that imported qpdm.cli freezes its heap at exit and still writes
-its whole report. Each case runs in a fresh interpreter."""
+qpdm.qsim or the dataclasses module, and a command leaves numpy.fft and
+numpy.random unloaded. A process that imported qpdm.cli freezes its heap at
+exit and still writes its whole report. Each case runs in a fresh
+interpreter."""
 import os
 import subprocess
 import sys
@@ -82,6 +83,12 @@ def test_import_leaves_qsim_unloaded():
     assert run_python("-c", code).decode().split() == ["False", "True", "True", "True", "False"]
 
 
+def test_import_leaves_dataclasses_unloaded():
+    # qpdm's records are plain slotted classes, which generate no code
+    code = "import sys\nimport qpdm\nprint('dataclasses' in sys.modules)\n"
+    assert run_python("-c", code).decode().split() == ["False"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -94,12 +101,12 @@ def test_import_leaves_qsim_unloaded():
 def test_command_leaves_fft_and_random_unloaded(argv):
     # the readout is a closed form, so no FFT; the seeded streams come from
     # qpdm's own PCG64, so no numpy.random; a count reads the joint
-    # column, so no qsim
+    # column, so no qsim; qpdm's records are plain classes, so no dataclasses
     code = (
         "import sys\n"
         "from qpdm import cli\n"
         f"assert cli.main({argv!r}) == 0\n"
-        "print([m for m in ('numpy.fft', 'numpy.random', 'qpdm.qsim') if m in sys.modules])\n"
+        "print([m for m in ('numpy.fft', 'numpy.random', 'qpdm.qsim', 'dataclasses') if m in sys.modules])\n"
     )
     assert run_python("-c", code).decode().splitlines()[-1] == "[]"
 
