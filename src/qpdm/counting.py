@@ -27,14 +27,14 @@ party is its ``PartitionedView``; the responder's carries the count's key
 (``with_key``), which sets the oracle call on a state, the gate-level
 reference and what a transfer reveals.
 
-The distribution is computed once per (M, n, P) and held, read-only with
-its cumulative sum, until a count needs another: all 2R counts of an
-R-round joint_support share one marked count, whatever the key or the
-initiator, and so share one distribution; at most one is held. Every
-count logs the transcript of the circuit it stands for as one record of
-its P-1 logical oracle calls, and consumes one uniform draw, compared
-against the held cumulative sum. statevector_distribution runs the
-circuit itself, every controlled Grover call over the full counting
+A count reads only the distribution's cumulative sum, formed once per
+(M, n, P) and held, read-only, until a count needs another: all 2R counts
+of an R-round joint_support share one marked count, whatever the key or
+the initiator, and so share one cumulative sum; at most one is held.
+Every count logs the transcript of the circuit it stands for as one
+record of its P-1 logical oracle calls, and consumes one uniform draw,
+compared against the held cumulative sum. statevector_distribution runs
+the circuit itself, every controlled Grover call over the full counting
 register; it is exponential in p and is the reference the tests pin this
 module to. It alone needs the gate-level engine, ``qsim``, and imports it
 on first use, so a command never loads it.
@@ -62,10 +62,9 @@ from .protocol import (
 if TYPE_CHECKING:  # the statevector reference imports the engine on first use
     from . import qsim
 
-# A readout distribution and its cumulative sum, held for the next count,
-# take about 16 B of peak RSS per readout value (measured above the
-# interpreter's 29 MiB: 71 MiB at p = 22, 263 MiB at p = 24), and twice
-# that while a new one is formed beside the held one.
+# The cumulative sum held for the next count takes 8 B per readout value;
+# forming one peaks at 12 B per value, and at 20 B while it is formed
+# beside the held one (tracemalloc, p = 20).
 MAX_COUNTING_WIDTH = 24
 
 
@@ -214,43 +213,44 @@ def _statevector_prepared(
 def _readout_distribution(marked: int, n: int, P: int) -> np.ndarray:
     """Exact readout distribution of a count with `marked` of 2^n addresses
     marked: the mean of the Fejer kernels around the eigenphases +-2 theta,
-    formed in place in one real length-P array and mirrored into a second."""
+    formed in place in one real length-P array."""
     theta = math.asin(math.sqrt(marked / (1 << n)))
     r = P * theta / math.pi  # the +2 theta kernel peaks at readout r
     m = math.floor(r)
     phi = r - m
     if phi == 0:
-        kernel = np.zeros(P)
-        kernel[m] = 1.0
+        probs = np.zeros(P)
+        probs[m] = 1.0
     else:
         # d = f - r: f - m is reduced exactly mod P before phi is subtracted
-        kernel = np.arange(P // 2 - m, P + P // 2 - m, dtype=float)
-        np.mod(kernel, P, out=kernel)
-        kernel -= P // 2
-        kernel -= phi
-        kernel *= math.pi / P
-        np.sin(kernel, out=kernel)
-        np.square(kernel, out=kernel)
-        np.divide((math.sin(math.pi * phi) / P) ** 2, kernel, out=kernel)
-    # the -2 theta kernel is the +2 theta kernel mirrored, f -> -f mod P
-    probs = np.roll(kernel[::-1], 1, axis=0)  # axis=0: no flattened copy
-    probs += kernel
-    del kernel
-    probs *= 0.5
+        probs = np.arange(P // 2 - m, P + P // 2 - m, dtype=float)
+        np.mod(probs, P, out=probs)
+        probs -= P // 2
+        probs -= phi
+        probs *= math.pi / P
+        np.sin(probs, out=probs)
+        np.square(probs, out=probs)
+        np.divide((math.sin(math.pi * phi) / P) ** 2, probs, out=probs)
+    # the -2 theta kernel is this one mirrored, f -> -f mod P: each pair
+    # (f, P - f) takes its mean; f = 0 and P/2 are their own mirrors
+    half = P // 2
+    mean = probs[1:half] + probs[:half:-1]
+    mean *= 0.5
+    probs[1:half] = probs[:half:-1] = mean
     if abs(probs.sum() - 1.0) > 1e-9:
         raise SimulationError("counting distribution lost normalization")
     return probs
 
 
 # The readout depends on (M, n, P) alone, and every count of a joint_support
-# has the same M, so the last one formed is held, read-only, for the next.
+# has the same M, so the last cumulative sum is held, read-only, for the next.
 @functools.lru_cache(maxsize=1)
-def _readout(marked: int, n: int, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, cdf): the readout distribution and its cumulative sum."""
-    probs = _readout_distribution(marked, n, P)
-    cdf = np.cumsum(probs)
-    probs.flags.writeable = cdf.flags.writeable = False
-    return probs, cdf
+def _readout_cdf(marked: int, n: int, P: int) -> np.ndarray:
+    """The cumulative sum of the readout distribution, summed in place."""
+    cdf = _readout_distribution(marked, n, P)
+    np.cumsum(cdf, out=cdf)
+    cdf.flags.writeable = False
+    return cdf
 
 
 def _count_readout(
@@ -260,15 +260,15 @@ def _count_readout(
     z: frozenset,
     config: CountingConfig,
     transcript: Transcript | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, cdf) of one count: reads the marked count from the joint
-    column and logs the transcript of all P-1 oracle calls of the
-    counting circuit."""
+) -> tuple[int, int]:
+    """(M, n) of one count: reads the marked count from the joint column
+    and logs the transcript of all P-1 oracle calls of the counting
+    circuit."""
     init, resp = _resolve_parties(initiator, alice, bob)
     marked = _marked_count(init, resp, z)
     if transcript is not None:
         transcript.log_calls(init.role, init.address_width, config.P - 1)
-    return _readout(marked, init.address_width, config.P)
+    return marked, init.address_width
 
 
 def counting_distribution(
@@ -279,11 +279,11 @@ def counting_distribution(
     config: CountingConfig,
     transcript: Transcript | None = None,
 ) -> np.ndarray:
-    """Exact probability vector over the counting readout f = 0 .. P-1, as a
-    read-only array that later counts with the same (M, n, P) share. Reads
-    M from the joint column and logs all P-1 oracle calls, as a count
-    does."""
-    return _count_readout(initiator, alice, bob, z, config, transcript)[0]
+    """Exact probability vector over the counting readout f = 0 .. P-1,
+    formed afresh, 8 B per value, as an array the caller owns. Reads M from
+    the joint column and logs all P-1 oracle calls, as a count does."""
+    marked, n = _count_readout(initiator, alice, bob, z, config, transcript)
+    return _readout_distribution(marked, n, config.P)
 
 
 def statevector_distribution(
@@ -320,7 +320,7 @@ def quantum_count(
     least one in every database). ``rng`` is any generator with
     ``random()`` and ``integers(low, high)``, numpy's included.
     """
-    _, cdf = _count_readout(initiator, alice, bob, z, config, transcript)
+    cdf = _readout_cdf(*_count_readout(initiator, alice, bob, z, config, transcript), config.P)
     # the first readout whose cumulative probability exceeds one uniform
     # draw; the clamp catches a cumulative sum that rounds to just below 1
     f = min(int(np.searchsorted(cdf, rng.random(), side="right")), config.P - 1)

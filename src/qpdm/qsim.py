@@ -182,6 +182,11 @@ class SparseState:
             self._amps = types.MappingProxyType(table)
         return self._amps
 
+    def __reduce__(self):
+        # copied and pickled as its arrays, frozen again on the way back;
+        # the amplitude mapping, a cache, is formed again when read
+        return SparseState.from_arrays, (self.layout, self.labels, self.amplitudes)
+
     def __repr__(self) -> str:
         return f"SparseState({self.layout!r}, {dict(self.amps)!r})"
 

@@ -89,6 +89,32 @@ def fourier_readout_distribution(marked: int, n: int, P: int) -> np.ndarray:
     return probs
 
 
+def roll_readout_distribution(marked: int, n: int, P: int) -> np.ndarray:
+    """The closed-form readout distribution as it was formed before its
+    mirror was taken in place: the +2 theta kernel, then a rolled reversed
+    copy of it added and halved."""
+    theta = math.asin(math.sqrt(marked / (1 << n)))
+    r = P * theta / math.pi
+    m = math.floor(r)
+    phi = r - m
+    if phi == 0:
+        kernel = np.zeros(P)
+        kernel[m] = 1.0
+    else:
+        kernel = np.arange(P // 2 - m, P + P // 2 - m, dtype=float)
+        np.mod(kernel, P, out=kernel)
+        kernel -= P // 2
+        kernel -= phi
+        kernel *= math.pi / P
+        np.sin(kernel, out=kernel)
+        np.square(kernel, out=kernel)
+        np.divide((math.sin(math.pi * phi) / P) ** 2, kernel, out=kernel)
+    probs = np.roll(kernel[::-1], 1, axis=0)
+    probs += kernel
+    probs *= 0.5
+    return probs
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -270,6 +296,23 @@ class TestDistribution:
                 got = _readout_distribution(marked, n, 1 << p)
                 expected = fourier_readout_distribution(marked, n, 1 << p)
                 assert np.max(np.abs(got - expected)) < 1e-12, (n, marked)
+
+    def test_in_place_mirror_matches_rolled_copy_bit_for_bit(self):
+        # P = 2 up to 2^20; M = 0 and M = 2^n, whose kernel is a point mass
+        # (phi = 0), M = 2^(n-1), and random M; the held cumulative sum is
+        # the cumulative sum of the same bytes
+        rng = np.random.default_rng(38)
+        sizes = [(n, p) for n in (1, 2, 3, 5, 8, 13, 20) for p in (1, 2, 3, 4, 7, 11)]
+        point_masses = 0
+        for n, p in sizes + [(7, 20), (20, 20)]:
+            P = 1 << p
+            for marked in sorted({0, 1 << n, 1 << (n - 1), *rng.integers(0, (1 << n) + 1, 2).tolist()}):
+                r = P * math.asin(math.sqrt(marked / (1 << n))) / math.pi
+                point_masses += r == math.floor(r)
+                got = _readout_distribution(marked, n, P)
+                assert got.tobytes() == roll_readout_distribution(marked, n, P).tobytes(), (marked, n, P)
+                assert counting._readout_cdf(marked, n, P).tobytes() == np.cumsum(got).tobytes()
+        assert point_masses >= 2 * (len(sizes) + 2)
 
     def test_exact_phase_sharpness(self):
         # t/2^n = 1/2 has eigenphase exactly 1/4: all mass on P/4 and 3P/4
@@ -559,8 +602,9 @@ class TestQuantumCount:
 
 
 class TestReadoutMemo:
-    """The readout distribution is formed once per (M, n, P) and held, with
-    its cumulative sum, as read-only arrays; at most one is held."""
+    """A count reads only the readout's cumulative sum, formed once per
+    (M, n, P) and held as one read-only array; at most one is held.
+    counting_distribution forms its distribution afresh for the caller."""
 
     def test_alternating_marked_counts_match_fresh(self):
         config = CountingConfig(p=7, s=0.25)
@@ -568,16 +612,25 @@ class TestReadoutMemo:
         for marked in (2, 5, 2, 2, 0, 5, 8, 0):
             alice, bob = parties(db_with_marked(3, marked, seed=marked), 1)
             bob = bob.with_key(make_key("modadd", 3, 3))
-            got = counting_distribution("alice", alice, bob, z, config)
-            assert got.tobytes() == _readout_distribution(marked, 3, config.P).tobytes()
-            # read-only, not a copy: a write must fail rather than change the held one
-            assert not got.flags.writeable
+            quantum_count("alice", alice, bob, z, config, np.random.default_rng(marked))
+            assert counting._readout_cdf.cache_info().currsize == 1
+            cdf = counting._readout_cdf(marked, 3, config.P)
+            # read-only: a write must fail rather than change the held one
+            assert not cdf.flags.writeable
             with pytest.raises(ValueError):
-                got[0] = 1.0
-            assert counting._readout.cache_info().currsize == 1
-            probs, cdf = counting._readout(marked, 3, config.P)
-            assert probs is got and not cdf.flags.writeable
-            assert cdf.tobytes() == np.cumsum(got).tobytes()
+                cdf[0] = 1.0
+            fresh = _readout_distribution(marked, 3, config.P)
+            assert cdf.tobytes() == np.cumsum(fresh).tobytes()
+            held = counting._readout_cdf.cache_info()
+            got = counting_distribution("alice", alice, bob, z, config)
+            # the caller's own array, formed without touching the held sum
+            assert counting._readout_cdf.cache_info() == held
+            assert got.tobytes() == fresh.tobytes()
+            assert got.flags.writeable and got.flags.owndata and not np.shares_memory(got, cdf)
+            got[0] = 1.0
+            again = counting_distribution("alice", alice, bob, z, config)
+            assert again is not got and again.tobytes() == fresh.tobytes()
+            assert counting._readout_cdf(marked, 3, config.P).tobytes() == np.cumsum(fresh).tobytes()
 
     def test_one_readout_per_marked_count(self, monkeypatch):
         formed = []
@@ -587,7 +640,7 @@ class TestReadoutMemo:
             return _readout_distribution(marked, n, P)
 
         monkeypatch.setattr(counting, "_readout_distribution", spy)
-        counting._readout.cache_clear()
+        counting._readout_cdf.cache_clear()
         alice, bob = parties(DB16_T4, 1)
         config = CountingConfig(p=6, s=0.25, agreement_band=1e-9, max_rounds=3)
         rng = np.random.default_rng(5)
@@ -596,6 +649,26 @@ class TestReadoutMemo:
         joint_support(alice, bob, frozenset({1}), config, rng)
         joint_support(alice, bob, frozenset({1, 2}), config, rng)
         assert formed == [(4, 4, 64), (8, 4, 64), (4, 4, 64)]
+
+    # tracemalloc at p = 20 (Python 3.11, numpy 2.4): the readout is formed
+    # in one array of 8 B per value, its mirror takes a half-length sum
+    # (4 B) and its cumulative sum is summed in place, so 8 B per value is
+    # held; a second array for the distribution would add 8 B to both.
+    PEAK_PER_VALUE, HELD_PER_VALUE = 12, 8
+    # room for the interpreter's own objects; one more byte per value is 1 MiB
+    SLACK = 8 << 10
+
+    def test_footprint_per_readout_value(self):
+        P = 1 << 20
+        counting._readout_cdf.cache_clear()
+        tracemalloc.start()
+        try:
+            counting._readout_cdf(123457, 20, P)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_PER_VALUE * P + self.SLACK, f"peak {peak / P:.3f} B per value"
+        assert held <= self.HELD_PER_VALUE * P + self.SLACK, f"held {held / P:.3f} B per value"
 
 
 class TestJointSupport:
