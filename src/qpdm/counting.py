@@ -19,7 +19,7 @@ is reduced mod P to [-P/2, P/2); when phi = 0, as at M = 0 or M = 2^n, the
 kernel is a point mass on r. The -2 theta kernel is its mirror f -> -f mod
 P, and their mean, formed in O(P) with no transform, depends on the
 marked count M alone. M is the count of ``protocol.joint_column``, the
-rows both parties hold the itemset on: the oracle's diagonal is that
+column of ``TransactionDatabase.contains``: the oracle's diagonal is that
 column permuted by the responder's key, which keeps its count, so a count
 makes the pair checks of an oracle call but applies no key, checks no
 bijection (every key is one where it is made) and builds no state. A

@@ -34,7 +34,7 @@ primitive per query, mark, phase and permutation, lives in the tests.
 
 ``joint_column`` makes every check of a pair that is not about a state
 (a key checks its family, width and parameter where it is made, so it is
-a bijection) and returns the AND of the two containment columns, no key
+a bijection) and returns the database's containment column of z, no key
 applied. The oracle's diagonal, ``oracle_phase``, is that column at the
 key's 2^n images, once ``check_bijection`` finds them a bijection on the
 address register. A count reads the column alone, since a bijection keeps
@@ -259,8 +259,8 @@ def oracle_call_events(initiator_role: str, n: int) -> tuple[TransferEvent, ...]
 
 
 def joint_column(initiator: PartitionedView, responder: PartitionedView, z: frozenset, n: int) -> np.ndarray:
-    """The rows both parties hold z on, the AND of their containment
-    columns, no key applied. Every check of a pair that is not about a
+    """The rows both parties hold z on, ``TransactionDatabase.contains``
+    of z, no key applied. Every check of a pair that is not about a
     state is made first: z is an itemset over the two views' columns
     (``dataset.itemset``), the roles are distinct, the views are cut from
     one database object at one split point (so of one row count), the
@@ -278,7 +278,7 @@ def joint_column(initiator: PartitionedView, responder: PartitionedView, z: froz
         raise ValueError("party QRAM size does not match the address register")
     if key.n != n:
         raise ValueError(f"key of width {key.n} does not fit the {n}-qubit address register")
-    return responder.contains(z) & initiator.contains(z)
+    return initiator.db.contains(z)
 
 
 def oracle_phase(initiator: PartitionedView, responder: PartitionedView, z: frozenset, n: int) -> np.ndarray:

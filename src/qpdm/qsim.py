@@ -9,7 +9,7 @@ can overflow. ``SparseState.amps`` gives the same state as a read-only
 
 A command (estimate, mine, compare) builds no SparseState and never
 imports this module: a count reads its marked count from the keyless
-joint column (``protocol.joint_column``), and the oracle's diagonal
+column of ``TransactionDatabase.contains``, and the oracle's diagonal
 (``protocol.oracle_phase``) adds only check_bijection, the key's range
 and bijection check. That check, the integer rule ``_fitting_integers``
 it builds on and SimulationError live in ``dataset`` and are imported

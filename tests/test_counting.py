@@ -36,6 +36,7 @@ from qpdm.protocol import (
     EncryptionKey,
     Transcript,
     build_qram,
+    joint_column,
     make_key,
     oracle_layout,
     oracle_phase,
@@ -441,24 +442,34 @@ class TestMarkedCount:
         support = exact_support(db, z)
         assert support == exact_support(padded, z) <= 1
         assert _marked_count(init, resp, z) == support * db.original_count
+        # the joint column is the database's containment column, whichever party initiates
+        n = alice.address_width
+        for pair in ((alice, bob.with_key(key)), (bob, alice.with_key(key))):
+            assert np.array_equal(joint_column(*pair, z, n), padded.contains(z))
 
     # tracemalloc peak of one count at n = 16 (Python 3.11, numpy 2.4): the
-    # responder's containment column, 1 B per address, is held while the
-    # initiator's is formed from a gather of its two items of z (2 B) and
-    # their AND along the row (1 B). No key is applied, so the family sets
-    # no term; an int64 array over the addresses, such as the key's images,
-    # would add 8 B per address.
-    PEAK_PER_ADDRESS = 5
+    # joint column, 1 B per address, ANDed in place from the database's item
+    # columns, which the warm-up count forms and the database holds. No key
+    # is applied, so the family sets no term; an int64 array over the
+    # addresses, such as the key's images, would add 8 B per address.
+    PEAK_PER_ADDRESS = 1
     # room for the interpreter's own objects; one more byte per address is 64 KiB
     SLACK = 8 << 10
 
     @pytest.mark.parametrize("family", KEY_FAMILIES)
     def test_footprint_per_address(self, family):
+        self.assert_count_footprint(8, 4, frozenset({1, 2, 5}), family)
+
+    def test_footprint_per_address_is_one_column_however_many_items(self):
+        # 64 items, and z of 5 lying on both parties: the count's peak does
+        # not grow with |z| or with the item count
+        self.assert_count_footprint(64, 32, frozenset({3, 17, 30, 41, 60}), "bitflip")
+
+    def assert_count_footprint(self, k, split, z, family):
         n = 16
-        bits = (np.random.default_rng(16).random((1 << n, 8)) < 0.5).astype(np.uint8)
-        alice, bob = parties(TransactionDatabase.from_bits(bits, 1 << n), 4)
+        bits = (np.random.default_rng(16).random((1 << n, k)) < 0.5).astype(np.uint8)
+        alice, bob = parties(TransactionDatabase.from_bits(bits, 1 << n), split)
         resp = bob.with_key(make_key(family, 1, n))
-        z = frozenset({1, 2, 5})
         _marked_count(alice, resp, z)  # warm-up: first-call allocations are not the count's
         tracemalloc.start()
         try:

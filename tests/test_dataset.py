@@ -172,6 +172,19 @@ class TestFromBits:
             with pytest.raises(ValueError, match=message):
                 TransactionDatabase.from_bits(*args)
 
+    def test_holds_a_copy_that_no_write_to_the_callers_array_reaches(self):
+        cells = [[1, 0], [0, 1], [0, 0], [0, 0]]
+        base = np.array(cells, dtype=np.uint8)
+        db = TransactionDatabase.from_bits(base[:], 2)
+        # through the base of the view the database was given: a 1 in a
+        # padding row and a 2 in a cell, each refused where a database is
+        # made; the rows and columns are first derived after the writes
+        base[3, 0], base[0, 1] = 1, 2
+        assert not np.shares_memory(db.bits, base)
+        assert db.bits.tolist() == cells and db.rows == ("10", "01", "00", "00")
+        assert db.columns.tolist() == [[True, False, False, False], [False, True, False, False]]
+        assert exact_support(db, {1}) == exact_support(db, {2}) == Fraction(1, 2)
+
     def test_non_zero_padding_refused(self):
         # one real row and one padding row hold {1, 2}: exact_support would read 2
         with pytest.raises(ValueError, match="^padding row 1 is not all zero$"):
@@ -440,6 +453,9 @@ class TestRowStore:
 
         assert db.bits.tolist() == [[int(c) for c in row] for row in db.rows]
         assert np.array_equal(np.hstack([alice.bits, bob.bits]), db.bits)
+        columns = db.columns
+        assert np.array_equal(columns, db.bits.T) and columns.flags.c_contiguous
+        assert not columns.flags.writeable and db.columns is columns
         for party, part in ((alice, slice(None, l)), (bob, slice(l, None))):
             view_rows = [row[part] for row in db.rows]
             assert ["".join(map(str, row)) for row in party.bits.tolist()] == view_rows
@@ -447,7 +463,20 @@ class TestRowStore:
             column = [all(row[i - offset - 1] == "1" for i in zpart) for row in view_rows]
             assert party.contains(z).tolist() == column
             assert index_set(party, z) == {j + 1 for j in range(n_rows) if column[j]}
+            if zpart:  # an itemset lying wholly on one party
+                assert db.contains(zpart).tolist() == column
+        column = db.contains(z)
+        assert column.dtype == bool and not column.flags.writeable
+        assert column.tolist() == [all(row[i - 1] == "1" for i in z) for row in db.rows]
         assert exact_support(db, z) == brute_support(db.rows, z, n_rows)
+
+    def test_set_up_forms_no_item_columns(self):
+        # the item columns are formed on the first containment query, so
+        # parsing, padding and cutting the parties' QRAM leave them unformed
+        db = pad_to_power_of_two(parse_database("a,b,c\n1,0,1\n0,1,1\n1,1,0\n"))
+        for view in vertical_partition(db, 1):
+            build_qram(view, 2)
+        assert "columns" not in db.__dict__
 
 
 # The line-by-line parser that parse_database replaced, kept verbatim (bar

@@ -7,6 +7,7 @@ import copy
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qpdm.classical import BitLog, ClassicalKey
@@ -163,3 +164,12 @@ def test_state_pickles_after_its_amplitudes_are_read():
     assert not (twin.labels.flags.writeable or twin.amplitudes.flags.writeable)
     with pytest.raises(TypeError):
         twin.amps[2] = 0.0
+
+
+def test_database_copies_form_their_caches_again():
+    db = TransactionDatabase(3, ("110", "011"), 2)
+    columns, rows = db.columns, db.rows  # both now cached
+    for twin in (copy.copy(db), pickle.loads(pickle.dumps(db))):
+        assert twin == db and not twin.__dict__
+        assert np.array_equal(twin.columns, columns) and twin.rows == rows
+        assert not twin.columns.flags.writeable
