@@ -28,9 +28,9 @@ party is its ``PartitionedView``; the responder's carries the count's key
 reference and what a transfer reveals.
 
 A count reads only the distribution's cumulative sum, formed once per
-(M, n, P) and held, read-only, until a count needs another: all 2R counts
-of an R-round joint_support share one marked count, whatever the key or
-the initiator, and so share one cumulative sum; at most one is held.
+(M, n, P) and held, read-only, until a count needs another (it is freed
+first): all 2R counts of an R-round joint_support share one marked count,
+whatever the key or the initiator, and so share one cumulative sum.
 Every count logs the transcript of the circuit it stands for as one
 record of its P-1 logical oracle calls, and consumes one uniform draw,
 compared against the held cumulative sum. statevector_distribution runs
@@ -62,9 +62,9 @@ from .protocol import (
 if TYPE_CHECKING:  # the statevector reference imports the engine on first use
     from . import qsim
 
-# The cumulative sum held for the next count takes 8 B per readout value;
-# forming one peaks at 12 B per value, and at 20 B while it is formed
-# beside the held one (tracemalloc, p = 20).
+# The cumulative sum held for the next count takes 8 B per readout value,
+# and forming one peaks at 12 B per value (tracemalloc, p = 20): the held
+# one is freed before the next is formed.
 MAX_COUNTING_WIDTH = 24
 
 
@@ -242,11 +242,12 @@ def _readout_distribution(marked: int, n: int, P: int) -> np.ndarray:
     return probs
 
 
-# The readout depends on (M, n, P) alone, and every count of a joint_support
-# has the same M, so the last cumulative sum is held, read-only, for the next.
+# The readout depends on (M, n, P) alone and every count of a joint_support
+# has the same M: the last cumulative sum is held for the next, freed on a miss.
 @functools.lru_cache(maxsize=1)
 def _readout_cdf(marked: int, n: int, P: int) -> np.ndarray:
     """The cumulative sum of the readout distribution, summed in place."""
+    _readout_cdf.cache_clear()
     cdf = _readout_distribution(marked, n, P)
     np.cumsum(cdf, out=cdf)
     cdf.flags.writeable = False

@@ -23,8 +23,8 @@ compared against "0", "1" and the newline. A file that fails this check is
 read as the definitions say: decoded, cut by ``str.splitlines``, its
 trailing blank lines dropped and each CSV cell (each bit-string line)
 stripped by ``str.strip``, and joined back into canonical lines. Then the
-check runs again, and the first malformed line is looked for only if it
-fails again.
+check runs again, and only if it fails again is the first malformed line
+found, by one pattern of the line rule over the decoded text.
 
 All statistics in this module are exact rationals counted over the
 unpadded rows; they are the ground truth every estimated quantity is judged
@@ -35,9 +35,10 @@ numerator; the denominator is always the original row count.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,43 +61,8 @@ def _is_integer(value) -> bool:
 class SimulationError(RuntimeError):
     """Internal consistency violation: a key or permutation that is not a
     bijection, a measurement on an empty or unnormalized state, a readout
-    distribution that lost its norm."""
-
-
-def _fitting_integers(values: Sequence[int], width: int, not_integers: str, misfit: str) -> np.ndarray:
-    """``values`` as an int64 array (uncopied when it already is one; empty
-    when there are none), refused unless each is an integer that fits
-    ``width`` bits, in the caller's words: ``not_integers`` may name the
-    {dtype}, ``misfit`` the first {value}, as given, that does not fit."""
-    array = np.asarray(values)
-    if array.size and array.dtype.kind not in "iu":
-        # Python ints take dtype object or float64 when one is past int64,
-        # and so past every register
-        if isinstance(values, np.ndarray) or any(type(v) is not int for v in values):
-            raise ValueError(not_integers.format(dtype=array.dtype))
-    else:
-        array = array.astype(np.int64, copy=False)
-        # the OR of all values has a bit at or above width exactly when some
-        # value is negative or too wide: one reduction, no temporary
-        if not np.bitwise_or.reduce(array) >> width:
-            return array
-    bad = next(v for v in values if v >> width)
-    raise ValueError(misfit.format(value=bad, width=width))
-
-
-def check_bijection(images: np.ndarray, width: int, register: str) -> None:
-    """Refuse unless the map on a register's 2^width values that sends j to
-    images[j] is a bijection: every image is an integer that fits the
-    register (``_fitting_integers``), and the images reach every value, so
-    none is reached twice and distinct labels stay distinct. One bool mark
-    per value, O(2^width)."""
-    not_integers = "permutation outputs must be integers, got dtype {dtype}"
-    misfit = f"permutation output {{value}} does not fit register {register!r}"
-    images = _fitting_integers(images, width, not_integers, misfit)
-    reached = np.zeros(1 << width, dtype=bool)
-    reached[images] = True
-    if len(images) != len(reached) or not reached.all():
-        raise SimulationError("permutation is not a bijection on the register")
+    distribution that lost its norm. It lives here, not in ``qsim``,
+    because ``counting`` raises it and no command loads the engine."""
 
 
 def itemset(items, n_items: int | None = None) -> ItemSet:
@@ -547,19 +513,14 @@ def _cells(body: np.ndarray, k: int, csv: bool) -> np.ndarray | None:
 
 
 def _first_error(body: np.ndarray, k: int, csv: bool) -> ParseError:
-    """The error for the first line of ``body`` that is not k cells."""
-    width = 2 * k if csv else k + 1
-    ends = np.flatnonzero(body == NEWLINE)
-    short = np.flatnonzero(np.diff(ends, prepend=-1) != width)
-    fits = short[0] if len(short) else len(ends)
-    grid = body[: fits * width].reshape(fits, width)
-    bad = (grid[:, : width - 1 : 2 if csv else 1] - ZERO > 1).any(axis=1)
-    if csv:
-        bad |= (grid[:, 1:-1:2] != COMMA).any(axis=1)
-    row = int(np.argmax(bad) if bad.any() else fits)
-    line = body[ends[row - 1] + 1 if row else 0 : ends[row]].tobytes()
-    line = line.decode("utf-8", "surrogatepass")
-    lineno = row + 1 + csv
+    """The error for the first line of ``body`` that is not k cells, found
+    by one pattern over the text with a newline put in front: the first
+    newline not followed by the line rule and a newline. Searching from
+    newlines is faster than trying a multiline ``^`` at every position."""
+    text = "\n" + body.tobytes().decode("utf-8", "surrogatepass")
+    rule = f"(?:[01],){{{k - 1}}}[01]" if csv else f"[01]{{{k}}}"
+    found = re.search(rf"\n(?!{rule}\n)(.*)", text)
+    line, lineno = found[1], text.count("\n", 0, found.start(1)) + csv
     if csv:
         cells = line.split(",")
         if len(cells) != k:

@@ -32,23 +32,23 @@ bit matrix is its only copy of its data. The gate-level reference
 the plan is tested against, which loads rows into data registers one qsim
 primitive per query, mark, phase and permutation, lives in the tests.
 
-``joint_column`` makes every check of a pair that is not about a state
-(a key checks its family, width and parameter where it is made, so it is
-a bijection) and returns the database's containment column of z, no key
+``joint_column`` makes every check of a pair that is not about a state (a
+key checks its family, width and parameter where it is made, so it is a
+bijection) and returns the database's containment column of z, no key
 applied. The oracle's diagonal, ``oracle_phase``, is that column at the
-key's 2^n images, once ``check_bijection`` finds them a bijection on the
-address register. A count reads the column alone, since a bijection keeps
-the number of marked entries, so no command applies a key or builds a
-state. The key matters where a state is: in ``run_oracle_u``, the call
-the statevector reference, the tests and the demos run, which checks the
-state, gathers ``oracle_phase`` onto the labels' address field and
-negates those amplitudes on the control's 1 branches with
+key's 2^n images, once the engine's ``qsim.check_bijection`` finds them a
+bijection on the address register. A count reads the column alone, since a
+bijection keeps the number of marked entries, so no command applies a key
+or builds a state. The key matters where a state is: in ``run_oracle_u``,
+the call the statevector reference, the tests and the demos run, which
+checks the state, gathers ``oracle_phase`` onto the labels' address field
+and negates those amplitudes on the control's 1 branches with
 ``qsim.negate_where``; in the tests' gate-level reference, which permutes
 the labels by it; and in what a transfer reveals, as the address travels
 encrypted. No label moves, so the output reuses the entry label array; a
 SparseState is built at exit, and after each step when a record is asked
-for. ``oracle_layout``, ``run_oracle_u`` and ``controlled_grover`` import
-the gate-level engine ``qsim`` on first use, so a command never loads it.
+for. ``oracle_layout``, ``oracle_phase``, ``run_oracle_u`` and
+``controlled_grover`` import ``qsim`` on first use, so no command loads it.
 
 Register transfers happen in steps 1, 3, 6 and 7 and carry (n, n+1, n+1,
 n) qubits, 4n+2 per call. A transcript holds one (initiator role, n,
@@ -75,7 +75,6 @@ from .dataset import (
     Record,
     TransactionDatabase,
     _is_integer,
-    check_bijection,
     itemset,
 )
 
@@ -284,13 +283,15 @@ def joint_column(initiator: PartitionedView, responder: PartitionedView, z: froz
 def oracle_phase(initiator: PartitionedView, responder: PartitionedView, z: frozenset, n: int) -> np.ndarray:
     """The oracle's diagonal over the 2^n addresses: entry j is True where
     the call negates |j>, ``joint_column`` (which makes every check of the
-    pair) at u(j). The key's 2^n images are checked by ``check_bijection``,
-    which marks the values they reach, to fit the address register and to
-    be a bijection on it, so that distinct labels stay distinct and each
-    mark is undone where it was made."""
+    pair) at u(j). ``qsim.check_bijection`` marks the values the key's 2^n
+    images reach, to check that they fit the address register and are a
+    bijection on it, so that distinct labels stay distinct and each mark is
+    undone where it was made."""
+    from . import qsim
+
     column = joint_column(initiator, responder, z, n)
     images = responder.key.apply(np.arange(1 << n))
-    check_bijection(images, n, "address")
+    qsim.check_bijection(images, n, "address")
     return column[images]
 
 

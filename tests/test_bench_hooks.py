@@ -35,6 +35,10 @@ def test_traced_estimate_spans(tmp_path):
     # market.csv has 16 rows: n = 4, 4n + 2 = 18 qubits per oracle call
     calls = report["qubits_sent"] // 18
     assert calls == 2 * report["rounds"] * (2**6 - 1)
+    # the traced run passes these spans' durations to statistics.quantiles,
+    # which refuses fewer than two: each round makes one count per initiator
+    counts = [span for span in spans if span[0] == "counting.quantum_count"]
+    assert len(counts) == 2 * report["rounds"] >= 2
     events = [span[4]["events"] for span in spans if span[0] == "protocol.transcript_total"]
     assert events == [4 * calls]
 

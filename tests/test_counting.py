@@ -1,13 +1,14 @@
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpdm import counting, protocol, qsim
+from qpdm import counting, qsim
 from qpdm.counting import (
     MAX_COUNTING_WIDTH,
     CountingConfig,
@@ -528,7 +529,7 @@ class TestMarkedCount:
             raise AssertionError("a count applied a key or checked a bijection")
 
         monkeypatch.setattr(EncryptionKey, "apply", refuse)
-        monkeypatch.setattr(protocol, "check_bijection", refuse)
+        monkeypatch.setattr(qsim, "check_bijection", refuse)
         estimate, probs, records = run()
         assert estimate == expected[0] and records == expected[2]
         assert np.array_equal(probs, expected[1])
@@ -614,8 +615,9 @@ class TestQuantumCount:
 
 class TestReadoutMemo:
     """A count reads only the readout's cumulative sum, formed once per
-    (M, n, P) and held as one read-only array; at most one is held.
-    counting_distribution forms its distribution afresh for the caller."""
+    (M, n, P) and held as one read-only array; at most one is held, and it
+    is freed before the next is formed. counting_distribution forms its
+    distribution afresh for the caller."""
 
     def test_alternating_marked_counts_match_fresh(self):
         config = CountingConfig(p=7, s=0.25)
@@ -660,6 +662,19 @@ class TestReadoutMemo:
         joint_support(alice, bob, frozenset({1}), config, rng)
         joint_support(alice, bob, frozenset({1, 2}), config, rng)
         assert formed == [(4, 4, 64), (8, 4, 64), (4, 4, 64)]
+
+    def test_held_sum_freed_before_the_next_is_formed(self, monkeypatch):
+        counting._readout_cdf.cache_clear()
+        held = weakref.ref(counting._readout_cdf(4, 4, 64))
+        alive = []
+
+        def spy(marked, n, P):
+            alive.append(held() is not None)
+            return _readout_distribution(marked, n, P)
+
+        monkeypatch.setattr(counting, "_readout_distribution", spy)
+        counting._readout_cdf(8, 4, 64)
+        assert alive == [False]
 
     # tracemalloc at p = 20 (Python 3.11, numpy 2.4): the readout is formed
     # in one array of 8 B per value, its mirror takes a half-length sum

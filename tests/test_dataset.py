@@ -96,6 +96,20 @@ class TestParse:
         ):
             with pytest.raises(ValueError, match=message):
                 TransactionDatabase(*args)
+        # the first bad row, read as lines by parse_database and as rows by
+        # the constructor, is the reference's: the first, the last, one
+        # holding "\r", a fullwidth "\uff11" and a lone surrogate
+        for rows in (
+            ("1a", "01"),
+            ("10", "01", "0"),
+            ("10", "1\r0", "11"),
+            ("10", "0\uff11", "1"),
+            ("10", "\ud8001", "1"),
+        ):
+            text = "".join(row + "\n" for row in rows)
+            assert parse_outcome(parse_database, text) == parse_outcome(reference_parse_database, text)
+            got = parse_outcome(lambda rows: TransactionDatabase(2, rows, len(rows)), rows)
+            assert got == parse_outcome(_reference_parse_bitstrings, list(rows))
 
     def test_constructor_refuses_a_line_break_in_a_row(self):
         # read as lines, ("10\n00",) would be two rows, the second zero padding
@@ -665,6 +679,11 @@ class TestParserMatchesReference:
             "a,b\n1,0\n0,2\n",  # "2" (0x32) as a digit
             "a,b\n",  # the header alone
             "a,b",
+            "a,b\n1,a\n0,1\n",  # the first data line bad
+            "a,b\n1,0\n0,1\n1\n",  # the last line bad
+            "a,b\n1,0\n1,\r0\n",  # a "\r" ends a line
+            "a,b\n1,0\n\uff11,0\n",  # a fullwidth one
+            "a,b\n1,0\n0,\ud800\n",  # a lone surrogate
         ],
     )
     def test_canonical_csv_cells(self, text):

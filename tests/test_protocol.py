@@ -6,7 +6,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from qpdm import qsim
-from qpdm.dataset import PartitionedView, TransactionDatabase, check_bijection, itemset, vertical_partition
+from qpdm.dataset import PartitionedView, TransactionDatabase, itemset, vertical_partition
 from qpdm.protocol import (
     AUX_REGISTERS,
     EncryptionKey,
@@ -24,6 +24,7 @@ from qpdm.protocol import (
     sample_key,
     transcript_total,
 )
+from qpdm.qsim import check_bijection
 
 DB8 = TransactionDatabase(
     4, ("1100", "1111", "0110", "1010", "0011", "1101", "0000", "1011"), 8
